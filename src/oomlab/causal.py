@@ -21,7 +21,8 @@ import numpy as np
 
 from .dimension import DEFAULT_RANK_TOL, numerical_rank
 from .errors import ResourceLimitError
-from .oom import DEFAULT_NEG_TOL, OomOracle, as_oracle, _functional_levels, _state_levels
+from .oom import DEFAULT_NEG_TOL, OomOracle, as_oracle
+from .oom import _functional_levels, _propagate, _state_levels
 from .words import Word, normalize_word, words_of_length
 
 MAX_FUTURES = 100_000
@@ -114,16 +115,15 @@ def _predictive_matrix(ora, past_length: int, horizon: int, neg_tol: float):
     futures = words_of_length(ora.alphabet, horizon)
     if isinstance(ora, OomOracle):
         m = ora.model
-        states = _state_levels(m, past_length)[past_length]
-        functionals = _functional_levels(m, horizon)[horizon]
+        states = _state_levels(m.operator_stack, m.init, past_length)[past_length]
+        functionals = _functional_levels(m.operator_stack, m.eval, horizon)[horizon]
         weights = states @ m.eval
         numerators = states @ functionals.T
     else:
         weights = np.array([ora.probability(u) for u in pasts])
-        numerators = np.empty((len(pasts), len(futures)))
-        for i, u in enumerate(pasts):
-            for j, w in enumerate(futures):
-                numerators[i, j] = ora.probability(u + w)
+        numerators = np.array(
+            [[ora.probability(u + w) for w in futures] for u in pasts], dtype=float
+        )
     weights = np.where((weights < 0) & (weights >= -neg_tol), 0.0, weights)
     numerators = np.where((numerators < 0) & (numerators >= -neg_tol), 0.0, numerators)
     return pasts, weights, numerators
@@ -150,10 +150,7 @@ def predictive_distribution(
         return PredictiveDistribution(past=w, horizon=horizon, dist=None, weight=0.0)
     if isinstance(ora, OomOracle):
         m = ora.model
-        state = m.init
-        for s in w:
-            state = m.operators[s] @ state
-        numer = _functional_levels(m, horizon)[horizon] @ state
+        numer = _functional_levels(m.operator_stack, m.eval, horizon)[horizon] @ _propagate(m, w)
     else:
         numer = np.array(
             [ora.probability(w + fut) for fut in words_of_length(ora.alphabet, horizon)]

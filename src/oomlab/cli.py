@@ -362,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(p)
     p.add_argument("--max-level", type=int, required=True, dest="max_level")
     p.add_argument("--tol-rel", type=float, default=1e-9, dest="tol_rel")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for interface compatibility; the fill is vectorized")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("minimize", help="equivalent model of minimal dimension")
@@ -392,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(p)
     p.add_argument("--max-level", type=int, required=True, dest="max_level")
     p.add_argument("--tol-rel", type=float, default=1e-9, dest="tol_rel")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for interface compatibility; the fill is vectorized")
     p.set_defaults(func=_cmd_nc_dim)
 
     p = sub.add_parser("experiment", help="run a verification harness from a spec file")

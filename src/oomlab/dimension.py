@@ -26,6 +26,7 @@ from .oom import (
     OomModel,
     OomOracle,
     _functional_levels,
+    _propagate,
     _state_levels,
     as_oracle,
 )
@@ -82,11 +83,15 @@ def apply_tau(m: OomModel, word) -> np.ndarray:
     word (unnormalized); applying the evaluation covector gives the word's
     probability. The empty word returns the initial vector.
     """
-    w = normalize_word(word, m.alphabet)
-    state = m.init
-    for s in w:
-        state = m.operators[s] @ state
-    return state
+    return _propagate(m, normalize_word(word, m.alphabet))
+
+
+def _model_block(ops, init, eval, l_past: int, l_future: int) -> np.ndarray:
+    """Block ``S F^T``: state images of all words up to ``l_past`` against
+    the functionals of all words up to ``l_future``, both over ``ops``."""
+    states = np.vstack(_state_levels(ops, init, l_past))
+    functionals = np.vstack(_functional_levels(ops, eval, l_future))
+    return states @ functionals.T
 
 
 def _clamp_probabilities(h: np.ndarray, neg_tol: float) -> np.ndarray:
@@ -128,14 +133,9 @@ def build_hankel(
     futures = words_up_to(ora.alphabet, l_future)
     if isinstance(ora, OomOracle):
         m = ora.model
-        states = np.vstack(_state_levels(m, l_past))
-        functionals = np.vstack(_functional_levels(m, l_future))
-        h = states @ functionals.T
+        h = _model_block(m.operator_stack, m.init, m.eval, l_past, l_future)
     else:
-        h = np.empty((n_rows, n_cols))
-        for i, u in enumerate(pasts):
-            for j, w in enumerate(futures):
-                h[i, j] = ora.probability(u + w)
+        h = np.array([[ora.probability(u + w) for w in futures] for u in pasts], dtype=float)
     h = _clamp_probabilities(h, neg_tol)
     sv = np.linalg.svd(h, compute_uv=False)
     return HankelBlock(pasts=pasts, futures=futures, matrix=h, singular_values=sv)
@@ -154,6 +154,22 @@ def numerical_rank(singular_values, tol_rel: float = DEFAULT_RANK_TOL) -> int:
     if smax <= 0.0:
         return 0
     return int(np.count_nonzero(sv > tol_rel * smax))
+
+
+def _rank_ladder(block_at, l_max: int, tol_rel: float) -> DimensionReport:
+    """Numerical ranks of the square :class:`HankelBlock` ``block_at(level)``
+    at depths 0..l_max and the stabilization verdict on the last two depths."""
+    if l_max < 1:
+        raise ValueError("l_max must be at least 1")
+    ranks = {k: numerical_rank(block_at(k).singular_values, tol_rel) for k in range(l_max + 1)}
+    stabilized = ranks[l_max] == ranks[l_max - 1]
+    rank_by_level = {k: r for k, r in ranks.items() if k >= 1}
+    return DimensionReport(
+        rank_by_level=rank_by_level,
+        stabilized=stabilized,
+        dimension=rank_by_level[l_max] if stabilized else None,
+        tol_rel=tol_rel,
+    )
 
 
 def process_dimension(
@@ -175,21 +191,10 @@ def process_dimension(
     >>> process_dimension(bernoulli(0.3), 2).dimension
     1
     """
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
-    ranks_with_zero = {}
-    for level in range(l_max + 1):
-        block = build_hankel(
-            p, level, level, neg_tol=neg_tol, max_entries=max_entries
-        )
-        ranks_with_zero[level] = numerical_rank(block.singular_values, tol_rel)
-    stabilized = ranks_with_zero[l_max] == ranks_with_zero[l_max - 1]
-    rank_by_level = {lvl: r for lvl, r in ranks_with_zero.items() if lvl >= 1}
-    return DimensionReport(
-        rank_by_level=rank_by_level,
-        stabilized=stabilized,
-        dimension=rank_by_level[l_max] if stabilized else None,
-        tol_rel=tol_rel,
+    return _rank_ladder(
+        lambda level: build_hankel(p, level, level, neg_tol=neg_tol, max_entries=max_entries),
+        l_max,
+        tol_rel,
     )
 
 
@@ -274,8 +279,8 @@ def equivalent(m1: OomModel, m2: OomModel, l: int, tol: float = 1e-9) -> bool:
     if m1.alphabet != m2.alphabet:
         raise ValidationError("alphabet mismatch")
     worst = 0.0
-    lv1 = _state_levels(m1, l)
-    lv2 = _state_levels(m2, l)
+    lv1 = _state_levels(m1.operator_stack, m1.init, l)
+    lv2 = _state_levels(m2.operator_stack, m2.init, l)
     for a, b in zip(lv1, lv2):
         worst = max(worst, float(np.max(np.abs(a @ m1.eval - b @ m2.eval))))
     return worst <= tol

@@ -12,8 +12,8 @@ an implementation bug, not a counterexample.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, ClassVar, Sequence
 
 from .causal import (
     causal_span_rank,
@@ -76,17 +76,9 @@ class ExperimentReport:
     points: list
     tolerances: dict
     seed: int
-    runtime_seconds: float | None = field(default=None, compare=False)
+    runtime_seconds: ClassVar[float | None] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "predicate": self.predicate,
-            "points": self.points,
-            "tolerances": self.tolerances,
-            "seed": self.seed,
-        }
+    to_dict = asdict
 
 
 def cylinder_distance(p, q, l: int) -> float:

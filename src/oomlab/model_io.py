@@ -119,64 +119,44 @@ def _as_number(x, field: str) -> float:
     return float(x)
 
 
-def _as_real_vector(x, field: str, length: int) -> np.ndarray:
-    if not isinstance(x, list) or len(x) != length:
-        raise SchemaError(f'field "{field}" must be a list of {length} numbers')
-    return np.array([_as_number(v, field) for v in x])
-
-
-def _as_real_matrix(x, field: str, shape: tuple) -> np.ndarray:
-    rows, cols = shape
-    if not isinstance(x, list) or len(x) != rows:
-        raise SchemaError(f'field "{field}" must be a {rows}x{cols} row-major matrix')
-    out = np.empty(shape)
-    for i, row in enumerate(x):
-        if not isinstance(row, list) or len(row) != cols:
-            raise SchemaError(
-                f'field "{field}" must be a {rows}x{cols} row-major matrix'
-            )
-        out[i] = [_as_number(v, field) for v in row]
-    return out
-
-
 def _as_complex(x, field: str) -> complex:
     if not isinstance(x, list) or len(x) != 2:
         raise SchemaError(f'field "{field}" must hold complex numbers as [re, im] pairs')
     return complex(_as_number(x[0], field), _as_number(x[1], field))
 
 
-def _as_complex_vector(x, field: str, length: int) -> np.ndarray:
+# Element kinds of vectors and matrices: (element parser, dtype, how a vector
+# of them is described, how a matrix of them is described).
+_REAL = (_as_number, float, "numbers", "row-major matrix")
+_PAIR = (_as_complex, complex, "[re, im] pairs", "matrix of [re, im] pairs")
+
+
+def _as_vector(x, field: str, length: int, kind=_REAL) -> np.ndarray:
+    parse, dtype, noun, _ = kind
     if not isinstance(x, list) or len(x) != length:
-        raise SchemaError(f'field "{field}" must be a list of {length} [re, im] pairs')
-    return np.array([_as_complex(v, field) for v in x])
+        raise SchemaError(f'field "{field}" must be a list of {length} {noun}')
+    return np.array([parse(v, field) for v in x], dtype=dtype)
 
 
-def _as_complex_matrix(x, field: str, shape: tuple) -> np.ndarray:
+def _as_matrix(x, field: str, shape: tuple, kind=_REAL) -> np.ndarray:
+    parse, dtype, _, noun = kind
     rows, cols = shape
+    message = f'field "{field}" must be a {rows}x{cols} {noun}'
     if not isinstance(x, list) or len(x) != rows:
-        raise SchemaError(
-            f'field "{field}" must be a {rows}x{cols} matrix of [re, im] pairs'
-        )
-    out = np.empty(shape, dtype=complex)
+        raise SchemaError(message)
+    out = np.empty(shape, dtype=dtype)
     for i, row in enumerate(x):
         if not isinstance(row, list) or len(row) != cols:
-            raise SchemaError(
-                f'field "{field}" must be a {rows}x{cols} matrix of [re, im] pairs'
-            )
-        out[i] = [_as_complex(v, field) for v in row]
+            raise SchemaError(message)
+        out[i] = [parse(v, field) for v in row]
     return out
 
 
 def _pop_metadata(data: dict) -> dict:
-    meta = {}
-    name = _pop_optional(data, "name")
-    desc = _pop_optional(data, "description")
-    if name is not None and not isinstance(name, str):
-        raise SchemaError('field "name" must be a string')
-    if desc is not None and not isinstance(desc, str):
-        raise SchemaError('field "description" must be a string')
-    meta["name"] = name
-    meta["description"] = desc
+    meta = {key: _pop_optional(data, key) for key in ("name", "description")}
+    for key, value in meta.items():
+        if value is not None and not isinstance(value, str):
+            raise SchemaError(f'field "{key}" must be a string')
     return meta
 
 
@@ -195,11 +175,11 @@ def _parse_oom(data: dict, context: str) -> OomModel:
     if set(operators) != set(alphabet):
         raise SchemaError('field "operators" must have exactly one matrix per alphabet symbol')
     ops = {
-        s: _as_real_matrix(operators[s], f"operators[{s!r}]", (dim, dim))
+        s: _as_matrix(operators[s], f"operators[{s!r}]", (dim, dim))
         for s in alphabet
     }
-    init = _as_real_vector(_pop(data, "init", context), "init", dim)
-    evalv = _as_real_vector(_pop(data, "eval", context), "eval", dim)
+    init = _as_vector(_pop(data, "init", context), "init", dim)
+    evalv = _as_vector(_pop(data, "eval", context), "eval", dim)
     meta = _pop_metadata(data)
     _no_leftovers(data, context)
     return OomModel(alphabet=tuple(alphabet), operators=ops, init=init, eval=evalv, **meta)
@@ -216,9 +196,9 @@ def _parse_hmm(data: dict, context: str) -> HmmModel:
             'field "transition_emission" must have exactly one matrix per alphabet symbol'
         )
     mats = {
-        s: _as_real_matrix(te[s], f"transition_emission[{s!r}]", (n, n)) for s in alphabet
+        s: _as_matrix(te[s], f"transition_emission[{s!r}]", (n, n)) for s in alphabet
     }
-    init = _as_real_vector(_pop(data, "init", context), "init", n)
+    init = _as_vector(_pop(data, "init", context), "init", n)
     meta = _pop_metadata(data)
     _no_leftovers(data, context)
     return HmmModel(alphabet=tuple(alphabet), transition_emission=mats, init=init, **meta)
@@ -249,12 +229,12 @@ def _parse_ncoom(data: dict, context: str) -> NcOomModel:
         )
     ops = np.stack(
         [
-            _as_complex_matrix(m, f"op_per_basis[{i}]", (dim, dim))
+            _as_matrix(m, f"op_per_basis[{i}]", (dim, dim), _PAIR)
             for i, m in enumerate(raw_ops)
         ]
     )
-    init = _as_complex_vector(_pop(data, "init", context), "init", dim)
-    evalv = _as_complex_vector(_pop(data, "eval", context), "eval", dim)
+    init = _as_vector(_pop(data, "init", context), "init", dim, _PAIR)
+    evalv = _as_vector(_pop(data, "eval", context), "eval", dim, _PAIR)
     meta = _pop_metadata(data)
     _no_leftovers(data, context)
     return NcOomModel(algebra=algebra, op_per_basis=ops, init=init, eval=evalv, **meta)
@@ -297,6 +277,27 @@ def _parse_mixture(data: dict, context: str, base_dir: str, validate: bool, dept
     return combined
 
 
+def _load_json(path, top_type: type, what: str):
+    """Decoded contents of a JSON file whose top level is a ``top_type``,
+    described as ``what`` in the error."""
+    path = os.fspath(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as e:
+        raise SchemaError(f"cannot read {path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise SchemaError(
+            f"parse error in {path} at line {e.lineno}, column {e.colno}: {e.msg}"
+        ) from e
+    if not isinstance(data, top_type):
+        raise SchemaError(f"top level of {path} must be {what}")
+    return data
+
+
+_PARSERS = {"oom": _parse_oom, "hmm": _parse_hmm, "ncoom": _parse_ncoom}
+
+
 def parse_model_file(path, validate: bool = True, _depth: int = 0):
     """Load and (by default) validate a typed model from a JSON file.
 
@@ -305,46 +306,20 @@ def parse_model_file(path, validate: bool = True, _depth: int = 0):
     Parse errors carry line and column, schema violations name the field, and
     validation failures quote the residuals.
     """
-    path = os.fspath(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise SchemaError(f"cannot read {path}: {e}") from e
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(
-            f"parse error in {path} at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
-    if not isinstance(data, dict):
-        raise SchemaError(f"top level of {path} must be an object")
+    data = _load_json(path, dict, "an object")
     context = f"model file {os.path.basename(path)}"
-    data = dict(data)
     mtype = _pop(data, "type", context)
-    if mtype == "oom":
-        model = _parse_oom(data, context)
-        if validate:
-            _validate_loaded(model)
-        return model
-    if mtype == "hmm":
-        model = _parse_hmm(data, context)
-        if validate:
-            _validate_loaded(model)
-        return model
-    if mtype == "ncoom":
-        model = _parse_ncoom(data, context)
-        if validate:
-            _validate_loaded(model)
-        return model
     if mtype == "mixture":
         model = _parse_mixture(
             data, context, os.path.dirname(os.path.abspath(path)), validate, _depth
         )
-        if validate:
-            _validate_loaded(model)
-        return model
-    raise SchemaError(f'unknown model type {mtype!r} in {context}')
+    elif isinstance(mtype, str) and mtype in _PARSERS:
+        model = _PARSERS[mtype](data, context)
+    else:
+        raise SchemaError(f'unknown model type {mtype!r} in {context}')
+    if validate:
+        _validate_loaded(model)
+    return model
 
 
 def _validate_loaded(model):
@@ -385,8 +360,9 @@ def _validate_loaded(model):
 # Serialization
 
 
-def _complex_matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+def _pairs(a: np.ndarray) -> list:
+    """Nested lists of a complex array, each entry as an [re, im] pair."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def serialize_model(model) -> dict:
@@ -396,12 +372,9 @@ def serialize_model(model) -> dict:
             "type": "oom",
             "alphabet": list(model.alphabet),
             "dim": model.dim,
-            "operators": {
-                s: [[float(v) for v in row] for row in model.operators[s]]
-                for s in model.alphabet
-            },
-            "init": [float(v) for v in model.init],
-            "eval": [float(v) for v in model.eval],
+            "operators": {s: model.operators[s].tolist() for s in model.alphabet},
+            "init": model.init.tolist(),
+            "eval": model.eval.tolist(),
         }
     elif isinstance(model, HmmModel):
         out = {
@@ -409,19 +382,18 @@ def serialize_model(model) -> dict:
             "alphabet": list(model.alphabet),
             "n_states": model.n_states,
             "transition_emission": {
-                s: [[float(v) for v in row] for row in model.transition_emission[s]]
-                for s in model.alphabet
+                s: model.transition_emission[s].tolist() for s in model.alphabet
             },
-            "init": [float(v) for v in model.init],
+            "init": model.init.tolist(),
         }
     elif isinstance(model, NcOomModel):
         out = {
             "type": "ncoom",
             "algebra": {"blocks": list(model.algebra.block_dims)},
             "dim": model.dim,
-            "op_per_basis": [_complex_matrix_to_pairs(m) for m in model.op_per_basis],
-            "init": [[float(v.real), float(v.imag)] for v in model.init],
-            "eval": [[float(v.real), float(v.imag)] for v in model.eval],
+            "op_per_basis": _pairs(model.op_per_basis),
+            "init": _pairs(model.init),
+            "eval": _pairs(model.eval),
         }
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
@@ -450,18 +422,7 @@ def parse_factors_file(path, algebra: CStarAlgebra) -> list:
     """
     from .algebra import AlgebraElement, basis_elements, unit_element
 
-    path = os.fspath(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise SchemaError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise SchemaError(
-            f"parse error in {path} at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
-    if not isinstance(data, list):
-        raise SchemaError(f"top level of {path} must be a list of factors")
+    data = _load_json(path, list, "a list of factors")
     basis = None
     out = []
     for i, entry in enumerate(data):
@@ -477,7 +438,7 @@ def parse_factors_file(path, algebra: CStarAlgebra) -> list:
                     f'{ctx}: field "blocks" must list {algebra.n_blocks} matrices'
                 )
             blocks = [
-                _as_complex_matrix(b, f"blocks[{k}]", (d, d))
+                _as_matrix(b, f"blocks[{k}]", (d, d), _PAIR)
                 for k, (b, d) in enumerate(zip(raw, algebra.block_dims))
             ]
             out.append(AlgebraElement(algebra, blocks))
@@ -517,21 +478,9 @@ def parse_experiment_file(path):
     """
     from . import experiments as xp
 
-    path = os.fspath(path)
     base_dir = os.path.dirname(os.path.abspath(path))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise SchemaError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise SchemaError(
-            f"parse error in {path} at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
-    if not isinstance(data, dict):
-        raise SchemaError(f"top level of {path} must be an object")
+    data = _load_json(path, dict, "an object")
     context = f"experiment file {os.path.basename(path)}"
-    data = dict(data)
     kind = _pop(data, "experiment", context)
     name = _pop_optional(data, "name")
     if name is None:

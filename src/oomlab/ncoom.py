@@ -17,6 +17,12 @@ algebra whose basis elements are the symbol indicators; evaluation on
 indicator tuples then reproduces word probabilities exactly and the two
 notions of process dimension coincide.
 
+A classical model is the commutative special case: both kinds are an
+operator stack with an init vector and an eval covector, the stack here
+being ``op_per_basis``. Level enumeration, Hankel blocks, the rank ladder and
+direct sums therefore come from the classical core (:mod:`oomlab.oom` and
+:mod:`oomlab.dimension`), run with complex dtype over basis-index tuples.
+
 Positivity of the generated state quantifies over all tuples of positive
 algebra elements and is not finitely certifiable; validation spot-checks it
 on seeded random tuples ``b* b``.
@@ -30,7 +36,7 @@ finite they coincide and nothing further is implemented for the alternative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -48,11 +54,13 @@ from .dimension import (
     DimensionReport,
     HankelBlock,
     MAX_HANKEL_ENTRIES,
-    numerical_rank,
+    _model_block,
+    _rank_ladder,
 )
 from .errors import ResourceLimitError, ValidationError
 from .oom import DEFAULT_CONDITION_TOL, DEFAULT_NEG_TOL, OomModel
-from .words import word_count_up_to
+from .oom import _direct_sum, _frozen_vectors, _mixture_weights
+from .words import word_count_up_to, words_up_to
 
 DEFAULT_IMAG_TOL = 1e-9
 
@@ -74,12 +82,7 @@ class NcOomModel:
     description: str | None = None
 
     def __post_init__(self):
-        v = np.array(self.init, dtype=complex).reshape(-1)
-        l = np.array(self.eval, dtype=complex).reshape(-1)
-        if v.size == 0:
-            raise ValidationError("init vector is empty")
-        if l.size != v.size:
-            raise ValidationError(f"eval has length {l.size}, init has length {v.size}")
+        v, l = _frozen_vectors(self.init, self.eval, complex)
         d = v.size
         ops = np.array(self.op_per_basis, dtype=complex)
         expected = (self.algebra.total_dim, d, d)
@@ -89,8 +92,6 @@ class NcOomModel:
                 f"(one {d}x{d} operator per basis element), got {ops.shape}"
             )
         ops.setflags(write=False)
-        v.setflags(write=False)
-        l.setflags(write=False)
         self.op_per_basis = ops
         self.init = v
         self.eval = l
@@ -143,20 +144,7 @@ class NcValidationReport:
     condition_tol: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "condition1_residual": self.condition1_residual,
-            "condition2_residual": self.condition2_residual,
-            "worst_negative_real": self.worst_negative_real,
-            "worst_imaginary": self.worst_imaginary,
-            "checked_depth": self.checked_depth,
-            "samples_per_depth": self.samples_per_depth,
-            "seed": self.seed,
-            "neg_tol": self.neg_tol,
-            "imag_tol": self.imag_tol,
-            "condition_tol": self.condition_tol,
-            "passed": self.passed,
-        }
+    to_dict = asdict
 
 
 @dataclass
@@ -169,16 +157,7 @@ class NcStationarityReport:
     reverse_order: bool
     stationary: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "level": self.level,
-            "samples_per_depth": self.samples_per_depth,
-            "seed": self.seed,
-            "tol": self.tol,
-            "reverse_order": self.reverse_order,
-            "stationary": self.stationary,
-        }
+    to_dict = asdict
 
 
 def nc_evaluate(
@@ -260,10 +239,9 @@ def embed_classical(m: OomModel) -> NcOomModel:
     probabilities exactly. The dimension is preserved.
     """
     algebra = CStarAlgebra(tuple(1 for _ in m.alphabet))
-    ops = np.stack([m.operators[s].astype(complex) for s in m.alphabet])
     return NcOomModel(
         algebra=algebra,
-        op_per_basis=ops,
+        op_per_basis=m.operator_stack.astype(complex),
         init=m.init.astype(complex),
         eval=m.eval.astype(complex),
         name=m.name,
@@ -291,35 +269,6 @@ def indicator_factors(m: NcOomModel, alphabet: Sequence[str], word) -> list[Alge
     return factors
 
 
-def _nc_state_levels(m: NcOomModel, depth: int) -> list[np.ndarray]:
-    ops = m.op_per_basis
-    levels = [m.init.reshape(1, -1)]
-    for _ in range(depth):
-        prev = levels[-1]
-        nxt = np.einsum("kij,nj->nki", ops, prev)
-        levels.append(nxt.reshape(-1, prev.shape[1]))
-    return levels
-
-
-def _nc_functional_levels(m: NcOomModel, depth: int) -> list[np.ndarray]:
-    ops = m.op_per_basis
-    levels = [m.eval.reshape(1, -1)]
-    for _ in range(depth):
-        prev = levels[-1]
-        nxt = np.einsum("nj,kji->kni", prev, ops)
-        levels.append(nxt.reshape(-1, prev.shape[1]))
-    return levels
-
-
-def _basis_tuples(total_dim: int, max_length: int) -> list[tuple]:
-    out: list[tuple] = []
-    from itertools import product
-
-    for n in range(max_length + 1):
-        out.extend(product(range(total_dim), repeat=n))
-    return out
-
-
 def nc_hankel(
     m: NcOomModel,
     l_past: int,
@@ -342,13 +291,12 @@ def nc_hankel(
         raise ResourceLimitError(
             f"block would have {n_rows * n_cols} entries, guard is {max_entries}"
         )
-    states = np.vstack(_nc_state_levels(m, l_past))
-    functionals = np.vstack(_nc_functional_levels(m, l_future))
-    h = states @ functionals.T
+    h = _model_block(m.op_per_basis, m.init, m.eval, l_past, l_future)
     sv = np.linalg.svd(h, compute_uv=False)
+    basis = tuple(range(td))
     return HankelBlock(
-        pasts=_basis_tuples(td, l_past),
-        futures=_basis_tuples(td, l_future),
+        pasts=words_up_to(basis, l_past),
+        futures=words_up_to(basis, l_future),
         matrix=h,
         singular_values=sv,
     )
@@ -361,19 +309,8 @@ def nc_process_dimension(
     max_entries: int = MAX_HANKEL_ENTRIES,
 ) -> DimensionReport:
     """Rank ladder of square basis-tuple blocks, as in the classical case."""
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
-    ranks_with_zero = {}
-    for level in range(l_max + 1):
-        block = nc_hankel(m, level, level, max_entries=max_entries)
-        ranks_with_zero[level] = numerical_rank(block.singular_values, tol_rel)
-    stabilized = ranks_with_zero[l_max] == ranks_with_zero[l_max - 1]
-    rank_by_level = {lvl: r for lvl, r in ranks_with_zero.items() if lvl >= 1}
-    return DimensionReport(
-        rank_by_level=rank_by_level,
-        stabilized=stabilized,
-        dimension=rank_by_level[l_max] if stabilized else None,
-        tol_rel=tol_rel,
+    return _rank_ladder(
+        lambda level: nc_hankel(m, level, level, max_entries=max_entries), l_max, tol_rel
     )
 
 
@@ -383,29 +320,15 @@ def nc_mixture_direct_sum(parts: Sequence[tuple]) -> NcOomModel:
     The mixture's state values are the weighted sums of the parts' values on
     every elementary tensor, exactly by block structure.
     """
-    if not parts:
-        raise ValidationError("mixture needs at least one part")
-    weights = np.array([float(w) for w, _ in parts])
+    weights = _mixture_weights(parts)
     models = [m for _, m in parts]
-    if np.any(weights <= 0):
-        raise ValidationError("mixture weights must be positive")
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise ValidationError(f"mixture weights sum to {weights.sum()!r}, not 1")
     algebra = models[0].algebra
     for m in models[1:]:
         if m.algebra != algebra:
             raise ValidationError("algebra mismatch between mixture parts")
-    total = sum(m.dim for m in models)
-    ops = np.zeros((algebra.total_dim, total, total), dtype=complex)
-    init = np.zeros(total, dtype=complex)
-    evalv = np.zeros(total, dtype=complex)
-    pos = 0
-    for w, m in zip(weights, models):
-        sl = slice(pos, pos + m.dim)
-        ops[:, sl, sl] = m.op_per_basis
-        init[sl] = w * m.init
-        evalv[sl] = m.eval
-        pos += m.dim
+    ops, init, evalv = _direct_sum(
+        weights, [(m.op_per_basis, m.init, m.eval) for m in models], complex
+    )
     return NcOomModel(algebra=algebra, op_per_basis=ops, init=init, eval=evalv)
 
 

@@ -21,7 +21,7 @@ convex mixtures of processes are realized structurally as direct sums
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -67,14 +67,7 @@ class OomModel:
             raise ValidationError("alphabet is empty")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValidationError("alphabet contains duplicate symbols")
-        v = np.array(self.init, dtype=float).reshape(-1)
-        l = np.array(self.eval, dtype=float).reshape(-1)
-        if v.size == 0:
-            raise ValidationError("init vector is empty")
-        if l.size != v.size:
-            raise ValidationError(
-                f"eval has length {l.size}, init has length {v.size}"
-            )
+        v, l = _frozen_vectors(self.init, self.eval, float)
         d = v.size
         ops = {}
         for s in self.alphabet:
@@ -90,8 +83,6 @@ class OomModel:
         extra = set(self.operators) - set(self.alphabet)
         if extra:
             raise ValidationError(f"operators for symbols outside alphabet: {sorted(extra)}")
-        v.setflags(write=False)
-        l.setflags(write=False)
         self.operators = ops
         self.init = v
         self.eval = l
@@ -176,16 +167,7 @@ class ValidationReport:
     condition_tol: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "condition1_residual": self.condition1_residual,
-            "condition2_residual": self.condition2_residual,
-            "most_negative_probability": self.most_negative_probability,
-            "checked_depth": self.checked_depth,
-            "neg_tol": self.neg_tol,
-            "condition_tol": self.condition_tol,
-            "passed": self.passed,
-        }
+    to_dict = asdict
 
 
 @dataclass
@@ -196,14 +178,7 @@ class HmmValidationReport:
     tol: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "row_sum_residual": self.row_sum_residual,
-            "init_sum_residual": self.init_sum_residual,
-            "min_entry": self.min_entry,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+    to_dict = asdict
 
 
 @dataclass
@@ -215,13 +190,7 @@ class StationarityReport:
     tol: float
     stationary: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "level": self.level,
-            "tol": self.tol,
-            "stationary": self.stationary,
-        }
+    to_dict = asdict
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +221,7 @@ class OomOracle(ProcessOracle):
 
     def probability(self, word) -> float:
         w = normalize_word(word, self.alphabet)
-        state = self.model.init
-        for s in w:
-            state = self.model.operators[s] @ state
-        raw = float(self.model.eval @ state)
+        raw = float(self.model.eval @ _propagate(self.model, w))
         if raw < -self.neg_tol:
             raise ValidationError(
                 f"word {w!r} has probability {raw}, below -neg_tol={-self.neg_tol}; "
@@ -290,7 +256,22 @@ def as_oracle(p, neg_tol: float = DEFAULT_NEG_TOL) -> ProcessOracle:
 
 
 # ---------------------------------------------------------------------------
-# Breadth-first evaluation machinery (shared with the dimension module)
+# Linear-representation core, shared with the dimension, causal and ncoom
+# modules. It takes an operator stack ``ops`` (``OomModel.operator_stack`` or
+# ``NcOomModel.op_per_basis``) with an init vector and an eval covector.
+
+
+def _frozen_vectors(init, eval, dtype) -> tuple:
+    """``init`` and ``eval`` as read-only flat arrays of one nonzero length."""
+    v = np.array(init, dtype=dtype).reshape(-1)
+    l = np.array(eval, dtype=dtype).reshape(-1)
+    if v.size == 0:
+        raise ValidationError("init vector is empty")
+    if l.size != v.size:
+        raise ValidationError(f"eval has length {l.size}, init has length {v.size}")
+    v.setflags(write=False)
+    l.setflags(write=False)
+    return v, l
 
 
 def _guard_enumeration(n_symbols: int, depth: int, guard: int = _ENUMERATION_GUARD):
@@ -300,11 +281,18 @@ def _guard_enumeration(n_symbols: int, depth: int, guard: int = _ENUMERATION_GUA
         )
 
 
-def _state_levels(model: OomModel, depth: int) -> list[np.ndarray]:
+def _propagate(m: OomModel, word: Word) -> np.ndarray:
+    """State image ``T_wn ... T_w1 v`` of a normalized word."""
+    state = m.init
+    for s in word:
+        state = m.operators[s] @ state
+    return state
+
+
+def _state_levels(ops: np.ndarray, init: np.ndarray, depth: int) -> list[np.ndarray]:
     """Level k holds the vectors ``T_w v`` for all |w| = k, in lex order."""
-    _guard_enumeration(len(model.alphabet), depth)
-    ops = model.operator_stack
-    levels = [model.init.reshape(1, -1)]
+    _guard_enumeration(ops.shape[0], depth)
+    levels = [init.reshape(1, -1)]
     for _ in range(depth):
         prev = levels[-1]
         # (n, k, d) with word u*d at flat index u*K + k: u major, symbol minor
@@ -313,15 +301,14 @@ def _state_levels(model: OomModel, depth: int) -> list[np.ndarray]:
     return levels
 
 
-def _functional_levels(model: OomModel, depth: int) -> list[np.ndarray]:
+def _functional_levels(ops: np.ndarray, eval: np.ndarray, depth: int) -> list[np.ndarray]:
     """Level k holds the covectors ``l T_wk ... T_w1`` for all |w| = k.
 
     Built by prepending symbols: the functional of ``d w`` is the functional
     of ``w`` composed with ``T_d``, so flat index d*N + n keeps lex order.
     """
-    _guard_enumeration(len(model.alphabet), depth)
-    ops = model.operator_stack
-    levels = [model.eval.reshape(1, -1)]
+    _guard_enumeration(ops.shape[0], depth)
+    levels = [eval.reshape(1, -1)]
     for _ in range(depth):
         prev = levels[-1]
         nxt = np.einsum("nj,kji->kni", prev, ops)
@@ -329,8 +316,34 @@ def _functional_levels(model: OomModel, depth: int) -> list[np.ndarray]:
     return levels
 
 
-def _probability_levels(model: OomModel, depth: int) -> list[np.ndarray]:
-    return [lvl @ model.eval for lvl in _state_levels(model, depth)]
+def _mixture_weights(parts: Sequence[tuple]) -> np.ndarray:
+    """Weights of (weight, model) mixture parts, checked to be positive and
+    to sum to one."""
+    if not parts:
+        raise ValidationError("mixture needs at least one part")
+    weights = np.array([float(w) for w, _ in parts])
+    if np.any(weights <= 0):
+        raise ValidationError("mixture weights must be positive")
+    if abs(weights.sum() - 1.0) > 1e-12:
+        raise ValidationError(f"mixture weights sum to {weights.sum()!r}, not 1")
+    return weights
+
+
+def _direct_sum(weights, parts: list, dtype) -> tuple:
+    """Block-diagonal ``(ops, init, eval)`` of ``(ops, init, eval)`` parts,
+    each part's init scaled by its weight."""
+    total = sum(v.size for _, v, _ in parts)
+    ops = np.zeros((parts[0][0].shape[0], total, total), dtype=dtype)
+    init = np.zeros(total, dtype=dtype)
+    evalv = np.zeros(total, dtype=dtype)
+    pos = 0
+    for w, (stack, v, l) in zip(weights, parts):
+        sl = slice(pos, pos + v.size)
+        ops[:, sl, sl] = stack
+        init[sl] = w * v
+        evalv[sl] = l
+        pos += v.size
+    return ops, init, evalv
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +366,9 @@ def validate_oom(
     """
     c1 = abs(float(m.eval @ m.init) - 1.0)
     c2 = float(np.max(np.abs(m.eval @ m.operator_sum - m.eval)))
-    most_negative = min(float(np.min(p)) for p in _probability_levels(m, l_val))
+    most_negative = min(
+        float(np.min(lvl @ m.eval)) for lvl in _state_levels(m.operator_stack, m.init, l_val)
+    )
     passed = c1 <= condition_tol and c2 <= condition_tol and most_negative >= -neg_tol
     return ValidationReport(
         condition1_residual=c1,
@@ -410,7 +425,7 @@ def kolmogorov_residual(p, depth: int) -> float:
         m = ora.model
         extended = m.eval @ m.operator_sum
         worst = 0.0
-        for lvl in _state_levels(m, depth - 1):
+        for lvl in _state_levels(m.operator_stack, m.init, depth - 1):
             worst = max(worst, float(np.max(np.abs(lvl @ extended - lvl @ m.eval))))
         return worst
     worst = 0.0
@@ -452,31 +467,16 @@ def mixture_direct_sum(parts: Sequence[tuple]) -> OomModel:
     summing to one. The direct sum's word probabilities are the weighted sums
     of the parts' word probabilities, exactly by block structure.
     """
-    if not parts:
-        raise ValidationError("mixture needs at least one part")
-    weights = np.array([float(w) for w, _ in parts])
+    weights = _mixture_weights(parts)
     models = [m for _, m in parts]
-    if np.any(weights <= 0):
-        raise ValidationError("mixture weights must be positive")
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise ValidationError(f"mixture weights sum to {weights.sum()!r}, not 1")
     alphabet = models[0].alphabet
     for m in models[1:]:
         if m.alphabet != alphabet:
             raise ValidationError("alphabet mismatch between mixture parts")
-    total_dim = sum(m.dim for m in models)
-    ops = {s: np.zeros((total_dim, total_dim)) for s in alphabet}
-    init = np.zeros(total_dim)
-    evalv = np.zeros(total_dim)
-    pos = 0
-    for w, m in zip(weights, models):
-        sl = slice(pos, pos + m.dim)
-        for s in alphabet:
-            ops[s][sl, sl] = m.operators[s]
-        init[sl] = w * m.init
-        evalv[sl] = m.eval
-        pos += m.dim
-    return OomModel(alphabet=alphabet, operators=ops, init=init, eval=evalv)
+    ops, init, evalv = _direct_sum(
+        weights, [(m.operator_stack, m.init, m.eval) for m in models], float
+    )
+    return OomModel(alphabet=alphabet, operators=dict(zip(alphabet, ops)), init=init, eval=evalv)
 
 
 def stationarity_check(m: OomModel, l: int = 6, tol: float = 1e-10) -> StationarityReport:
@@ -488,7 +488,7 @@ def stationarity_check(m: OomModel, l: int = 6, tol: float = 1e-10) -> Stationar
     """
     shifted = m.init - m.operator_sum @ m.init
     residual = 0.0
-    for lvl in _functional_levels(m, l):
+    for lvl in _functional_levels(m.operator_stack, m.eval, l):
         residual = max(residual, float(np.max(np.abs(lvl @ shifted))))
     return StationarityReport(residual=residual, level=l, tol=tol, stationary=residual <= tol)
 

@@ -38,8 +38,18 @@ def iid(dist: dict) -> OomModel:
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
-    """Left fixed vector of a row-stochastic matrix, normalized to sum one."""
+    """Left fixed vector of a row-stochastic matrix, normalized to sum one.
+
+    Raises :class:`ValidationError` when the chain has more than one
+    stationary distribution (eigenvalue one of ``T^T`` with several
+    independent eigenvectors), since none of them is distinguished.
+    """
     t = np.asarray(transition, dtype=float)
+    n = t.shape[0]
+    if n - np.linalg.matrix_rank(t.T - np.eye(n)) > 1:
+        raise ValidationError(
+            "the chain has several stationary distributions; pass init explicitly"
+        )
     vals, vecs = np.linalg.eig(t.T)
     idx = int(np.argmin(np.abs(vals - 1.0)))
     pi = np.real(vecs[:, idx])
@@ -60,7 +70,8 @@ def markov_chain(
     At each step the CURRENT state's label is emitted, then the chain moves.
     Labels may repeat (distinct states sharing a symbol). ``init`` defaults
     to the stationary distribution of ``transition``, making the observed
-    process stationary.
+    process stationary; a chain with several stationary distributions needs
+    an explicit ``init``.
     """
     t = np.asarray(transition, dtype=float)
     n = t.shape[0]

@@ -1,0 +1,109 @@
+"""Snapshot of the command line's observable output on the shipped fixtures.
+
+Runs ``oomlab.cli.main`` in-process for every subcommand on every model file
+under ``tests/fixtures/``, plus ``experiment run`` on each ``exp_*.json``
+spec, and writes one file per case into an output directory: the exit code,
+standard output and standard error, with the wall-clock ``runtime:`` line
+dropped. Two checkouts can then be compared with ``diff -r``:
+
+    PYTHONPATH=<checkout-a>/src python3 tests/cli_snapshot.py snap-a
+    PYTHONPATH=<checkout-b>/src python3 tests/cli_snapshot.py snap-b
+    diff -r snap-a snap-b
+
+Standard library only; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from oomlab.cli import main
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+# Every factor kind a factors file accepts; the first basis element works for
+# any algebra, and the explicit blocks fit the qubit fixture's single 2x2 block.
+FACTORS = [
+    {"unit": True},
+    {"basis_index": 0},
+    {"blocks": [[[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]]},
+]
+
+
+def _alphabet(path: str):
+    """Alphabet of a classical model file, following a mixture's first part;
+    None for an operator-algebra file."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if data["type"] == "mixture":
+        return _alphabet(os.path.join(os.path.dirname(path), data["parts"][0]["path"]))
+    return data.get("alphabet")
+
+
+def cases(scratch: str) -> list:
+    """(case name, argv) pairs, in a fixed order."""
+    factors = os.path.join(scratch, "factors.json")
+    with open(factors, "w", encoding="utf-8") as fh:
+        json.dump(FACTORS, fh)
+    out = []
+    names = sorted(os.listdir(FIXTURES))
+    for name in names:
+        if not name.endswith(".json") or name.startswith("exp_"):
+            continue
+        stem = name[:-5]
+        model = ["--model", os.path.join(FIXTURES, name)]
+        alphabet = _alphabet(os.path.join(FIXTURES, name))
+        word = ",".join((alphabet * 2)[:3]) if alphabet else None
+        out += [
+            (f"validate__{stem}", ["validate", *model]),
+            (f"validate-stationarity__{stem}", ["validate", *model, "--check-stationarity"]),
+            (f"eval__{stem}", ["eval", *model, "--word", word or "0"]),
+            (f"dim__{stem}", ["dim", *model, "--max-level", "3"]),
+            (f"minimize__{stem}", ["minimize", *model]),
+            (f"causal__{stem}", ["causal", *model, "--past-len", "2", "--horizon", "2"]),
+            (f"nc-eval__{stem}", ["nc-eval", *model, "--factors", factors]
+             if word is None else ["nc-eval", *model, "--word", word]),
+            (f"nc-dim__{stem}", ["nc-dim", *model, "--max-level", "2"]),
+            (f"sample__{stem}", ["sample", *model, "--length", "20", "--seed", "3"]),
+        ]
+    for name in names:
+        if name.startswith("exp_") and name.endswith(".json"):
+            spec = os.path.join(FIXTURES, name)
+            out.append((f"experiment__{name[:-5]}",
+                        ["experiment", "run", spec, "--out-dir", scratch]))
+    return out
+
+
+def run_case(argv: list) -> str:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    err = "".join(
+        line for line in stderr.getvalue().splitlines(keepends=True)
+        if not line.startswith("runtime:")
+    )
+    return f"exit: {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{err}"
+
+
+def snapshot(out_dir: str) -> int:
+    os.makedirs(out_dir, exist_ok=True)
+    os.environ.pop("OOMLAB_SEED", None)
+    with tempfile.TemporaryDirectory() as scratch:
+        all_cases = cases(scratch)
+        for case, argv in all_cases:
+            # paths inside the output would differ between checkouts
+            text = run_case(argv).replace(FIXTURES, "<fixtures>").replace(scratch, "<scratch>")
+            with open(os.path.join(out_dir, case + ".txt"), "w", encoding="utf-8") as fh:
+                fh.write(text)
+    return len(all_cases)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: cli_snapshot.py OUT_DIR")
+    print(f"{snapshot(sys.argv[1])} cases written to {sys.argv[1]}")

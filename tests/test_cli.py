@@ -382,18 +382,6 @@ def test_experiment_refusal_is_usage_error(capsys, tmp_path):
     assert "pairwise distinct" in err
 
 
-def test_jobs_flag_does_not_change_output(capsys):
-    _, out1, _ = run_cli(
-        capsys, "dim", "--model", fixture_path("mixture_2bern.json"),
-        "--max-level", "3", "--jobs", "1",
-    )
-    _, out4, _ = run_cli(
-        capsys, "dim", "--model", fixture_path("mixture_2bern.json"),
-        "--max-level", "3", "--jobs", "4",
-    )
-    assert out1 == out4
-
-
 def test_byte_identical_reports_across_runs(capsys, tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):

@@ -105,6 +105,13 @@ def test_unknown_type_rejected(tmp_path):
         parse_model_file(path)
 
 
+def test_non_string_type_rejected(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"type": ["oom"]}')
+    with pytest.raises(SchemaError, match="unknown model type"):
+        parse_model_file(path)
+
+
 def test_validation_failure_on_load_quotes_residuals(tmp_path):
     payload = serialize_model(ol.bernoulli(0.5))
     payload["eval"] = [2.0]

@@ -266,6 +266,29 @@ def test_nc_mixture_algebra_mismatch():
         ol.nc_mixture_direct_sum([(0.5, q), (0.5, e)])
 
 
+@pytest.mark.parametrize(
+    "mixture, part",
+    [
+        (ol.mixture_direct_sum, ol.bernoulli(0.5)),
+        (ol.nc_mixture_direct_sum, ol.embed_classical(ol.bernoulli(0.5))),
+    ],
+    ids=["classical", "operator-algebra"],
+)
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([], r"^mixture needs at least one part$"),
+        ([0.5, 0.0], r"^mixture weights must be positive$"),
+        # numpy 2 spells the sum np.float64(0.5), numpy 1 spells it 0.5
+        ([0.25, 0.25], r"^mixture weights sum to (np\.float64\()?0\.5\)?, not 1$"),
+    ],
+    ids=["empty", "non-positive", "sum"],
+)
+def test_mixture_weight_checks(mixture, part, weights, message):
+    with pytest.raises(ValidationError, match=message):
+        mixture([(w, part) for w in weights])
+
+
 # ---------------------------------------------------------------------------
 # stationarity
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oomlab as ol
 from oomlab import ValidationError
+from oomlab.processes import stationary_distribution
 
 from curated import markov2
 from oracles import forward_probability
@@ -192,6 +193,23 @@ def test_mixture_alphabet_mismatch():
         ol.mixture_direct_sum(
             [(0.5, ol.bernoulli(0.2)), (0.5, ol.bernoulli(0.7, symbols=("a", "b")))]
         )
+
+
+@pytest.mark.parametrize(
+    "transition",
+    [np.eye(3), [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]],
+    ids=["identity", "two-classes"],
+)
+def test_several_stationary_distributions_rejected(transition):
+    with pytest.raises(ValidationError, match="several stationary distributions"):
+        stationary_distribution(transition)
+    with pytest.raises(ValidationError, match="several stationary distributions"):
+        ol.markov_chain(transition)
+
+
+def test_reducible_chain_with_explicit_init():
+    chain = ol.markov_chain(np.eye(2), init=[0.5, 0.5])
+    assert ol.word_probability(chain, "00") == pytest.approx(0.5, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
