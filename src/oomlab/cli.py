@@ -52,6 +52,7 @@ from .ncoom import (
 from .oom import (
     HmmModel,
     OomModel,
+    _scan_depth,
     hmm_to_oom,
     sample_trajectory,
     stationarity_check,
@@ -158,9 +159,9 @@ def _cmd_validate(args) -> int:
     model = parse_model_file(args.model, validate=False)
     seed = _resolve_seed(args)
     report: dict = {"model_type": type(model).__name__}
+    if args.depth is None:
+        args.depth = 4 if isinstance(model, NcOomModel) else _scan_depth(len(model.alphabet))
     if isinstance(model, NcOomModel):
-        if args.depth is None:
-            args.depth = 4
         rep = validate_ncoom(model, l_val=args.depth, samples=args.samples, seed=seed)
         report["validation"] = rep.to_dict()
         if args.check_stationarity:
@@ -169,8 +170,6 @@ def _cmd_validate(args) -> int:
             ).to_dict()
         passed = rep.passed
     elif isinstance(model, HmmModel):
-        if args.depth is None:
-            args.depth = 8
         hrep = validate_hmm(model)
         report["validation"] = hrep.to_dict()
         passed = hrep.passed
@@ -183,8 +182,6 @@ def _cmd_validate(args) -> int:
                 hmm_to_oom(model), l=args.stationarity_level
             ).to_dict()
     else:
-        if args.depth is None:
-            args.depth = 8
         rep = validate_oom(model, l_val=args.depth)
         report["validation"] = rep.to_dict()
         if args.check_stationarity:

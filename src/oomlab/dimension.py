@@ -5,12 +5,34 @@ one-step images (its canonical model), which equals the rank of the infinite
 past-by-future matrix of word probabilities ``H[u, w] = P(uw)``. Finite
 truncations only ever bound that rank from below, so :func:`process_dimension`
 climbs square blocks of growing depth and reports a dimension only when the
-numerical rank is stable across the last two levels; stabilization is
-evidence, not proof.
+numerical rank is stable across the last two levels and both of those rank
+cuts fall in a clear gap of the spectrum; stabilization is evidence, not
+proof.
+
+For a model the block factors as ``H = S F^T``. The rows of the state stack
+``S`` are the images ``T_u v`` of the pasts, the rows of the functional stack
+``F`` are the covectors ``l T_w`` of the futures, and both have only ``d``
+columns. :func:`build_hankel` still forms the block, which is one matrix
+product, and checks its entries for negativity, but takes its singular values
+from the core ``R_S R_F^T`` built from the QR factors of ``S`` and ``F``. The
+core is at most ``d x d`` and has the block's nonzero singular values (Golub &
+Van Loan, *Matrix Computations*, section 5.4); the remaining ones are exact
+zeros. A block with entries in ``[-neg_tol, 0)`` is clamped, no longer equals
+``S F^T``, and is decomposed densely, as are the blocks of generic oracles.
+
+Each level also records its rank-decision margin: the smallest kept and the
+largest dropped singular value, both relative to the largest. When the kept
+one is less than :data:`MIN_RANK_MARGIN` times the dropped one at either of
+the last two levels, the fixed cut ``tol_rel`` has landed inside the spectrum
+rather than in a gap, and the ladder is not stabilized.
 
 :func:`minimize_oom` produces an equivalent model of minimal dimension by
 restricting to the reachable span of state images and then quotienting by the
-joint kernel of the word functionals.
+joint kernel of the word functionals. :func:`equivalent` compares two models
+on every word up to a length through their difference model, the direct sum
+with the second eval covector negated. Every such word splits into a past of
+at most half the length and a future of the rest, so the difference model's
+``S F^T`` over two half-depth enumerations holds every word's difference.
 """
 
 from __future__ import annotations
@@ -25,6 +47,7 @@ from .oom import (
     DEFAULT_NEG_TOL,
     OomModel,
     OomOracle,
+    _direct_sum,
     _functional_levels,
     _propagate,
     _state_levels,
@@ -33,6 +56,13 @@ from .oom import (
 
 DEFAULT_RANK_TOL = 1e-9
 MAX_HANKEL_ENTRIES = 1_000_000
+#: Least ratio of the smallest kept to the largest dropped singular value at
+#: which a rank cut counts as falling in a gap of the spectrum.
+MIN_RANK_MARGIN = 1e3
+#: Entries per row chunk when :func:`equivalent` scans a block ``S F^T``.
+_CHUNK_ENTRIES = 1 << 18
+#: Word pairs that :func:`equivalent` may scan: 3.2e9 multiply-adds at d = 24.
+_EQUIVALENCE_GUARD = 1 << 27
 
 
 @dataclass(eq=False)
@@ -58,11 +88,15 @@ class HankelBlock:
 class DimensionReport:
     """Rank ladder over square blocks and the stabilization verdict.
 
-    ``dimension`` is the final rank when the last two levels agree and None
+    ``margin_by_level[k]`` is ``[smallest kept, largest dropped]`` singular
+    value at level k relative to the largest, with 0.0 where nothing is
+    dropped. ``dimension`` is the final rank when the last two levels agree
+    and both cuts have a margin of at least :data:`MIN_RANK_MARGIN`, and None
     otherwise; serialized reports spell the latter out as "not stabilized".
     """
 
     rank_by_level: dict
+    margin_by_level: dict
     stabilized: bool
     dimension: int | None
     tol_rel: float
@@ -70,6 +104,10 @@ class DimensionReport:
     def to_dict(self) -> dict:
         return {
             "rank_by_level": {str(k): int(v) for k, v in self.rank_by_level.items()},
+            "margin_by_level": {
+                str(k): [float(kept), float(dropped)]
+                for k, (kept, dropped) in self.margin_by_level.items()
+            },
             "stabilized": self.stabilized,
             "dimension": int(self.dimension) if self.stabilized else "not stabilized",
             "tol_rel": self.tol_rel,
@@ -86,22 +124,43 @@ def apply_tau(m: OomModel, word) -> np.ndarray:
     return _propagate(m, normalize_word(word, m.alphabet))
 
 
-def _model_block(ops, init, eval, l_past: int, l_future: int) -> np.ndarray:
-    """Block ``S F^T``: state images of all words up to ``l_past`` against
-    the functionals of all words up to ``l_future``, both over ``ops``."""
+def _guard_block(n_symbols, l_past, l_future, max_entries, what="Hankel block"):
+    entries = word_count_up_to(n_symbols, l_past) * word_count_up_to(n_symbols, l_future)
+    if entries > max_entries:
+        raise ResourceLimitError(f"{what} would have {entries} entries, guard is {max_entries}")
+
+
+def _model_block(ops, init, eval, l_past: int, l_future: int) -> tuple:
+    """Block ``S F^T`` of the state images of all words up to ``l_past``
+    against the functionals of all words up to ``l_future``, both over
+    ``ops``, with its singular values. These come from the core
+    ``R_S R_F^T`` and are padded with exact zeros to the block's size."""
     states = np.vstack(_state_levels(ops, init, l_past))
     functionals = np.vstack(_functional_levels(ops, eval, l_future))
-    return states @ functionals.T
+    h = states @ functionals.T
+    core = np.linalg.qr(states, mode="r") @ np.linalg.qr(functionals, mode="r").T
+    sv = np.zeros(min(h.shape))
+    sv[: min(core.shape)] = np.linalg.svd(core, compute_uv=False)
+    return h, sv
+
+
+def _block_chunks(rows: np.ndarray, cols: np.ndarray):
+    """``rows @ cols.T`` in row chunks of about ``_CHUNK_ENTRIES`` entries."""
+    step = max(1, _CHUNK_ENTRIES // max(1, cols.shape[0]))
+    for start in range(0, rows.shape[0], step):
+        yield rows[start : start + step] @ cols.T
 
 
 def _clamp_probabilities(h: np.ndarray, neg_tol: float) -> np.ndarray:
+    """``h`` with its entries in ``[-neg_tol, 0)`` set to zero: ``h`` itself
+    when it has none. An entry below ``-neg_tol`` raises."""
     worst = float(h.min()) if h.size else 0.0
     if worst < -neg_tol:
         raise ValidationError(
             f"Hankel entry {worst} below -neg_tol={-neg_tol}; "
             "the oracle does not yield a probability distribution"
         )
-    return np.where(h < 0.0, 0.0, h)
+    return np.where(h < 0.0, 0.0, h) if worst < 0.0 else h
 
 
 def build_hankel(
@@ -116,29 +175,26 @@ def build_hankel(
     singular values.
 
     Model-backed oracles are filled by one matrix product between the state
-    images of the pasts and the linear functionals of the futures; generic
-    oracles are filled entrywise.
+    images of the pasts and the linear functionals of the futures, and their
+    singular values come from the factors unless an entry had to be clamped;
+    generic oracles are filled entrywise and decomposed densely.
     """
     if l_past < 0 or l_future < 0:
         raise ValueError("l_past and l_future must be nonnegative")
     ora = as_oracle(p, neg_tol=neg_tol)
-    k = len(ora.alphabet)
-    n_rows = word_count_up_to(k, l_past)
-    n_cols = word_count_up_to(k, l_future)
-    if n_rows * n_cols > max_entries:
-        raise ResourceLimitError(
-            f"Hankel block would have {n_rows * n_cols} entries, guard is {max_entries}"
-        )
+    _guard_block(len(ora.alphabet), l_past, l_future, max_entries)
     pasts = words_up_to(ora.alphabet, l_past)
     futures = words_up_to(ora.alphabet, l_future)
+    sv = None
     if isinstance(ora, OomOracle):
         m = ora.model
-        h = _model_block(m.operator_stack, m.init, m.eval, l_past, l_future)
+        h, sv = _model_block(m.operator_stack, m.init, m.eval, l_past, l_future)
     else:
         h = np.array([[ora.probability(u + w) for w in futures] for u in pasts], dtype=float)
-    h = _clamp_probabilities(h, neg_tol)
-    sv = np.linalg.svd(h, compute_uv=False)
-    return HankelBlock(pasts=pasts, futures=futures, matrix=h, singular_values=sv)
+    clamped = _clamp_probabilities(h, neg_tol)
+    if sv is None or clamped is not h:  # a clamped block no longer factors
+        sv = np.linalg.svd(clamped, compute_uv=False)
+    return HankelBlock(pasts=pasts, futures=futures, matrix=clamped, singular_values=sv)
 
 
 def numerical_rank(singular_values, tol_rel: float = DEFAULT_RANK_TOL) -> int:
@@ -156,16 +212,35 @@ def numerical_rank(singular_values, tol_rel: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(sv > tol_rel * smax))
 
 
+def _rank_margin(singular_values, rank: int) -> list:
+    """``[smallest kept, largest dropped]`` singular value relative to the
+    largest, each 0.0 where there is none."""
+    sv = np.asarray(singular_values, dtype=float).reshape(-1)
+    if sv.size == 0 or sv[0] <= 0.0:
+        return [0.0, 0.0]
+    kept = float(sv[rank - 1] / sv[0]) if rank else 0.0
+    dropped = float(sv[rank] / sv[0]) if rank < sv.size else 0.0
+    return [kept, dropped]
+
+
 def _rank_ladder(block_at, l_max: int, tol_rel: float) -> DimensionReport:
-    """Numerical ranks of the square :class:`HankelBlock` ``block_at(level)``
-    at depths 0..l_max and the stabilization verdict on the last two depths."""
+    """Ranks and margins of the square :class:`HankelBlock` ``block_at(level)``
+    at depths 0..l_max and the verdict on the last two depths."""
     if l_max < 1:
         raise ValueError("l_max must be at least 1")
-    ranks = {k: numerical_rank(block_at(k).singular_values, tol_rel) for k in range(l_max + 1)}
-    stabilized = ranks[l_max] == ranks[l_max - 1]
+    ranks, margins = {}, {}
+    for level in range(l_max + 1):
+        sv = block_at(level).singular_values
+        ranks[level] = numerical_rank(sv, tol_rel)
+        margins[level] = _rank_margin(sv, ranks[level])
+    clear_cuts = all(
+        kept >= MIN_RANK_MARGIN * dropped for kept, dropped in (margins[l_max - 1], margins[l_max])
+    )
+    stabilized = ranks[l_max] == ranks[l_max - 1] and clear_cuts
     rank_by_level = {k: r for k, r in ranks.items() if k >= 1}
     return DimensionReport(
         rank_by_level=rank_by_level,
+        margin_by_level={k: m for k, m in margins.items() if k >= 1},
         stabilized=stabilized,
         dimension=rank_by_level[l_max] if stabilized else None,
         tol_rel=tol_rel,
@@ -183,7 +258,8 @@ def process_dimension(
 
     The run is declared stabilized when the ranks at the last two depths
     agree (depth 0, whose block is the single entry P(empty) = 1, anchors the
-    comparison when l_max is 1); only then is a dimension reported.
+    comparison when l_max is 1) and both rank cuts have a margin of at least
+    :data:`MIN_RANK_MARGIN`; only then is a dimension reported.
 
     Examples
     --------
@@ -275,12 +351,26 @@ def equivalent(m1: OomModel, m2: OomModel, l: int, tol: float = 1e-9) -> bool:
     For minimal models this finite test is complete once ``l`` reaches the
     sum of the two dimensions (the standard equivalence bound for weighted
     automata); for non-minimal models it remains a sound necessary check.
+
+    The word values of the difference model are scanned as its ``S F^T``,
+    pasts up to ``ceil(l / 2)`` against futures up to ``floor(l / 2)``, in
+    row chunks.
     """
     if m1.alphabet != m2.alphabet:
         raise ValidationError("alphabet mismatch")
-    worst = 0.0
-    lv1 = _state_levels(m1.operator_stack, m1.init, l)
-    lv2 = _state_levels(m2.operator_stack, m2.init, l)
-    for a, b in zip(lv1, lv2):
-        worst = max(worst, float(np.max(np.abs(a @ m1.eval - b @ m2.eval))))
-    return worst <= tol
+    l_past, l_future = (l + 1) // 2, l // 2
+    k = len(m1.alphabet)
+    pairs = word_count_up_to(k, l_past) * word_count_up_to(k, l_future)
+    if pairs > _EQUIVALENCE_GUARD:
+        raise ResourceLimitError(
+            f"equivalence to length {l} would scan {pairs} word pairs, "
+            f"guard is {_EQUIVALENCE_GUARD}"
+        )
+    ops, init, evalv = _direct_sum(
+        (1.0, 1.0),
+        [(m1.operator_stack, m1.init, m1.eval), (m2.operator_stack, m2.init, -m2.eval)],
+        float,
+    )
+    states = np.vstack(_state_levels(ops, init, l_past))
+    functionals = np.vstack(_functional_levels(ops, evalv, l_future))
+    return all(float(np.max(np.abs(c))) <= tol for c in _block_chunks(states, functionals))

@@ -54,13 +54,14 @@ from .dimension import (
     DimensionReport,
     HankelBlock,
     MAX_HANKEL_ENTRIES,
+    _guard_block,
     _model_block,
     _rank_ladder,
 )
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError
 from .oom import DEFAULT_CONDITION_TOL, DEFAULT_NEG_TOL, OomModel
 from .oom import _direct_sum, _frozen_vectors, _mixture_weights
-from .words import word_count_up_to, words_up_to
+from .words import words_up_to
 
 DEFAULT_IMAG_TOL = 1e-9
 
@@ -280,19 +281,15 @@ def nc_hankel(
     Rows are tuples of basis indices of length <= l_past, columns tuples of
     length <= l_future (length-then-lexicographic); the entry is the state
     evaluated on the concatenated tensor, row factors first. For an embedded
-    classical model this is entrywise the classical probability block.
+    classical model this is entrywise the classical probability block. The
+    singular values come from the factors of the block, as in
+    :func:`~oomlab.dimension.build_hankel`.
     """
     if l_past < 0 or l_future < 0:
         raise ValueError("l_past and l_future must be nonnegative")
     td = m.algebra.total_dim
-    n_rows = word_count_up_to(td, l_past)
-    n_cols = word_count_up_to(td, l_future)
-    if n_rows * n_cols > max_entries:
-        raise ResourceLimitError(
-            f"block would have {n_rows * n_cols} entries, guard is {max_entries}"
-        )
-    h = _model_block(m.op_per_basis, m.init, m.eval, l_past, l_future)
-    sv = np.linalg.svd(h, compute_uv=False)
+    _guard_block(td, l_past, l_future, max_entries, "block")
+    h, sv = _model_block(m.op_per_basis, m.init, m.eval, l_past, l_future)
     basis = tuple(range(td))
     return HankelBlock(
         pasts=words_up_to(basis, l_past),

@@ -274,11 +274,23 @@ def _frozen_vectors(init, eval, dtype) -> tuple:
     return v, l
 
 
+def _enumerable(n_symbols: int, depth: int, guard: int = _ENUMERATION_GUARD) -> bool:
+    return n_symbols**depth <= guard
+
+
 def _guard_enumeration(n_symbols: int, depth: int, guard: int = _ENUMERATION_GUARD):
-    if n_symbols**depth > guard:
+    if not _enumerable(n_symbols, depth, guard):
         raise ResourceLimitError(
             f"enumerating {n_symbols}^{depth} words exceeds the guard of {guard}"
         )
+
+
+def _scan_depth(n_symbols: int) -> int:
+    """Deepest word length up to 8, :func:`validate_oom`'s default, that
+    :func:`_guard_enumeration` admits: the depth at which models are
+    validated when no depth is asked for (on load, in ``oomlab validate``
+    and along experiment families)."""
+    return next(d for d in range(8, -1, -1) if _enumerable(n_symbols, d))
 
 
 def _propagate(m: OomModel, word: Word) -> np.ndarray:
@@ -325,7 +337,7 @@ def _mixture_weights(parts: Sequence[tuple]) -> np.ndarray:
     if np.any(weights <= 0):
         raise ValidationError("mixture weights must be positive")
     if abs(weights.sum() - 1.0) > 1e-12:
-        raise ValidationError(f"mixture weights sum to {weights.sum()!r}, not 1")
+        raise ValidationError(f"mixture weights sum to {float(weights.sum())!r}, not 1")
     return weights
 
 

@@ -2,7 +2,9 @@
 
 Runs ``oomlab.cli.main`` in-process for every subcommand on every model file
 under ``tests/fixtures/``, plus ``experiment run`` on each ``exp_*.json``
-spec, and writes one file per case into an output directory: the exit code,
+spec, ``dim --max-level 8`` on a 20-state binary HMM whose fixed rank cut
+lands inside its spectrum, and ``minimize`` on a 12-state binary HMM. It
+writes one file per case into an output directory: the exit code,
 standard output and standard error, with the wall-clock ``runtime:`` line
 dropped. Two checkouts can then be compared with ``diff -r``:
 
@@ -10,7 +12,7 @@ dropped. Two checkouts can then be compared with ``diff -r``:
     PYTHONPATH=<checkout-b>/src python3 tests/cli_snapshot.py snap-b
     diff -r snap-a snap-b
 
-Standard library only; pytest does not collect it.
+It needs only oomlab and the standard library; pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import os
 import sys
 import tempfile
 
+from oomlab import hmm_to_oom, random_hmm, save_model
 from oomlab.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -76,6 +79,13 @@ def cases(scratch: str) -> list:
             spec = os.path.join(FIXTURES, name)
             out.append((f"experiment__{name[:-5]}",
                         ["experiment", "run", spec, "--out-dir", scratch]))
+    for stem, n_states, seed, argv in (
+        ("hmm20_rng1", 20, 1, ["dim", "--max-level", "8"]),
+        ("hmm12_rng0", 12, 0, ["minimize"]),
+    ):
+        path = os.path.join(scratch, stem + ".json")
+        save_model(hmm_to_oom(random_hmm(n_states, "01", rng=seed)), path)
+        out.append((f"{argv[0]}__{stem}", [*argv, "--model", path]))
     return out
 
 

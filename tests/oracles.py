@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 
 class RationalBernoulli:
     """I.i.d. coin with an exact parameter."""
@@ -103,6 +105,25 @@ def rational_rank(matrix) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def enumerating_equivalent(m1, m2, l, tol=1e-9) -> bool:
+    """Reference for ``equivalent``: the two models' values on every word up
+    to length ``l``, enumerated level by level and compared word by word.
+
+    Words within a level come in a different order than the library's, the
+    same in both models, so each difference compares one word.
+    """
+    if m1.alphabet != m2.alphabet:
+        raise ValueError("alphabet mismatch")
+    lv1, lv2 = np.asarray(m1.init)[None, :], np.asarray(m2.init)[None, :]
+    worst = 0.0
+    for depth in range(max(l, 0) + 1):
+        if depth:
+            lv1 = np.concatenate([lv1 @ m1.operators[s].T for s in m1.alphabet])
+            lv2 = np.concatenate([lv2 @ m2.operators[s].T for s in m2.alphabet])
+        worst = max(worst, float(np.max(np.abs(lv1 @ m1.eval - lv2 @ m2.eval))))
+    return worst <= tol
 
 
 def forward_probability(hmm, word) -> float:

@@ -289,6 +289,40 @@ def test_sample_deterministic_and_env_seed(capsys, monkeypatch):
     assert json.loads(out3)["seed"] == 7
 
 
+def test_dim_flags_a_rank_cut_inside_the_spectrum(capsys, tmp_path):
+    path = tmp_path / "hmm20.json"
+    save_model(ol.hmm_to_oom(ol.random_hmm(20, "01", rng=1)), path)
+    code, out, _ = run_cli(capsys, "dim", "--model", str(path), "--max-level", "8")
+    assert code == 3
+    report = json.loads(out)
+    assert report["dimension"] == "not stabilized"
+    assert report["rank_by_level"]["7"] == report["rank_by_level"]["8"]
+
+
+def test_minimize_twelve_state_hmm(capsys, tmp_path):
+    path = tmp_path / "hmm12.json"
+    save_model(ol.hmm_to_oom(ol.random_hmm(12, "01", rng=0)), path)
+    code, out, _ = run_cli(capsys, "minimize", "--model", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["equivalent"] is True
+    assert report["equivalent_up_to_depth"] == 12 + report["dim_after"]
+
+
+def test_seven_symbol_model_validates_and_evaluates(capsys, tmp_path):
+    path = tmp_path / "coin7.json"
+    save_model(ol.iid({str(i): 1 / 7 for i in range(7)}), path)
+    code, out, _ = run_cli(capsys, "eval", "--model", str(path), "--word", "0")
+    assert code == 0
+    assert json.loads(out)["probability"] == pytest.approx(1 / 7)
+    code, out, _ = run_cli(capsys, "validate", "--model", str(path))
+    assert code == 0
+    assert json.loads(out)["validation"]["checked_depth"] == 7
+    code, _, err = run_cli(capsys, "validate", "--model", str(path), "--depth", "8")
+    assert code == 2
+    assert "enumerating 7^8 words exceeds the guard of 4000000" in err
+
+
 # ---------------------------------------------------------------------------
 # experiments
 

@@ -5,12 +5,17 @@ import pytest
 
 import oomlab as ol
 from oomlab import ResourceLimitError, ValidationError
+from oomlab.dimension import MIN_RANK_MARGIN
 
-from curated import curated_suite, markov2, mixture_2bern
+from conftest import fixture_path
+from curated import curated_suite, markov2, markov3, mixture_2bern
 from oracles import (
     RationalBernoulli,
+    RationalMarkovChain,
     RationalMixture,
+    enumerating_equivalent,
     rational_hankel,
+    rational_periodic,
     rational_rank,
 )
 
@@ -252,3 +257,230 @@ def test_different_coins_not_equivalent():
 def test_equivalence_needs_shared_alphabet():
     with pytest.raises(ValidationError, match="alphabet"):
         ol.equivalent(ol.bernoulli(0.2), ol.bernoulli(0.2, symbols=("a", "b")), 2)
+
+
+def test_equivalence_scan_guard():
+    with pytest.raises(ResourceLimitError, match="word pairs"):
+        ol.equivalent(ol.bernoulli(0.5), ol.bernoulli(0.5), 60)
+
+
+def _similar(m: ol.OomModel, rng) -> ol.OomModel:
+    """The same process in another basis: ``A T A^-1``, ``A v``, ``l A^-1``."""
+    a = np.eye(m.dim) + 0.3 * rng.normal(size=(m.dim, m.dim))
+    a_inv = np.linalg.inv(a)
+    ops = {s: a @ m.operators[s] @ a_inv for s in m.alphabet}
+    return ol.OomModel(m.alphabet, ops, a @ m.init, m.eval @ a_inv)
+
+
+def _equivalence_cases(n_cases: int):
+    """Seeded (m1, m2, l, tol) cases: equivalent pairs (minimized, duplicated,
+    changed basis), near pairs (a small admixture of another process, whose
+    word differences straddle the tolerances) and unrelated pairs."""
+    rng = np.random.default_rng(41)
+    for case in range(n_cases):
+        alphabet = ("0", "1") if case % 2 else ("a", "b", "c")
+        m = ol.hmm_to_oom(ol.random_hmm(1 + case % 4, alphabet, rng=case))
+        other = ol.hmm_to_oom(ol.random_hmm(1 + case % 3, alphabet, rng=case + 1000))
+        kind = case % 5
+        if kind == 0:
+            m2 = ol.minimize_oom(m)
+        elif kind == 1:
+            m2 = ol.mixture_direct_sum([(0.4, m), (0.6, m)])
+        elif kind == 2:
+            m2 = _similar(m, rng)
+        elif kind == 3:
+            eps = 10 ** rng.uniform(-5, -0.5)
+            m2 = ol.mixture_direct_sum([(1 - eps, m), (eps, other)])
+        else:
+            m2 = other
+        yield m, m2, int(rng.integers(0, 9)), float(rng.choice([1e-9, 1e-3, 1e-2]))
+
+
+def test_split_word_equivalence_matches_enumeration():
+    outcomes = {True: 0, False: 0}
+    lengths = set()
+    for m1, m2, l, tol in _equivalence_cases(300):
+        want = enumerating_equivalent(m1, m2, l, tol)
+        assert ol.equivalent(m1, m2, l, tol) == want, (l, tol)
+        outcomes[want] += 1
+        lengths.add(l)
+    assert lengths == set(range(9))
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+# ---------------------------------------------------------------------------
+# factored spectra against the dense blocks
+
+
+def _dense_sv(block) -> np.ndarray:
+    return np.linalg.svd(block.matrix, compute_uv=False)
+
+
+def _dense_ranks(p, l_max: int) -> dict:
+    """Ranks of the dense SVDs of the ``build_hankel`` blocks at depths 1..l_max."""
+    return {
+        level: ol.numerical_rank(_dense_sv(ol.build_hankel(p, level, level)))
+        for level in range(1, l_max + 1)
+    }
+
+
+def test_block_spectrum_from_factors_matches_dense_svd():
+    models = [entry.model for entry in curated_suite()]
+    models += [ol.hmm_to_oom(ol.random_hmm(n, "01", rng=n)) for n in (3, 8, 20)]
+    for m in models:
+        for l_past, l_future in [(0, 0), (0, 3), (3, 1), (4, 4)]:
+            block = ol.build_hankel(m, l_past, l_future)
+            dense = _dense_sv(block)
+            assert block.singular_values.shape == dense.shape
+            assert np.allclose(block.singular_values, dense, rtol=0, atol=1e-12 * dense[0])
+
+
+def test_factored_ranks_match_dense_on_curated_suite():
+    for entry in curated_suite():
+        rep = ol.process_dimension(entry.model, entry.l_max + 1)
+        assert rep.rank_by_level == _dense_ranks(entry.model, entry.l_max + 1), entry.name
+
+
+def test_factored_ranks_match_exact_rational_ranks():
+    params = [Fraction(1, 10), Fraction(3, 10), Fraction(5, 10), Fraction(7, 10)]
+    cases = [
+        (
+            ol.mixture_direct_sum([(1.0 / k, ol.bernoulli(float(p))) for p in params[:k]]),
+            RationalMixture([(Fraction(1, k), RationalBernoulli(p)) for p in params[:k]]),
+        )
+        for k in (2, 3, 4)
+    ]
+    t = [[Fraction(9, 10), Fraction(1, 10)], [Fraction(2, 10), Fraction(8, 10)]]
+    init = [Fraction(2, 3), Fraction(1, 3)]
+    cases.append((ol.hmm_to_oom(markov2()), RationalMarkovChain(t, ["0", "1"], init)))
+    cases.append((ol.hmm_to_oom(ol.periodic(["0", "1", "2"])), rational_periodic(["0", "1", "2"])))
+    for model, exact in cases:
+        rep = ol.process_dimension(model, 3)
+        for level, rank in rep.rank_by_level.items():
+            assert rank == rational_rank(rational_hankel(exact, level, level)), (exact, level)
+
+
+def test_factored_ranks_match_dense_on_random_models():
+    for seed in range(100):
+        alphabet, depth = (("0", "1"), 6) if seed % 3 else (("a", "b", "c"), 4)
+        m = ol.hmm_to_oom(ol.random_hmm(2 + seed % 9, alphabet, rng=seed))
+        assert ol.process_dimension(m, depth).rank_by_level == _dense_ranks(m, depth), seed
+    for seed in range(100):
+        a = ol.hmm_to_oom(ol.random_hmm(1 + seed % 4, ("0", "1"), rng=seed))
+        b = ol.hmm_to_oom(ol.random_hmm(1 + seed % 3, ("0", "1"), rng=seed + 500))
+        mix = ol.mixture_direct_sum([(0.25, a), (0.35, a), (0.4, b)])
+        rep = ol.process_dimension(mix, 6)
+        assert rep.rank_by_level == _dense_ranks(mix, 6), seed
+        assert rep.stabilized and rep.dimension == ol.minimize_oom(mix).dim, seed
+
+
+def _random_complex_model(blocks, dim: int, seed: int) -> ol.NcOomModel:
+    """Complex model doubled by a direct sum, so its blocks are rank-deficient."""
+    rng = np.random.default_rng(seed)
+    alg = ol.construct_algebra(blocks)
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    m = ol.NcOomModel(alg, draw(alg.total_dim, dim, dim) / (2 * dim), draw(dim), draw(dim))
+    return ol.nc_mixture_direct_sum([(0.5, m), (0.5, m)])
+
+
+def test_factored_ranks_match_dense_on_operator_algebra_models():
+    models = [ol.embed_classical(ol.hmm_to_oom(ol.random_hmm(n, "01", rng=n))) for n in (2, 3, 5)]
+    models.append(ol.embed_classical(ol.hmm_to_oom(markov3())))
+    models.append(ol.parse_model_file(fixture_path("qubit_product.json")))
+    models += [_random_complex_model([2], 3, 0), _random_complex_model([1, 2], 2, 1)]
+    for m in models:
+        rep = ol.nc_process_dimension(m, 3)
+        for level in range(1, 4):
+            sv = _dense_sv(ol.nc_hankel(m, level, level))
+            rank = ol.numerical_rank(sv)
+            assert rep.rank_by_level[level] == rank, (m, level)
+            kept = rep.margin_by_level[level][0]
+            assert kept == pytest.approx(sv[rank - 1] / sv[0], rel=1e-8), (m, level)
+
+
+def test_negative_noise_levels_are_clamped_like_the_dense_block():
+    m = ol.minimize_oom(ol.hmm_to_oom(ol.periodic(["0", "1", "2"])))
+    worst = min(float(m.eval @ ol.apply_tau(m, w)) for w in ol.words_up_to(m.alphabet, 2))
+    assert -1e-15 < worst < 0.0  # level 1 already has negative noise to clamp
+    rep = ol.process_dimension(m, 5)
+    for level in range(1, 6):
+        block = ol.build_hankel(m, level, level)
+        sv = _dense_sv(block)
+        assert np.array_equal(block.singular_values, sv)  # clamped: decomposed densely
+        rank = ol.numerical_rank(sv)
+        assert rep.rank_by_level[level] == rank
+        assert rep.margin_by_level[level] == [sv[rank - 1] / sv[0], sv[rank] / sv[0]]
+    assert rep.stabilized and rep.dimension == 3
+
+
+def _signed_coin_mixture() -> ol.OomModel:
+    """``1.2 P_A - 0.2 P_B`` for coins with P(1) = 0.5 and 0.96. Both defining
+    equalities hold, but P(111) = 0.15 - 0.2 * 0.96^3 is negative."""
+    ops = {"0": np.diag([0.5, 0.04]), "1": np.diag([0.5, 0.96])}
+    return ol.OomModel(("0", "1"), ops, init=[1.2, -0.2], eval=[1.0, 1.0])
+
+
+_NEGATIVE = "Hankel entry {} below -neg_tol={}; the oracle does not yield a probability distribution"
+_GUARD = "Hankel block would have {} entries, guard is {}"
+
+
+@pytest.mark.parametrize(
+    "model, kw, level, kind, message",
+    [
+        (_signed_coin_mixture(), {}, 2, ValidationError,
+         _NEGATIVE.format(-0.09486931199999998, -1e-10)),
+        (_signed_coin_mixture(), {"max_entries": 50}, 2, ValidationError,
+         _NEGATIVE.format(-0.09486931199999998, -1e-10)),
+        (_signed_coin_mixture(), {"max_entries": 40}, 2, ResourceLimitError, _GUARD.format(49, 40)),
+        (_signed_coin_mixture(), {"neg_tol": 0.1}, 3, ValidationError,
+         _NEGATIVE.format(-0.13780155793919996, -0.1)),
+        (ol.bernoulli(0.5), {}, 9, ResourceLimitError, _GUARD.format(1046529, 1000000)),
+        (ol.hmm_to_oom(markov3()), {"max_entries": 100}, 2, ResourceLimitError,
+         _GUARD.format(169, 100)),
+    ],
+    ids=["negative", "negative-before-guard", "guard-before-negative", "negative-late",
+         "guard", "guard-3-symbols"],
+)
+def test_ladder_errors_fire_at_their_level(model, kw, level, kind, message):
+    with pytest.raises(kind) as err:
+        ol.process_dimension(model, level, **kw)
+    assert str(err.value) == message
+    ol.process_dimension(model, level - 1, **kw)  # the level below still passes
+
+
+def test_operator_algebra_guard_fires_at_its_level():
+    m = ol.embed_classical(ol.bernoulli(0.5))
+    with pytest.raises(ResourceLimitError) as err:
+        ol.nc_process_dimension(m, 9)
+    assert str(err.value) == "block would have 1046529 entries, guard is 1000000"
+    ol.nc_process_dimension(m, 8)
+
+
+# ---------------------------------------------------------------------------
+# rank-decision margin
+
+
+def test_margin_holds_smallest_kept_and_largest_dropped():
+    rep = ol.process_dimension(mixture_2bern(0.2, 0.7), 3)
+    kept, dropped = rep.margin_by_level[3]
+    assert 0.0 < kept <= 1.0 and dropped == 0.0  # a 2x2 core drops nothing
+    dup = ol.mixture_direct_sum([(0.5, ol.bernoulli(0.3)), (0.5, ol.bernoulli(0.3))])
+    rep = ol.process_dimension(dup, 3)
+    kept, dropped = rep.margin_by_level[3]
+    assert kept == 1.0 and dropped < 1e-13
+    assert rep.stabilized and rep.dimension == 1
+    assert rep.to_dict()["margin_by_level"] == {
+        str(k): list(v) for k, v in rep.margin_by_level.items()
+    }
+
+
+def test_rank_cut_inside_spectrum_is_not_stabilized():
+    m = ol.hmm_to_oom(ol.random_hmm(20, "01", rng=1))
+    rep = ol.process_dimension(m, 8)
+    assert rep.rank_by_level[7] == rep.rank_by_level[8]  # the ranks alone would agree
+    kept, dropped = rep.margin_by_level[8]
+    assert kept < MIN_RANK_MARGIN * dropped
+    assert not rep.stabilized and rep.dimension is None

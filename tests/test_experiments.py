@@ -121,6 +121,17 @@ def test_merging_markov_rows_family():
     assert rep.points[-1]["dimension_report"]["dimension"] == 1
 
 
+def test_seven_symbol_family_validates_at_the_scan_depth():
+    fam = ol.mixture_weight_family(
+        ol.iid({str(i): 1 / 7 for i in range(7)}),
+        ol.iid({str(i): (i + 1) / 28 for i in range(7)}),
+        [0.2, 0.1],
+    )
+    rep = ol.run_semicontinuity(fam, 2)
+    assert rep.verdict == "PASS"
+    assert rep.points[-1]["dimension_report"]["dimension"] == 1
+
+
 def test_diverging_distances_are_refused():
     # a family whose members do not approach the claimed limit
     fam = ol.FamilySpec(

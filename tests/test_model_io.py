@@ -69,6 +69,19 @@ def test_float_bits_survive_roundtrip(tmp_path):
     assert back.operators["1"][0, 0] == 1.0 / 3.0  # exact bits via 17 digits
 
 
+def test_seven_symbol_model_loads_with_scan_depth_seven(tmp_path):
+    coin = ol.iid({str(i): 1 / 7 for i in range(7)})
+    path = tmp_path / "coin7.json"
+    save_model(coin, path)
+    _assert_oom_equal(parse_model_file(path), coin)
+
+
+def test_load_depth_shrinks_only_past_the_enumeration_guard():
+    from oomlab.oom import _scan_depth
+
+    assert [_scan_depth(k) for k in (2, 5, 6, 7, 16)] == [8, 8, 8, 7, 5]
+
+
 # ---------------------------------------------------------------------------
 # strict schema
 

@@ -279,8 +279,7 @@ def test_nc_mixture_algebra_mismatch():
     [
         ([], r"^mixture needs at least one part$"),
         ([0.5, 0.0], r"^mixture weights must be positive$"),
-        # numpy 2 spells the sum np.float64(0.5), numpy 1 spells it 0.5
-        ([0.25, 0.25], r"^mixture weights sum to (np\.float64\()?0\.5\)?, not 1$"),
+        ([0.25, 0.25], r"^mixture weights sum to 0\.5, not 1$"),
     ],
     ids=["empty", "non-positive", "sum"],
 )
