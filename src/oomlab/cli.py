@@ -24,7 +24,7 @@ from .causal import (
     topological_complexity,
     total_variation,
 )
-from .dimension import equivalent, minimize_oom, process_dimension
+from .dimension import DEFAULT_RANK_TOL, equivalent, minimize_oom, process_dimension
 from .errors import (
     PreconditionError,
     ResourceLimitError,
@@ -358,12 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim", help="process dimension via the Hankel rank ladder")
     add_model(p)
     p.add_argument("--max-level", type=int, required=True, dest="max_level")
-    p.add_argument("--tol-rel", type=float, default=1e-9, dest="tol_rel")
+    p.add_argument("--tol-rel", type=float, default=DEFAULT_RANK_TOL, dest="tol_rel")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("minimize", help="equivalent model of minimal dimension")
     add_model(p)
-    p.add_argument("--tol-rel", type=float, default=1e-9, dest="tol_rel")
+    p.add_argument("--tol-rel", type=float, default=DEFAULT_RANK_TOL, dest="tol_rel")
     p.add_argument("--output", default=None, help="write the reduced model here")
     p.set_defaults(func=_cmd_minimize)
 
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--past-len", type=int, required=True, dest="past_len")
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--cluster-tol", type=float, default=1e-8, dest="cluster_tol")
-    p.add_argument("--tol-rel", type=float, default=1e-9, dest="tol_rel")
+    p.add_argument("--tol-rel", type=float, default=DEFAULT_RANK_TOL, dest="tol_rel")
     p.add_argument("--stationarity-level", type=int, default=4)
     p.set_defaults(func=_cmd_causal)
 
@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nc-dim", help="process dimension of an operator-algebra model")
     add_model(p)
     p.add_argument("--max-level", type=int, required=True, dest="max_level")
-    p.add_argument("--tol-rel", type=float, default=1e-9, dest="tol_rel")
+    p.add_argument("--tol-rel", type=float, default=DEFAULT_RANK_TOL, dest="tol_rel")
     p.set_defaults(func=_cmd_nc_dim)
 
     p = sub.add_parser("experiment", help="run a verification harness from a spec file")

@@ -30,9 +30,11 @@ rather than in a gap, and the ladder is not stabilized.
 restricting to the reachable span of state images and then quotienting by the
 joint kernel of the word functionals. :func:`equivalent` compares two models
 on every word up to a length through their difference model, the direct sum
-with the second eval covector negated. Every such word splits into a past of
-at most half the length and a future of the rest, so the difference model's
-``S F^T`` over two half-depth enumerations holds every word's difference.
+with the second eval covector negated. The same breadth-first span closure
+picks basis words whose state images span those of every word up to that
+length, at most the sum of the two dimensions, in polynomial time; the
+difference on every word is a combination of the differences on the basis
+words, and the tolerance bounds those.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ MAX_HANKEL_ENTRIES = 1_000_000
 #: Least ratio of the smallest kept to the largest dropped singular value at
 #: which a rank cut counts as falling in a gap of the spectrum.
 MIN_RANK_MARGIN = 1e3
-#: Entries per row chunk when :func:`equivalent` scans a block ``S F^T``.
-_CHUNK_ENTRIES = 1 << 18
-#: Word pairs that :func:`equivalent` may scan: 3.2e9 multiply-adds at d = 24.
-_EQUIVALENCE_GUARD = 1 << 27
 
 
 @dataclass(eq=False)
@@ -142,13 +140,6 @@ def _model_block(ops, init, eval, l_past: int, l_future: int) -> tuple:
     sv = np.zeros(min(h.shape))
     sv[: min(core.shape)] = np.linalg.svd(core, compute_uv=False)
     return h, sv
-
-
-def _block_chunks(rows: np.ndarray, cols: np.ndarray):
-    """``rows @ cols.T`` in row chunks of about ``_CHUNK_ENTRIES`` entries."""
-    step = max(1, _CHUNK_ENTRIES // max(1, cols.shape[0]))
-    for start in range(0, rows.shape[0], step):
-        yield rows[start : start + step] @ cols.T
 
 
 def _clamp_probabilities(h: np.ndarray, neg_tol: float) -> np.ndarray:
@@ -274,16 +265,23 @@ def process_dimension(
     )
 
 
-def _closure_basis(seeds, operators, tol_rel: float, max_levels: int) -> np.ndarray:
-    """Orthonormal basis of the smallest operator-invariant span of the seeds.
+def _closure_basis(seeds, operators, tol_rel: float, depth: int) -> tuple:
+    """Orthonormal basis of the span of the seeds' images under every word of
+    length at most ``depth``, and the raw images it admitted.
 
     Breadth-first: each level applies every operator to the vectors added at
     the previous level and keeps components orthogonal to the current span.
     Admission threshold is tol_rel times the running max candidate norm
-    (floored at one, probabilities being O(1)).
+    (floored at one, probabilities being O(1)). The admitted images are
+    ``T_w v`` for a prefix-closed set of words, each independent of the
+    earlier ones, and span every image up to ``depth``. At most ``d``
+    vectors are admitted in ``d`` dimensions, even at a tolerance that admits
+    round-off, so the span is invariant once ``depth`` reaches ``d`` and no
+    more than ``d`` levels are run.
     """
     dim = seeds[0].shape[0]
     basis: list[np.ndarray] = []
+    images: list[np.ndarray] = []
     scale = 1.0
 
     def try_add(vec: np.ndarray) -> bool:
@@ -294,27 +292,18 @@ def _closure_basis(seeds, operators, tol_rel: float, max_levels: int) -> np.ndar
             for b in basis:
                 r -= (b @ r) * b
         nrm = float(np.linalg.norm(r))
-        if nrm > tol_rel * scale:
+        if nrm > tol_rel * scale and len(basis) < dim:
             basis.append(r / nrm)
+            images.append(vec)
             return True
         return False
 
     frontier = [s for s in seeds if try_add(s)]
-    level = 0
-    while frontier:
-        level += 1
-        if level > max_levels:
-            raise ValidationError("span enumeration failed to stabilize")
-        new = []
-        for vec in frontier:
-            for op in operators:
-                cand = op @ vec
-                if try_add(cand):
-                    new.append(cand)
-        frontier = new
+    for _ in range(min(depth, dim)):
+        frontier = [cand for vec in frontier for op in operators if try_add(cand := op @ vec)]
     if not basis:
-        raise ValidationError("span enumeration produced an empty basis")
-    return np.column_stack(basis)
+        return np.zeros((dim, 0)), np.zeros((0, dim))
+    return np.column_stack(basis), np.vstack(images)
 
 
 def minimize_oom(m: OomModel, tol_rel: float = DEFAULT_RANK_TOL) -> OomModel:
@@ -327,11 +316,13 @@ def minimize_oom(m: OomModel, tol_rel: float = DEFAULT_RANK_TOL) -> OomModel:
     dimension of the generated process.
     """
     ops = [m.operators[s] for s in m.alphabet]
-    q = _closure_basis([m.init], ops, tol_rel, max_levels=m.dim + 1)
+    q, _ = _closure_basis([m.init], ops, tol_rel, m.dim)
     restricted = [q.T @ op @ q for op in ops]
     v1 = q.T @ m.init
     l1 = m.eval @ q
-    w = _closure_basis([l1], [op.T for op in restricted], tol_rel, max_levels=q.shape[1] + 1)
+    w, _ = _closure_basis([l1], [op.T for op in restricted], tol_rel, q.shape[1])
+    if not w.size:  # also empty when q is
+        raise ValidationError("span enumeration produced an empty basis")
     operators = {
         s: w.T @ restricted[i] @ w for i, s in enumerate(m.alphabet)
     }
@@ -352,25 +343,21 @@ def equivalent(m1: OomModel, m2: OomModel, l: int, tol: float = 1e-9) -> bool:
     sum of the two dimensions (the standard equivalence bound for weighted
     automata); for non-minimal models it remains a sound necessary check.
 
-    The word values of the difference model are scanned as its ``S F^T``,
-    pasts up to ``ceil(l / 2)`` against futures up to ``floor(l / 2)``, in
-    row chunks.
+    The test runs on the difference model, whose value on a word is the
+    difference of the two models' values. Its state images up to length
+    ``l`` are spanned by those of a few basis words, at most ``d1 + d2`` of
+    them (Tzeng, SIAM J. Comput. 21(2), 1992), so every difference up to
+    length ``l`` is a combination of the basis words' differences. ``tol``
+    bounds the difference on those basis words: exactly equivalent models
+    pass, and so does every pair whose differences on all words up to ``l``
+    are within ``tol``.
     """
     if m1.alphabet != m2.alphabet:
         raise ValidationError("alphabet mismatch")
-    l_past, l_future = (l + 1) // 2, l // 2
-    k = len(m1.alphabet)
-    pairs = word_count_up_to(k, l_past) * word_count_up_to(k, l_future)
-    if pairs > _EQUIVALENCE_GUARD:
-        raise ResourceLimitError(
-            f"equivalence to length {l} would scan {pairs} word pairs, "
-            f"guard is {_EQUIVALENCE_GUARD}"
-        )
     ops, init, evalv = _direct_sum(
         (1.0, 1.0),
         [(m1.operator_stack, m1.init, m1.eval), (m2.operator_stack, m2.init, -m2.eval)],
         float,
     )
-    states = np.vstack(_state_levels(ops, init, l_past))
-    functionals = np.vstack(_functional_levels(ops, evalv, l_future))
-    return all(float(np.max(np.abs(c))) <= tol for c in _block_chunks(states, functionals))
+    _, images = _closure_basis([init], ops, DEFAULT_RANK_TOL, l)
+    return float(np.max(np.abs(images @ evalv), initial=0.0)) <= tol

@@ -26,6 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .algebra import CStarAlgebra, construct_algebra
+from .dimension import DEFAULT_RANK_TOL
 from .errors import SchemaError, ValidationError
 from .ncoom import NcOomModel, nc_mixture_direct_sum, validate_ncoom
 from .oom import (
@@ -94,6 +95,11 @@ def _pop(data: dict, key: str, context: str):
 
 def _pop_optional(data: dict, key: str):
     return data.pop(key, None)
+
+
+def _pop_number(data: dict, key: str, default: float) -> float:
+    raw = data.pop(key, None)
+    return default if raw is None else _as_number(raw, key)
 
 
 def _no_leftovers(data: dict, context: str):
@@ -513,8 +519,7 @@ def parse_experiment_file(path):
             _no_leftovers(entry, f'{context}, field "parts[{i}]"')
             parts.append((w, load_classical(rel, f"parts[{i}].path")))
         l_max = _as_int(_pop(data, "max_level", context), "max_level")
-        raw_tol = _pop_optional(data, "tol_rel")
-        tol_rel = 1e-9 if raw_tol is None else _as_number(raw_tol, "tol_rel")
+        tol_rel = _pop_number(data, "tol_rel", DEFAULT_RANK_TOL)
         _no_leftovers(data, context)
         return name, lambda: xp.run_additivity(parts, l_max, tol_rel, name=name)
 
@@ -543,8 +548,7 @@ def parse_experiment_file(path):
         else:
             raise SchemaError(f'unknown family kind {fkind!r} in {context}')
         l_max = _as_int(_pop(data, "max_level", context), "max_level")
-        raw_tol = _pop_optional(data, "tol_rel")
-        tol_rel = 1e-9 if raw_tol is None else _as_number(raw_tol, "tol_rel")
+        tol_rel = _pop_number(data, "tol_rel", DEFAULT_RANK_TOL)
         _no_leftovers(data, context)
         return name, lambda: xp.run_semicontinuity(family, l_max, tol_rel, name=name)
 
@@ -553,10 +557,8 @@ def parse_experiment_file(path):
         l_p = _as_int(_pop(data, "past_length", context), "past_length")
         horizon = _as_int(_pop(data, "horizon", context), "horizon")
         l_max = _as_int(_pop(data, "max_level", context), "max_level")
-        raw_tol = _pop_optional(data, "tol_rel")
-        tol_rel = 1e-9 if raw_tol is None else _as_number(raw_tol, "tol_rel")
-        raw_ct = _pop_optional(data, "cluster_tol")
-        cluster_tol = 1e-8 if raw_ct is None else _as_number(raw_ct, "cluster_tol")
+        tol_rel = _pop_number(data, "tol_rel", DEFAULT_RANK_TOL)
+        cluster_tol = _pop_number(data, "cluster_tol", 1e-8)
         _no_leftovers(data, context)
         return name, lambda: xp.run_upperbound(
             model, l_p, horizon, l_max, tol_rel=tol_rel, cluster_tol=cluster_tol, name=name

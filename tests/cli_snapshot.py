@@ -3,10 +3,10 @@
 Runs ``oomlab.cli.main`` in-process for every subcommand on every model file
 under ``tests/fixtures/``, plus ``experiment run`` on each ``exp_*.json``
 spec, ``dim --max-level 8`` on a 20-state binary HMM whose fixed rank cut
-lands inside its spectrum, and ``minimize`` on a 12-state binary HMM. It
-writes one file per case into an output directory: the exit code,
-standard output and standard error, with the wall-clock ``runtime:`` line
-dropped. Two checkouts can then be compared with ``diff -r``:
+lands inside its spectrum, and ``minimize`` on that HMM and on a 12-state
+binary HMM. It writes one file per case into an output directory: the exit
+code, standard output and standard error, with the wall-clock ``runtime:``
+line dropped. Two checkouts can then be compared with ``diff -r``:
 
     PYTHONPATH=<checkout-a>/src python3 tests/cli_snapshot.py snap-a
     PYTHONPATH=<checkout-b>/src python3 tests/cli_snapshot.py snap-b
@@ -82,6 +82,7 @@ def cases(scratch: str) -> list:
     for stem, n_states, seed, argv in (
         ("hmm20_rng1", 20, 1, ["dim", "--max-level", "8"]),
         ("hmm12_rng0", 12, 0, ["minimize"]),
+        ("hmm20_rng1", 20, 1, ["minimize"]),
     ):
         path = os.path.join(scratch, stem + ".json")
         save_model(hmm_to_oom(random_hmm(n_states, "01", rng=seed)), path)

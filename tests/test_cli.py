@@ -309,6 +309,14 @@ def test_minimize_twelve_state_hmm(capsys, tmp_path):
     assert report["equivalent_up_to_depth"] == 12 + report["dim_after"]
 
 
+def test_minimize_twenty_state_hmm(capsys, tmp_path):
+    path = tmp_path / "hmm20.json"
+    save_model(ol.hmm_to_oom(ol.random_hmm(20, "01", rng=1)), path)
+    code, out, _ = run_cli(capsys, "minimize", "--model", str(path))
+    assert code == 0
+    assert json.loads(out)["equivalent"] is True
+
+
 def test_seven_symbol_model_validates_and_evaluates(capsys, tmp_path):
     path = tmp_path / "coin7.json"
     save_model(ol.iid({str(i): 1 / 7 for i in range(7)}), path)

@@ -259,9 +259,32 @@ def test_equivalence_needs_shared_alphabet():
         ol.equivalent(ol.bernoulli(0.2), ol.bernoulli(0.2, symbols=("a", "b")), 2)
 
 
-def test_equivalence_scan_guard():
-    with pytest.raises(ResourceLimitError, match="word pairs"):
-        ol.equivalent(ol.bernoulli(0.5), ol.bernoulli(0.5), 60)
+@pytest.mark.parametrize("n_states", [20, 40])
+def test_large_hmm_equivalent_to_its_minimization(n_states):
+    m = ol.hmm_to_oom(ol.random_hmm(n_states, "01", rng=1))
+    assert ol.equivalent(m, ol.minimize_oom(m), 2 * m.dim)
+
+
+def test_equivalence_beyond_the_dimension_adds_no_work():
+    assert ol.equivalent(ol.bernoulli(0.2), ol.bernoulli(0.2), 10**9)
+
+
+def test_minimize_at_zero_tolerance_keeps_at_most_the_dimension():
+    m = ol.hmm_to_oom(markov2())
+    mini = ol.minimize_oom(m, tol_rel=0.0)
+    assert mini.dim <= m.dim
+    assert ol.equivalent(m, mini, m.dim + mini.dim)
+
+
+def test_minimize_with_zero_eval_has_empty_basis():
+    m = ol.OomModel(
+        alphabet=("0", "1"),
+        operators={"0": np.eye(2) / 2, "1": np.eye(2) / 2},
+        init=[1.0, 0.0],
+        eval=[0.0, 0.0],
+    )
+    with pytest.raises(ValidationError, match="^span enumeration produced an empty basis$"):
+        ol.minimize_oom(m)
 
 
 def _similar(m: ol.OomModel, rng) -> ol.OomModel:
@@ -272,14 +295,18 @@ def _similar(m: ol.OomModel, rng) -> ol.OomModel:
     return ol.OomModel(m.alphabet, ops, a @ m.init, m.eval @ a_inv)
 
 
-def _equivalence_cases(n_cases: int):
+def _equivalence_cases(
+    n_cases: int, max_states: int = 4, max_l: int = 8, tols=(1e-9, 1e-3, 1e-2), seed: int = 41
+):
     """Seeded (m1, m2, l, tol) cases: equivalent pairs (minimized, duplicated,
     changed basis), near pairs (a small admixture of another process, whose
-    word differences straddle the tolerances) and unrelated pairs."""
-    rng = np.random.default_rng(41)
+    word differences straddle the tolerances) and unrelated pairs. The kinds
+    cycle in that order with the case number modulo 5; ``m1`` has 1 to
+    ``max_states`` states and ``l`` runs over 0..max_l."""
+    rng = np.random.default_rng(seed)
     for case in range(n_cases):
         alphabet = ("0", "1") if case % 2 else ("a", "b", "c")
-        m = ol.hmm_to_oom(ol.random_hmm(1 + case % 4, alphabet, rng=case))
+        m = ol.hmm_to_oom(ol.random_hmm(1 + case % max_states, alphabet, rng=case))
         other = ol.hmm_to_oom(ol.random_hmm(1 + case % 3, alphabet, rng=case + 1000))
         kind = case % 5
         if kind == 0:
@@ -293,7 +320,7 @@ def _equivalence_cases(n_cases: int):
             m2 = ol.mixture_direct_sum([(1 - eps, m), (eps, other)])
         else:
             m2 = other
-        yield m, m2, int(rng.integers(0, 9)), float(rng.choice([1e-9, 1e-3, 1e-2]))
+        yield m, m2, int(rng.integers(0, max_l + 1)), float(rng.choice(tols))
 
 
 def test_split_word_equivalence_matches_enumeration():
@@ -306,6 +333,21 @@ def test_split_word_equivalence_matches_enumeration():
         lengths.add(l)
     assert lengths == set(range(9))
     assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_word_basis_equivalence_accepts_what_enumeration_accepts():
+    refused = 0
+    cases = _equivalence_cases(
+        1000, max_states=6, max_l=10, tols=(1e-9, 1e-6, 1e-3, 1e-2), seed=43
+    )
+    for case, (m1, m2, l, tol) in enumerate(cases):
+        if case % 5 < 3:  # minimized, duplicated or changed basis
+            assert all(ol.equivalent(m1, m2, n, tol) for n in range(11)), (case, tol)
+        if enumerating_equivalent(m1, m2, l, tol):
+            assert ol.equivalent(m1, m2, l, tol), (case, l, tol)
+        else:
+            refused += 1
+    assert refused >= 200, refused
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import pytest
 
 import oomlab as ol
 from oomlab import PreconditionError
+from oomlab.processes import stationary_distribution
 
 from curated import curated_suite, markov2, mixture_2bern
 
@@ -76,6 +77,18 @@ def test_heterogeneous_mixture_markov_plus_coin():
     )
     assert rep.verdict == "PASS"
     assert rep.points[-1]["dimension_report"]["dimension"] == 3
+
+
+def _stationary_hmm(n_states: int, rng: int) -> ol.OomModel:
+    h = ol.random_hmm(n_states, "01", rng=rng)
+    init = stationary_distribution(sum(h.transition_emission.values()))
+    return ol.hmm_to_oom(ol.HmmModel(h.alphabet, h.transition_emission, init))
+
+
+def test_distinctness_of_thirteen_state_parts_is_checked():
+    # distinctness is checked to length 26, past the reach of word enumeration
+    rep = ol.run_additivity([(0.5, _stationary_hmm(13, 0)), (0.5, _stationary_hmm(13, 1))], 2)
+    assert rep.points[-1]["model_dim"] == 26
 
 
 def test_unstabilized_ladder_is_inconclusive():
