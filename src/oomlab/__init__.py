@@ -77,7 +77,6 @@ from .model_io import (
 )
 from .ncoom import (
     NcOomModel,
-    NcState,
     embed_classical,
     indicator_factors,
     nc_evaluate,
@@ -121,7 +120,6 @@ __all__ = [
     "HankelBlock",
     "HmmModel",
     "NcOomModel",
-    "NcState",
     "OomModel",
     "OomOracle",
     "OomlabError",

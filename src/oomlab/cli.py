@@ -52,7 +52,6 @@ from .ncoom import (
 from .oom import (
     HmmModel,
     OomModel,
-    _scan_depth,
     hmm_to_oom,
     sample_trajectory,
     stationarity_check,
@@ -159,14 +158,13 @@ def _cmd_validate(args) -> int:
     model = parse_model_file(args.model, validate=False)
     seed = _resolve_seed(args)
     report: dict = {"model_type": type(model).__name__}
-    if args.depth is None:
-        args.depth = 4 if isinstance(model, NcOomModel) else _scan_depth(len(model.alphabet))
+    depth = {} if args.depth is None else {"l_val": args.depth}
     if isinstance(model, NcOomModel):
-        rep = validate_ncoom(model, l_val=args.depth, samples=args.samples, seed=seed)
+        rep = validate_ncoom(model, **depth, samples=args.samples, seed=seed)
         report["validation"] = rep.to_dict()
         if args.check_stationarity:
             report["stationarity"] = nc_stationarity_check(
-                model, l=args.stationarity_level, seed=seed
+                model, l=args.stationarity_level
             ).to_dict()
         passed = rep.passed
     elif isinstance(model, HmmModel):
@@ -174,7 +172,7 @@ def _cmd_validate(args) -> int:
         report["validation"] = hrep.to_dict()
         passed = hrep.passed
         if passed:
-            orep = validate_oom(hmm_to_oom(model), l_val=args.depth)
+            orep = validate_oom(hmm_to_oom(model), **depth)
             report["induced_model_validation"] = orep.to_dict()
             passed = orep.passed
         if args.check_stationarity and passed:
@@ -182,7 +180,7 @@ def _cmd_validate(args) -> int:
                 hmm_to_oom(model), l=args.stationarity_level
             ).to_dict()
     else:
-        rep = validate_oom(model, l_val=args.depth)
+        rep = validate_oom(model, **depth)
         report["validation"] = rep.to_dict()
         if args.check_stationarity:
             report["stationarity"] = stationarity_check(

@@ -26,7 +26,6 @@ from .errors import PreconditionError, ValidationError
 from .oom import (
     HmmModel,
     OomModel,
-    _scan_depth,
     as_oracle,
     hmm_to_oom,
     mixture_direct_sum,
@@ -201,7 +200,7 @@ def run_semicontinuity(
     limit = f.generator(0.0)
     grid_models = [f.generator(t) for t in f.grid]
     for t, m in [(0.0, limit)] + list(zip(f.grid, grid_models)):
-        rep = validate_oom(m, l_val=_scan_depth(len(m.alphabet)))
+        rep = validate_oom(m)
         if not rep.passed:
             raise PreconditionError(
                 f"family member at t={t} fails validation "

@@ -32,7 +32,6 @@ from .ncoom import NcOomModel, nc_mixture_direct_sum, validate_ncoom
 from .oom import (
     HmmModel,
     OomModel,
-    _scan_depth,
     hmm_to_oom,
     mixture_direct_sum,
     validate_hmm,
@@ -331,7 +330,7 @@ def parse_model_file(path, validate: bool = True, _depth: int = 0):
 
 def _validate_loaded(model):
     if isinstance(model, OomModel):
-        rep = validate_oom(model, l_val=_scan_depth(len(model.alphabet)))
+        rep = validate_oom(model)
         if not rep.passed:
             raise ValidationError(
                 "model failed validation: "

@@ -10,7 +10,7 @@ FIRST factor applied first, mirroring the classical word convention. Under
 the reverse convention (available as a toggle where it matters) the defining
 mass-preservation condition makes generated states translation invariant by
 construction; under the convention used here it does not, which is what
-:func:`nc_stationarity_check` probes.
+:func:`nc_stationarity_check` measures exactly on basis tuples.
 
 Classical models embed via :func:`embed_classical` with the commutative
 algebra whose basis elements are the symbol indicators; evaluation on
@@ -19,9 +19,10 @@ notions of process dimension coincide.
 
 A classical model is the commutative special case: both kinds are an
 operator stack with an init vector and an eval covector, the stack here
-being ``op_per_basis``. Level enumeration, Hankel blocks, the rank ladder and
-direct sums therefore come from the classical core (:mod:`oomlab.oom` and
-:mod:`oomlab.dimension`), run with complex dtype over basis-index tuples.
+being ``op_per_basis``. Level enumeration, Hankel blocks, the rank ladder,
+direct sums and the invariance scan therefore come from the classical core
+(:mod:`oomlab.oom` and :mod:`oomlab.dimension`), run with complex dtype over
+basis-index tuples.
 
 Positivity of the generated state quantifies over all tuples of positive
 algebra elements and is not finitely certifiable; validation spot-checks it
@@ -60,7 +61,7 @@ from .dimension import (
 )
 from .errors import ValidationError
 from .oom import DEFAULT_CONDITION_TOL, DEFAULT_NEG_TOL, OomModel
-from .oom import _direct_sum, _frozen_vectors, _mixture_weights
+from .oom import _direct_sum, _frozen_vectors, _mixture_weights, _split_scan
 from .words import words_up_to
 
 DEFAULT_IMAG_TOL = 1e-9
@@ -117,20 +118,6 @@ class NcOomModel:
         )
 
 
-class NcState:
-    """Evaluation oracle on elementary tensors, backed by a model."""
-
-    def __init__(self, model: NcOomModel):
-        self.model = model
-
-    @property
-    def algebra(self) -> CStarAlgebra:
-        return self.model.algebra
-
-    def value(self, factors: Sequence[AlgebraElement], reverse_order: bool = False) -> complex:
-        return nc_evaluate(self.model, factors, reverse_order=reverse_order)
-
-
 @dataclass
 class NcValidationReport:
     condition1_residual: float
@@ -152,8 +139,6 @@ class NcValidationReport:
 class NcStationarityReport:
     residual: float
     level: int
-    samples_per_depth: int
-    seed: int
     tol: float
     reverse_order: bool
     stationary: bool
@@ -194,6 +179,8 @@ def validate_ncoom(
     worst negative real part and the worst imaginary magnitude are reported.
     Deterministic given ``seed``; a pass is necessary, not sufficient.
     """
+    if l_val < 0:
+        raise ValueError("l_val must be nonnegative")
     c1 = abs(complex(m.eval @ m.init) - 1.0)
     c2 = float(np.max(np.abs(m.eval @ m.unit_operator - m.eval)))
     rng = np.random.default_rng(seed)
@@ -332,33 +319,27 @@ def nc_mixture_direct_sum(parts: Sequence[tuple]) -> NcOomModel:
 def nc_stationarity_check(
     m: NcOomModel,
     l: int = 3,
-    samples: int = 100,
-    seed: int = 0,
     tol: float = 1e-9,
     reverse_order: bool = False,
 ) -> NcStationarityReport:
-    """Probe translation invariance on seeded random tuples.
+    """Translation invariance, exact on basis-element tuples.
 
     Reports the max of ``|value(1 (x) a1 .. an) - value(a1 .. an)|`` over
-    ``samples`` random normalized tuples per length up to ``l``. With
-    ``reverse_order`` the residual vanishes up to the condition-two defect
-    for any model, which is the alternative convention's built-in
-    invariance.
+    all tuples of matrix-unit basis elements of length up to ``l``, the
+    split scan of ``T_1 v - v`` against ``eval`` (of ``v`` against
+    ``eval T_1 - eval`` under ``reverse_order``). By multilinearity a general tuple's gap is at
+    most this residual times the product of its factors' coefficient
+    1-norms. With ``reverse_order`` the residual vanishes for any model
+    meeting condition two, the alternative convention's built-in invariance.
     """
-    rng = np.random.default_rng(seed)
-    one = unit_element(m.algebra)
-    residual = 0.0
-    for n in range(1, l + 1):
-        for _ in range(samples):
-            factors = [random_element(m.algebra, rng, normalize=True) for _ in range(n)]
-            shifted = nc_evaluate(m, [one] + factors, reverse_order=reverse_order)
-            plain = nc_evaluate(m, factors, reverse_order=reverse_order)
-            residual = max(residual, abs(shifted - plain))
+    if l < 0:
+        raise ValueError("l must be nonnegative")
+    t, v, e = m.unit_operator, m.init, m.eval
+    ends = (v, e @ t - e) if reverse_order else (t @ v - v, e)
+    residual = _split_scan(m.op_per_basis, *ends, l)[1]
     return NcStationarityReport(
-        residual=float(residual),
+        residual=residual,
         level=l,
-        samples_per_depth=samples,
-        seed=seed,
         tol=tol,
         reverse_order=reverse_order,
         stationary=residual <= tol,

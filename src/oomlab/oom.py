@@ -9,10 +9,11 @@ When the defining conditions hold (unit mass ``l(v) = 1``, mass preservation
 cylinder probabilities of a stochastic process on one-sided sequences.
 
 Nonnegativity cannot be certified by any finite check; :func:`validate_oom`
-scans all words up to a depth and a pass is therefore necessary, not
-sufficient. Values in ``[-neg_tol, 0)`` are treated as numerical noise and
-clamped to zero where probabilities are consumed; anything below ``-neg_tol``
-signals an invalid model and raises.
+scans all words up to a depth, as do the consistency and stationarity checks,
+in one block of two half-depth stacks (:func:`_split_scan`). A pass is
+therefore necessary, not sufficient. Values in ``[-neg_tol, 0)`` are treated
+as numerical noise and clamped to zero where probabilities are consumed;
+anything below ``-neg_tol`` signals an invalid model and raises.
 
 Hidden Markov models induce OOMs of the same size (:func:`hmm_to_oom`), and
 convex mixtures of processes are realized structurally as direct sums
@@ -28,11 +29,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .words import Word, normalize_word, words_up_to
+from .words import Word, normalize_word, word_count_up_to, words_up_to
 
 DEFAULT_NEG_TOL = 1e-10
 DEFAULT_CONDITION_TOL = 1e-12
 _ENUMERATION_GUARD = 4_000_000
+#: Word pairs one :func:`_split_scan` may take: 2^27 d multiply-adds.
+_SCAN_GUARD = 2**27
+#: Entries of ``S F^T`` that :func:`_split_scan` holds at once.
+_SCAN_CHUNK = 2**18
 
 
 @dataclass(eq=False)
@@ -274,23 +279,11 @@ def _frozen_vectors(init, eval, dtype) -> tuple:
     return v, l
 
 
-def _enumerable(n_symbols: int, depth: int, guard: int = _ENUMERATION_GUARD) -> bool:
-    return n_symbols**depth <= guard
-
-
-def _guard_enumeration(n_symbols: int, depth: int, guard: int = _ENUMERATION_GUARD):
-    if not _enumerable(n_symbols, depth, guard):
+def _guard_enumeration(n_symbols: int, depth: int):
+    if n_symbols**depth > _ENUMERATION_GUARD:
         raise ResourceLimitError(
-            f"enumerating {n_symbols}^{depth} words exceeds the guard of {guard}"
+            f"enumerating {n_symbols}^{depth} words exceeds the guard of {_ENUMERATION_GUARD}"
         )
-
-
-def _scan_depth(n_symbols: int) -> int:
-    """Deepest word length up to 8, :func:`validate_oom`'s default, that
-    :func:`_guard_enumeration` admits: the depth at which models are
-    validated when no depth is asked for (on load, in ``oomlab validate``
-    and along experiment families)."""
-    return next(d for d in range(8, -1, -1) if _enumerable(n_symbols, d))
 
 
 def _propagate(m: OomModel, word: Word) -> np.ndarray:
@@ -326,6 +319,32 @@ def _functional_levels(ops: np.ndarray, eval: np.ndarray, depth: int) -> list[np
         nxt = np.einsum("nj,kji->kni", prev, ops)
         levels.append(nxt.reshape(-1, prev.shape[1]))
     return levels
+
+
+def _scan_pairs(k: int, depth: int) -> int:
+    """Past-by-future word pairs of :func:`_split_scan` to ``depth``."""
+    return word_count_up_to(k, (depth + 1) // 2) * word_count_up_to(k, depth // 2)
+
+
+def _split_scan(ops: np.ndarray, vector, covector, depth: int) -> tuple[float, float]:
+    """Lowest real part and largest magnitude of ``covector T_w vector`` over
+    all words with ``|w| <= depth``: the entries of ``S F^T`` for the images
+    ``T_u vector``, ``|u| <= ceil(depth / 2)``, and the functionals
+    ``covector T_s``, ``|s| <= floor(depth / 2)``, taken in row chunks."""
+    pairs = _scan_pairs(ops.shape[0], depth)
+    if pairs > _SCAN_GUARD:
+        raise ResourceLimitError(
+            f"scanning to depth {depth} would take {pairs} word pairs, guard is {_SCAN_GUARD}"
+        )
+    states = np.vstack(_state_levels(ops, vector, (depth + 1) // 2))
+    functionals = np.vstack(_functional_levels(ops, covector, depth // 2)).T
+    lowest, largest = np.inf, 0.0
+    step = max(1, _SCAN_CHUNK // functionals.shape[1])
+    for start in range(0, states.shape[0], step):
+        block = states[start : start + step] @ functionals
+        lowest = min(lowest, float(block.real.min()))
+        largest = max(largest, float(np.abs(block).max()))
+    return lowest, largest
 
 
 def _mixture_weights(parts: Sequence[tuple]) -> np.ndarray:
@@ -371,22 +390,26 @@ def validate_oom(
     """Check the three defining conditions up to word length ``l_val``.
 
     Returns the residual ``|l(v) - 1|``, the residual ``max |l sum_d T_d - l|``
-    and the most negative word value over all words of length at most
-    ``l_val``. The verdict passes iff the first two are within
-    ``condition_tol`` and the scan found nothing below ``-neg_tol``. A pass
-    certifies nonnegativity only up to the scanned depth.
+    and the most negative word value over all words up to ``checked_depth``:
+    ``l_val``, or the deepest depth below it that the split scan's guard
+    admits (8 for up to 10 symbols, 5 for 26). The verdict passes iff the
+    first two are within ``condition_tol`` and the scan found nothing below
+    ``-neg_tol``. A pass certifies nonnegativity only up to that depth.
     """
+    if l_val < 0:
+        raise ValueError("l_val must be nonnegative")
+    depth = 0
+    while depth < l_val and _scan_pairs(len(m.alphabet), depth + 1) <= _SCAN_GUARD:
+        depth += 1
     c1 = abs(float(m.eval @ m.init) - 1.0)
     c2 = float(np.max(np.abs(m.eval @ m.operator_sum - m.eval)))
-    most_negative = min(
-        float(np.min(lvl @ m.eval)) for lvl in _state_levels(m.operator_stack, m.init, l_val)
-    )
+    most_negative = _split_scan(m.operator_stack, m.init, m.eval, depth)[0]
     passed = c1 <= condition_tol and c2 <= condition_tol and most_negative >= -neg_tol
     return ValidationReport(
         condition1_residual=c1,
         condition2_residual=c2,
         most_negative_probability=most_negative,
-        checked_depth=l_val,
+        checked_depth=depth,
         neg_tol=neg_tol,
         condition_tol=condition_tol,
         passed=passed,
@@ -431,15 +454,15 @@ def word_probability(p, word, neg_tol: float = DEFAULT_NEG_TOL) -> float:
 
 
 def kolmogorov_residual(p, depth: int) -> float:
-    """Max of ``|sum_d P(wd) - P(w)|`` over all words with ``|w| < depth``."""
+    """Max of ``|sum_d P(wd) - P(w)|`` over all words with ``|w| < depth``
+    (none at depth 0); for a model, the split scan against ``l sum_d T_d - l``."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     ora = as_oracle(p)
-    if isinstance(ora, OomOracle):
+    if isinstance(ora, OomOracle) and depth > 0:
         m = ora.model
-        extended = m.eval @ m.operator_sum
-        worst = 0.0
-        for lvl in _state_levels(m.operator_stack, m.init, depth - 1):
-            worst = max(worst, float(np.max(np.abs(lvl @ extended - lvl @ m.eval))))
-        return worst
+        defect = m.eval @ m.operator_sum - m.eval
+        return _split_scan(m.operator_stack, m.init, defect, depth - 1)[1]
     worst = 0.0
     for w in words_up_to(ora.alphabet, depth - 1):
         total = sum(ora.probability(w + (d,)) for d in ora.alphabet)
@@ -496,12 +519,13 @@ def stationarity_check(m: OomModel, l: int = 6, tol: float = 1e-10) -> Stationar
 
     Reports ``max |P(w) - sum_d P(dw)|`` over all words of length at most
     ``l``. The algebraic condition ``(sum_d T_d) v = v`` is sufficient but not
-    necessary; this observable criterion is the one actually tested.
+    necessary; this observable criterion, the split scan of ``v - (sum_d T_d) v``
+    against ``l``, is the one actually tested.
     """
+    if l < 0:
+        raise ValueError("l must be nonnegative")
     shifted = m.init - m.operator_sum @ m.init
-    residual = 0.0
-    for lvl in _functional_levels(m.operator_stack, m.eval, l):
-        residual = max(residual, float(np.max(np.abs(lvl @ shifted))))
+    residual = _split_scan(m.operator_stack, shifted, m.eval, l)[1]
     return StationarityReport(residual=residual, level=l, tol=tol, stationary=residual <= tol)
 
 

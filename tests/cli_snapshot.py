@@ -3,10 +3,13 @@
 Runs ``oomlab.cli.main`` in-process for every subcommand on every model file
 under ``tests/fixtures/``, plus ``experiment run`` on each ``exp_*.json``
 spec, ``dim --max-level 8`` on a 20-state binary HMM whose fixed rank cut
-lands inside its spectrum, and ``minimize`` on that HMM and on a 12-state
-binary HMM. It writes one file per case into an output directory: the exit
-code, standard output and standard error, with the wall-clock ``runtime:``
-line dropped. Two checkouts can then be compared with ``diff -r``:
+lands inside its spectrum, ``minimize`` on that HMM and on a 12-state binary
+HMM, ``validate`` on 7- and 26-symbol coins, which pins the depth each is
+scanned to, and ``validate --check-stationarity`` on a phase-locked 2-cycle
+embedded as an operator-algebra model. It writes one file per case into an
+output directory: the exit code, standard output and standard error, with the
+wall-clock ``runtime:`` line dropped. Two checkouts can then be compared with
+``diff -r``:
 
     PYTHONPATH=<checkout-a>/src python3 tests/cli_snapshot.py snap-a
     PYTHONPATH=<checkout-b>/src python3 tests/cli_snapshot.py snap-b
@@ -24,7 +27,7 @@ import os
 import sys
 import tempfile
 
-from oomlab import hmm_to_oom, random_hmm, save_model
+from oomlab import embed_classical, hmm_to_oom, iid, markov_chain, random_hmm, save_model
 from oomlab.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -79,14 +82,20 @@ def cases(scratch: str) -> list:
             spec = os.path.join(FIXTURES, name)
             out.append((f"experiment__{name[:-5]}",
                         ["experiment", "run", spec, "--out-dir", scratch]))
-    for stem, n_states, seed, argv in (
-        ("hmm20_rng1", 20, 1, ["dim", "--max-level", "8"]),
-        ("hmm12_rng0", 12, 0, ["minimize"]),
-        ("hmm20_rng1", 20, 1, ["minimize"]),
+    hmm20 = hmm_to_oom(random_hmm(20, "01", rng=1))
+    cycle = markov_chain([[0, 1], [1, 0]], labels=["A", "B"], init=[1, 0])
+    for kind, stem, model, argv in (
+        ("dim", "hmm20_rng1", hmm20, ["dim", "--max-level", "8"]),
+        ("minimize", "hmm12_rng0", hmm_to_oom(random_hmm(12, "01", rng=0)), ["minimize"]),
+        ("minimize", "hmm20_rng1", hmm20, ["minimize"]),
+        ("validate", "coin7", iid({str(i): 1 / 7 for i in range(7)}), ["validate"]),
+        ("validate", "coin26", iid({str(i): 1 / 26 for i in range(26)}), ["validate"]),
+        ("validate-stationarity", "phase_cycle_nc", embed_classical(hmm_to_oom(cycle)),
+         ["validate", "--check-stationarity"]),
     ):
         path = os.path.join(scratch, stem + ".json")
-        save_model(hmm_to_oom(random_hmm(n_states, "01", rng=seed)), path)
-        out.append((f"{argv[0]}__{stem}", [*argv, "--model", path]))
+        save_model(model, path)
+        out.append((f"{kind}__{stem}", [*argv, "--model", path]))
     return out
 
 

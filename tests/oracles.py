@@ -126,6 +126,19 @@ def enumerating_equivalent(m1, m2, l, tol=1e-9) -> bool:
     return worst <= tol
 
 
+def level_scan(ops, vector, covector, depth):
+    """Reference for ``oom._split_scan``: ``covector T_w vector`` on every
+    word up to ``depth``, with every state image of each level held in full,
+    as the lowest real part and the largest magnitude."""
+    level = np.asarray(vector)[None, :]
+    values = [level @ covector]
+    for _ in range(depth):
+        level = np.concatenate([level @ np.asarray(op).T for op in ops])
+        values.append(level @ covector)
+    values = np.concatenate(values)
+    return float(values.real.min()), float(np.abs(values).max())
+
+
 def forward_probability(hmm, word) -> float:
     """Plain forward pass over the HMM's symbol matrices (row recursion)."""
     alpha = [float(x) for x in hmm.init]

@@ -323,12 +323,19 @@ def test_seven_symbol_model_validates_and_evaluates(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "eval", "--model", str(path), "--word", "0")
     assert code == 0
     assert json.loads(out)["probability"] == pytest.approx(1 / 7)
-    code, out, _ = run_cli(capsys, "validate", "--model", str(path))
-    assert code == 0
-    assert json.loads(out)["validation"]["checked_depth"] == 7
-    code, _, err = run_cli(capsys, "validate", "--model", str(path), "--depth", "8")
-    assert code == 2
-    assert "enumerating 7^8 words exceeds the guard of 4000000" in err
+    for depth in ([], ["--depth", "8"]):
+        code, out, _ = run_cli(capsys, "validate", "--model", str(path), *depth)
+        assert code == 0
+        assert json.loads(out)["validation"]["checked_depth"] == 8
+
+
+@pytest.mark.parametrize("fixture", ["markov2.json", "qubit_product.json"])
+def test_validate_rejects_negative_depth(capsys, fixture):
+    code, out, err = run_cli(
+        capsys, "validate", "--model", fixture_path(fixture), "--depth", "-1"
+    )
+    assert code == 2 and out == ""
+    assert "l_val must be nonnegative" in err
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def test_merging_markov_rows_family():
     assert rep.points[-1]["dimension_report"]["dimension"] == 1
 
 
-def test_seven_symbol_family_validates_at_the_scan_depth():
+def test_seven_symbol_family_validates():
     fam = ol.mixture_weight_family(
         ol.iid({str(i): 1 / 7 for i in range(7)}),
         ol.iid({str(i): (i + 1) / 28 for i in range(7)}),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oomlab as ol
-from oomlab import SchemaError, ValidationError
+from oomlab import SchemaError, ValidationError, model_io
 from oomlab.model_io import dumps_canonical, parse_model_file, save_model, serialize_model
 
 from conftest import fixture_path
@@ -69,17 +69,22 @@ def test_float_bits_survive_roundtrip(tmp_path):
     assert back.operators["1"][0, 0] == 1.0 / 3.0  # exact bits via 17 digits
 
 
-def test_seven_symbol_model_loads_with_scan_depth_seven(tmp_path):
-    coin = ol.iid({str(i): 1 / 7 for i in range(7)})
-    path = tmp_path / "coin7.json"
+@pytest.mark.parametrize(
+    "n_symbols, depth", [(2, 8), (6, 8), (7, 8), (10, 8), (11, 7), (16, 6), (26, 5)]
+)
+def test_checked_depth_on_load(tmp_path, monkeypatch, n_symbols, depth):
+    reports = []
+
+    def recording(model):
+        reports.append(ol.validate_oom(model))
+        return reports[-1]
+
+    monkeypatch.setattr(model_io, "validate_oom", recording)
+    coin = ol.iid({str(i): 1 / n_symbols for i in range(n_symbols)})
+    path = tmp_path / "coin.json"
     save_model(coin, path)
     _assert_oom_equal(parse_model_file(path), coin)
-
-
-def test_load_depth_shrinks_only_past_the_enumeration_guard():
-    from oomlab.oom import _scan_depth
-
-    assert [_scan_depth(k) for k in (2, 5, 6, 7, 16)] == [8, 8, 8, 7, 5]
+    assert [(r.passed, r.checked_depth) for r in reports] == [(True, depth)]
 
 
 # ---------------------------------------------------------------------------

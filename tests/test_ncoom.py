@@ -78,7 +78,8 @@ def test_empty_tensor_evaluates_to_one():
 def test_product_state_factorizes():
     q = qubit_product(0.8, 0.2)
     z = pauli_z(q.algebra)
-    assert ol.nc_evaluate(q, [z, z]) == pytest.approx(0.36)  # tr(rho Z) = 0.6 each
+    assert ol.nc_evaluate(q, [z]) == pytest.approx(0.6)  # tr(rho Z)
+    assert ol.nc_evaluate(q, [z, z]) == pytest.approx(0.36)
 
 
 def test_bilinearity_by_superposition():
@@ -328,10 +329,42 @@ def test_reverse_order_convention_is_invariant_by_construction():
     assert rep.stationary and rep.residual <= 1e-12
 
 
-def test_nc_state_wrapper():
-    q = qubit_product(0.8, 0.2)
-    state = ol.NcState(q)
-    one = ol.unit_element(state.algebra)
-    assert state.value([one, one]) == pytest.approx(1.0)
-    z = pauli_z(q.algebra)
-    assert state.value([z]) == pytest.approx(0.6)
+@pytest.mark.parametrize("l", [1, 2, 3, 5])
+def test_exact_invariance_on_basis_tuples(l):
+    assert ol.nc_stationarity_check(qubit_product(0.8, 0.2), l=l).residual == 0.0
+    stationary = ol.embed_classical(ol.hmm_to_oom(markov2()))
+    assert ol.nc_stationarity_check(stationary, l=l).residual == 0.0
+    m = ol.hmm_to_oom(ol.markov_chain([[0, 1], [1, 0]], labels=["A", "B"], init=[1, 0]))
+    e = ol.embed_classical(m)
+    rep = ol.nc_stationarity_check(e, l=l)
+    assert rep.residual == pytest.approx(ol.stationarity_check(m, l=l).residual, abs=1e-15)
+    assert rep.residual == pytest.approx(1.0) and not rep.stationary
+    assert ol.nc_stationarity_check(e, l=l, reverse_order=True).residual <= 1e-12
+
+
+def test_invariance_bound_on_general_tuples():
+    # values are multilinear, so a general tuple's gap is at most the basis
+    # residual times the product of its factors' coefficient 1-norms
+    cyc = ol.markov_chain([[0.1, 0.9], [0.8, 0.2]], labels=["A", "B"], init=[1, 0])
+    e = ol.embed_classical(ol.hmm_to_oom(cyc))
+    residual = ol.nc_stationarity_check(e, l=3).residual
+    one = ol.unit_element(e.algebra)
+    rng = np.random.default_rng(5)
+    for n in range(1, 4):
+        factors = [ol.random_element(e.algebra, rng, normalize=True) for _ in range(n)]
+        gap = abs(ol.nc_evaluate(e, [one] + factors) - ol.nc_evaluate(e, factors))
+        bound = residual * np.prod([np.abs(a.coefficients()).sum() for a in factors])
+        assert gap <= bound + 1e-12
+
+
+@pytest.mark.parametrize(
+    "check, name",
+    [
+        (lambda q: ol.validate_ncoom(q, l_val=-1), "l_val"),
+        (lambda q: ol.nc_stationarity_check(q, l=-1), "l"),
+    ],
+    ids=["validate", "stationarity"],
+)
+def test_negative_depths_rejected(check, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be nonnegative$"):
+        check(qubit_product(0.8, 0.2))

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oomlab as ol
-from oomlab import ValidationError
+from oomlab import ResourceLimitError, ValidationError
+from oomlab.oom import _split_scan
 from oomlab.processes import stationary_distribution
 
 from curated import markov2
-from oracles import forward_probability
+from oracles import forward_probability, level_scan
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +287,19 @@ def test_kolmogorov_consistency_to_depth_eight(model):
     assert ol.kolmogorov_residual(model, 8) <= 1e-10
 
 
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_kolmogorov_model_and_table_paths_agree(depth):
+    # invalid on purpose: the symbol sum scales mass by 1.1, so the worst gap
+    # is 0.1 at the empty word, the only word shorter than depth 1
+    m = ol.OomModel(("0", "1"), {"0": [[0.6]], "1": [[0.5]]}, [1.0], [1.0])
+    table = ol.TableOracle(
+        m.alphabet, {w: ol.word_probability(m, w) for w in ol.words_up_to(m.alphabet, depth)}
+    )
+    model_path = ol.kolmogorov_residual(m, depth)
+    assert model_path == pytest.approx(ol.kolmogorov_residual(table, depth), abs=1e-15)
+    assert model_path == pytest.approx(0.1 if depth else 0.0, abs=1e-15)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from(["a", "b"]), max_size=6))
 def test_consistency_pointwise_random_words(word):
@@ -315,3 +329,72 @@ def test_multicharacter_alphabets_need_explicit_sequences():
     assert ol.word_probability(m, ("hi", "lo")) == pytest.approx(0.4 * 0.6)
     with pytest.raises(ValueError, match="ambiguous"):
         ol.word_probability(m, "lohi")
+
+
+# ---------------------------------------------------------------------------
+# split-word scan and depths
+
+
+def _scan_cases():
+    """(ops, vector, covector, depth) for 216 seeded models, every depth 0-8
+    for each kind: induced models of random HMMs, and unconstrained real and
+    complex models, which mostly take negative values."""
+    rng = np.random.default_rng(606)
+    cases = []
+    for i in range(216):
+        kind, depth = divmod(i, 9)
+        kind %= 3
+        k, d = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        if kind == 0:
+            m = ol.hmm_to_oom(ol.random_hmm(d, [str(s) for s in range(k)], rng=i))
+            cases.append((m.operator_stack, m.init, m.eval, depth))
+            continue
+        ops, v, l = rng.normal(size=(k, d, d)), rng.normal(size=d), rng.normal(size=d)
+        if kind == 2:
+            ops = ops + 1j * rng.normal(size=(k, d, d))
+            v, l = v + 1j * rng.normal(size=d), l - 1j * rng.normal(size=d)
+        cases.append((ops / (k * np.sqrt(d)), v, l, depth))
+    return cases
+
+
+def test_split_scan_matches_level_scan():
+    negative = 0
+    for ops, v, l, depth in _scan_cases():
+        lowest, largest = _split_scan(ops, v, l, depth)
+        ref_lowest, ref_largest = level_scan(ops, v, l, depth)
+        scale = 1e-13 * max(1.0, ref_largest)
+        assert lowest == pytest.approx(ref_lowest, abs=scale, rel=0)
+        assert largest == pytest.approx(ref_largest, abs=scale, rel=0)
+        negative += ref_lowest < 0
+    assert negative >= 100  # most of the 144 unconstrained models are invalid
+
+
+def test_split_scan_guard_refuses_before_enumerating():
+    ops = ol.bernoulli(0.5).operator_stack
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^scanning to depth 26 would take 268402689 word pairs, guard is 134217728$",
+    ):
+        _split_scan(ops, np.ones(1), np.ones(1), 26)
+
+
+def test_validate_scans_to_the_asked_depth_within_the_guard():
+    # binary depth 25 takes 134193153 word pairs, depth 26 twice the guard
+    for asked, checked in [(0, 0), (3, 3), (30, 25)]:
+        rep = ol.validate_oom(ol.bernoulli(0.5), l_val=asked)
+        assert rep.passed and rep.checked_depth == checked
+
+
+@pytest.mark.parametrize(
+    "check, name",
+    [
+        (lambda m: ol.validate_oom(m, l_val=-1), "l_val"),
+        (lambda m: ol.stationarity_check(m, l=-1), "l"),
+        (lambda m: ol.kolmogorov_residual(m, -1), "depth"),
+        (lambda m: ol.kolmogorov_residual(ol.TableOracle(m.alphabet, {(): 1.0}), -1), "depth"),
+    ],
+    ids=["validate", "stationarity", "kolmogorov-model", "kolmogorov-table"],
+)
+def test_negative_depths_rejected(check, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be nonnegative$"):
+        check(ol.bernoulli(0.5))
