@@ -16,17 +16,14 @@ process dimension once the horizon is at least that dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .dimension import DEFAULT_RANK_TOL, numerical_rank
-from .errors import ResourceLimitError
 from .oom import DEFAULT_NEG_TOL, OomOracle, as_oracle
-from .oom import _functional_levels, _propagate, _state_levels
+from .oom import _budget, _clamp_probabilities, _functional_levels, _propagate, _state_levels
 from .words import Word, normalize_word, words_of_length
-
-MAX_FUTURES = 100_000
-MAX_PASTS = 4_096
 
 
 @dataclass(eq=False)
@@ -103,16 +100,12 @@ def total_variation(d1: np.ndarray, d2: np.ndarray) -> float:
 def _predictive_matrix(ora, past_length: int, horizon: int, neg_tol: float):
     """Pasts of exact length, their probabilities, and P(past+future) rows."""
     k = len(ora.alphabet)
-    if k**horizon > MAX_FUTURES:
-        raise ResourceLimitError(
-            f"{k}^{horizon} futures exceed the guard of {MAX_FUTURES}"
-        )
-    if k**past_length > MAX_PASTS:
-        raise ResourceLimitError(
-            f"{k}^{past_length} pasts exceed the guard of {MAX_PASTS}"
-        )
+    n_past, n_future = k**past_length, k**horizon
+    d = ora.model.dim if isinstance(ora, OomOracle) else 1
+    held = n_past * n_future + (n_past + n_future) * d
+    # clustering then compares the rows pairwise
+    _budget(f"{k}^{past_length} pasts by {k}^{horizon} futures", n_past * n_past + held, held)
     pasts = words_of_length(ora.alphabet, past_length)
-    futures = words_of_length(ora.alphabet, horizon)
     if isinstance(ora, OomOracle):
         m = ora.model
         states = _state_levels(m.operator_stack, m.init, past_length)[past_length]
@@ -120,12 +113,13 @@ def _predictive_matrix(ora, past_length: int, horizon: int, neg_tol: float):
         weights = states @ m.eval
         numerators = states @ functionals.T
     else:
+        futures = words_of_length(ora.alphabet, horizon)
         weights = np.array([ora.probability(u) for u in pasts])
         numerators = np.array(
             [[ora.probability(u + w) for w in futures] for u in pasts], dtype=float
         )
-    weights = np.where((weights < 0) & (weights >= -neg_tol), 0.0, weights)
-    numerators = np.where((numerators < 0) & (numerators >= -neg_tol), 0.0, numerators)
+    weights = _clamp_probabilities(weights, neg_tol, "past probability")
+    numerators = _clamp_probabilities(numerators, neg_tol, "predictive entry")
     return pasts, weights, numerators
 
 
@@ -141,10 +135,8 @@ def predictive_distribution(
     ora = as_oracle(p, neg_tol=neg_tol)
     w = normalize_word(past, ora.alphabet)
     k = len(ora.alphabet)
-    if k**horizon > MAX_FUTURES:
-        raise ResourceLimitError(
-            f"{k}^{horizon} futures exceed the guard of {MAX_FUTURES}"
-        )
+    d = ora.model.dim if isinstance(ora, OomOracle) else 1
+    _budget(f"{k}^{horizon} futures", k**horizon, k**horizon * d)
     weight = ora.probability(w)
     if weight <= 0.0:
         return PredictiveDistribution(past=w, horizon=horizon, dist=None, weight=0.0)
@@ -155,7 +147,7 @@ def predictive_distribution(
         numer = np.array(
             [ora.probability(w + fut) for fut in words_of_length(ora.alphabet, horizon)]
         )
-    numer = np.where((numer < 0) & (numer >= -neg_tol), 0.0, numer)
+    numer = _clamp_probabilities(numer, neg_tol, "predictive entry")
     return PredictiveDistribution(past=w, horizon=horizon, dist=numer / weight, weight=weight)
 
 
@@ -265,16 +257,18 @@ def empirical_causal_states(
         fut = traj[i + past_length : i + window]
         by_future = counts.setdefault(past, {})
         by_future[fut] = by_future.get(fut, 0) + 1
-    alphabet = m.alphabet
-    futures = {w: j for j, w in enumerate(words_of_length(alphabet, horizon))}
-    pasts = [p for p in words_of_length(alphabet, past_length) if p in counts]
-    weights = np.empty(len(pasts))
-    dists = np.zeros((len(pasts), len(futures)))
-    for i, p in enumerate(pasts):
-        total = sum(counts[p].values())
+    k, index = len(m.alphabet), {s: i for i, s in enumerate(m.alphabet)}
+    pasts = sorted(counts, key=lambda u: [index[s] for s in u])  # words_of_length order
+    n_past, n_future = len(pasts), k**horizon
+    held = n_past * n_future
+    _budget(f"{n_past} pasts by {k}^{horizon} futures", n_past * n_past + held, held)
+    weights = np.empty(n_past)
+    dists = np.zeros((n_past, n_future))
+    for i, u in enumerate(pasts):
+        total = sum(counts[u].values())
         weights[i] = total / n_windows
-        for fut, c in counts[p].items():
-            dists[i, futures[fut]] = c / total
+        for fut, c in counts[u].items():
+            dists[i, reduce(lambda j, s: j * k + index[s], fut, 0)] = c / total
     return _cluster(pasts, weights, dists, past_length, horizon, cluster_tol, "empirical")
 
 

@@ -43,12 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError
 from .words import normalize_word, word_count_up_to, words_up_to
 from .oom import (
     DEFAULT_NEG_TOL,
     OomModel,
     OomOracle,
+    _budget,
+    _clamp_probabilities,
     _direct_sum,
     _functional_levels,
     _propagate,
@@ -57,7 +59,6 @@ from .oom import (
 )
 
 DEFAULT_RANK_TOL = 1e-9
-MAX_HANKEL_ENTRIES = 1_000_000
 #: Least ratio of the smallest kept to the largest dropped singular value at
 #: which a rank cut counts as falling in a gap of the spectrum.
 MIN_RANK_MARGIN = 1e3
@@ -122,10 +123,11 @@ def apply_tau(m: OomModel, word) -> np.ndarray:
     return _propagate(m, normalize_word(word, m.alphabet))
 
 
-def _guard_block(n_symbols, l_past, l_future, max_entries, what="Hankel block"):
-    entries = word_count_up_to(n_symbols, l_past) * word_count_up_to(n_symbols, l_future)
-    if entries > max_entries:
-        raise ResourceLimitError(f"{what} would have {entries} entries, guard is {max_entries}")
+def _block_budget(what: str, k: int, d: int, l_past: int, l_future: int) -> None:
+    """Budget a block: its entries, held with the ``d``-wide pasts and futures."""
+    rows, cols = word_count_up_to(k, l_past), word_count_up_to(k, l_future)
+    what = f"{what} to depths {l_past} and {l_future}"
+    _budget(what, rows * cols, rows * cols + (rows + cols) * d)
 
 
 def _model_block(ops, init, eval, l_past: int, l_future: int) -> tuple:
@@ -142,24 +144,11 @@ def _model_block(ops, init, eval, l_past: int, l_future: int) -> tuple:
     return h, sv
 
 
-def _clamp_probabilities(h: np.ndarray, neg_tol: float) -> np.ndarray:
-    """``h`` with its entries in ``[-neg_tol, 0)`` set to zero: ``h`` itself
-    when it has none. An entry below ``-neg_tol`` raises."""
-    worst = float(h.min()) if h.size else 0.0
-    if worst < -neg_tol:
-        raise ValidationError(
-            f"Hankel entry {worst} below -neg_tol={-neg_tol}; "
-            "the oracle does not yield a probability distribution"
-        )
-    return np.where(h < 0.0, 0.0, h) if worst < 0.0 else h
-
-
 def build_hankel(
     p,
     l_past: int,
     l_future: int,
     neg_tol: float = DEFAULT_NEG_TOL,
-    max_entries: int = MAX_HANKEL_ENTRIES,
 ) -> HankelBlock:
     """Probability block over all pasts of length <= l_past and futures of
     length <= l_future, in length-then-lexicographic order, with its
@@ -173,7 +162,8 @@ def build_hankel(
     if l_past < 0 or l_future < 0:
         raise ValueError("l_past and l_future must be nonnegative")
     ora = as_oracle(p, neg_tol=neg_tol)
-    _guard_block(len(ora.alphabet), l_past, l_future, max_entries)
+    d = ora.model.dim if isinstance(ora, OomOracle) else 1
+    _block_budget("Hankel block", len(ora.alphabet), d, l_past, l_future)
     pasts = words_up_to(ora.alphabet, l_past)
     futures = words_up_to(ora.alphabet, l_future)
     sv = None
@@ -182,7 +172,7 @@ def build_hankel(
         h, sv = _model_block(m.operator_stack, m.init, m.eval, l_past, l_future)
     else:
         h = np.array([[ora.probability(u + w) for w in futures] for u in pasts], dtype=float)
-    clamped = _clamp_probabilities(h, neg_tol)
+    clamped = _clamp_probabilities(h, neg_tol, "Hankel entry")
     if sv is None or clamped is not h:  # a clamped block no longer factors
         sv = np.linalg.svd(clamped, compute_uv=False)
     return HankelBlock(pasts=pasts, futures=futures, matrix=clamped, singular_values=sv)
@@ -243,7 +233,6 @@ def process_dimension(
     l_max: int,
     tol_rel: float = DEFAULT_RANK_TOL,
     neg_tol: float = DEFAULT_NEG_TOL,
-    max_entries: int = MAX_HANKEL_ENTRIES,
 ) -> DimensionReport:
     """Rank ladder of square Hankel blocks at depths 1..l_max.
 
@@ -259,9 +248,7 @@ def process_dimension(
     1
     """
     return _rank_ladder(
-        lambda level: build_hankel(p, level, level, neg_tol=neg_tol, max_entries=max_entries),
-        l_max,
-        tol_rel,
+        lambda level: build_hankel(p, level, level, neg_tol=neg_tol), l_max, tol_rel
     )
 
 

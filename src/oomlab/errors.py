@@ -14,7 +14,7 @@ class SchemaError(OomlabError):
 
 
 class ResourceLimitError(OomlabError):
-    """A requested enumeration would exceed the configured size guard."""
+    """A request exceeds the resource budget of :func:`oomlab.oom._budget`."""
 
 
 class PreconditionError(OomlabError):

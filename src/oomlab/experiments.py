@@ -26,6 +26,7 @@ from .errors import PreconditionError, ValidationError
 from .oom import (
     HmmModel,
     OomModel,
+    _budget,
     as_oracle,
     hmm_to_oom,
     mixture_direct_sum,
@@ -33,7 +34,7 @@ from .oom import (
     validate_oom,
 )
 from .processes import bernoulli, markov_chain
-from .words import words_up_to
+from .words import word_count_up_to, words_up_to
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -92,6 +93,8 @@ def cylinder_distance(p, q, l: int) -> float:
     qo = as_oracle(q)
     if tuple(po.alphabet) != tuple(qo.alphabet):
         raise ValidationError("alphabet mismatch")
+    n_words = word_count_up_to(len(po.alphabet), l)
+    _budget(f"cylinder distance to depth {l}", 2 * n_words, n_words)
     worst = 0.0
     for w in words_up_to(po.alphabet, l):
         worst = max(worst, abs(po.probability(w) - qo.probability(w)))

@@ -54,8 +54,7 @@ from .dimension import (
     DEFAULT_RANK_TOL,
     DimensionReport,
     HankelBlock,
-    MAX_HANKEL_ENTRIES,
-    _guard_block,
+    _block_budget,
     _model_block,
     _rank_ladder,
 )
@@ -261,7 +260,6 @@ def nc_hankel(
     m: NcOomModel,
     l_past: int,
     l_future: int,
-    max_entries: int = MAX_HANKEL_ENTRIES,
 ) -> HankelBlock:
     """Complex block of state values over basis-element tuples.
 
@@ -275,7 +273,7 @@ def nc_hankel(
     if l_past < 0 or l_future < 0:
         raise ValueError("l_past and l_future must be nonnegative")
     td = m.algebra.total_dim
-    _guard_block(td, l_past, l_future, max_entries, "block")
+    _block_budget("block", td, m.dim, l_past, l_future)
     h, sv = _model_block(m.op_per_basis, m.init, m.eval, l_past, l_future)
     basis = tuple(range(td))
     return HankelBlock(
@@ -290,12 +288,9 @@ def nc_process_dimension(
     m: NcOomModel,
     l_max: int,
     tol_rel: float = DEFAULT_RANK_TOL,
-    max_entries: int = MAX_HANKEL_ENTRIES,
 ) -> DimensionReport:
     """Rank ladder of square basis-tuple blocks, as in the classical case."""
-    return _rank_ladder(
-        lambda level: nc_hankel(m, level, level, max_entries=max_entries), l_max, tol_rel
-    )
+    return _rank_ladder(lambda level: nc_hankel(m, level, level), l_max, tol_rel)
 
 
 def nc_mixture_direct_sum(parts: Sequence[tuple]) -> NcOomModel:

@@ -13,7 +13,9 @@ scans all words up to a depth, as do the consistency and stationarity checks,
 in one block of two half-depth stacks (:func:`_split_scan`). A pass is
 therefore necessary, not sufficient. Values in ``[-neg_tol, 0)`` are treated
 as numerical noise and clamped to zero where probabilities are consumed;
-anything below ``-neg_tol`` signals an invalid model and raises.
+anything below ``-neg_tol`` signals an invalid model and raises. Every word
+enumeration, in every module, states its cost to :func:`_budget` before it
+allocates: the word values it computes or compares and the entries it holds.
 
 Hidden Markov models induce OOMs of the same size (:func:`hmm_to_oom`), and
 convex mixtures of processes are realized structurally as direct sums
@@ -33,9 +35,10 @@ from .words import Word, normalize_word, word_count_up_to, words_up_to
 
 DEFAULT_NEG_TOL = 1e-10
 DEFAULT_CONDITION_TOL = 1e-12
-_ENUMERATION_GUARD = 4_000_000
-#: Word pairs one :func:`_split_scan` may take: 2^27 d multiply-adds.
-_SCAN_GUARD = 2**27
+#: Word values one request may compute or compare: word pairs, oracle calls.
+MAX_VALUES = 2**27
+#: Entries one request may hold at once: stacked vectors, blocks, listed words.
+MAX_HELD = 2**22
 #: Entries of ``S F^T`` that :func:`_split_scan` holds at once.
 _SCAN_CHUNK = 2**18
 
@@ -279,11 +282,29 @@ def _frozen_vectors(init, eval, dtype) -> tuple:
     return v, l
 
 
-def _guard_enumeration(n_symbols: int, depth: int):
-    if n_symbols**depth > _ENUMERATION_GUARD:
+def _within_budget(values: int, held: int) -> bool:
+    return values <= MAX_VALUES and held <= MAX_HELD
+
+
+def _budget(what: str, values: int, held: int) -> None:
+    """Refuse, before it allocates, a request past either limit of the budget."""
+    if not _within_budget(values, held):
         raise ResourceLimitError(
-            f"enumerating {n_symbols}^{depth} words exceeds the guard of {_ENUMERATION_GUARD}"
+            f"{what} would take {values} values and hold {held} entries; "
+            f"the budget is {MAX_VALUES} values and {MAX_HELD} entries"
         )
+
+
+def _clamp_probabilities(h: np.ndarray, neg_tol: float, what: str) -> np.ndarray:
+    """``h`` with its entries in ``[-neg_tol, 0)`` set to zero: ``h`` itself
+    when it has none. An entry below ``-neg_tol`` raises."""
+    worst = float(h.min()) if h.size else 0.0
+    if worst < -neg_tol:
+        raise ValidationError(
+            f"{what} {worst} below -neg_tol={-neg_tol}; "
+            "the oracle does not yield a probability distribution"
+        )
+    return np.where(h < 0.0, 0.0, h) if worst < 0.0 else h
 
 
 def _propagate(m: OomModel, word: Word) -> np.ndarray:
@@ -296,7 +317,6 @@ def _propagate(m: OomModel, word: Word) -> np.ndarray:
 
 def _state_levels(ops: np.ndarray, init: np.ndarray, depth: int) -> list[np.ndarray]:
     """Level k holds the vectors ``T_w v`` for all |w| = k, in lex order."""
-    _guard_enumeration(ops.shape[0], depth)
     levels = [init.reshape(1, -1)]
     for _ in range(depth):
         prev = levels[-1]
@@ -312,7 +332,6 @@ def _functional_levels(ops: np.ndarray, eval: np.ndarray, depth: int) -> list[np
     Built by prepending symbols: the functional of ``d w`` is the functional
     of ``w`` composed with ``T_d``, so flat index d*N + n keeps lex order.
     """
-    _guard_enumeration(ops.shape[0], depth)
     levels = [eval.reshape(1, -1)]
     for _ in range(depth):
         prev = levels[-1]
@@ -321,9 +340,11 @@ def _functional_levels(ops: np.ndarray, eval: np.ndarray, depth: int) -> list[np
     return levels
 
 
-def _scan_pairs(k: int, depth: int) -> int:
-    """Past-by-future word pairs of :func:`_split_scan` to ``depth``."""
-    return word_count_up_to(k, (depth + 1) // 2) * word_count_up_to(k, depth // 2)
+def _scan_cost(k: int, d: int, depth: int) -> tuple[int, int]:
+    """Word pairs of :func:`_split_scan` to ``depth`` over ``k`` operators of
+    size ``d``, and the entries of both stacks and one row chunk it holds."""
+    rows, cols = word_count_up_to(k, (depth + 1) // 2), word_count_up_to(k, depth // 2)
+    return rows * cols, (rows + cols) * d + max(_SCAN_CHUNK, cols)
 
 
 def _split_scan(ops: np.ndarray, vector, covector, depth: int) -> tuple[float, float]:
@@ -331,11 +352,7 @@ def _split_scan(ops: np.ndarray, vector, covector, depth: int) -> tuple[float, f
     all words with ``|w| <= depth``: the entries of ``S F^T`` for the images
     ``T_u vector``, ``|u| <= ceil(depth / 2)``, and the functionals
     ``covector T_s``, ``|s| <= floor(depth / 2)``, taken in row chunks."""
-    pairs = _scan_pairs(ops.shape[0], depth)
-    if pairs > _SCAN_GUARD:
-        raise ResourceLimitError(
-            f"scanning to depth {depth} would take {pairs} word pairs, guard is {_SCAN_GUARD}"
-        )
+    _budget(f"scanning to depth {depth}", *_scan_cost(ops.shape[0], ops.shape[1], depth))
     states = np.vstack(_state_levels(ops, vector, (depth + 1) // 2))
     functionals = np.vstack(_functional_levels(ops, covector, depth // 2)).T
     lowest, largest = np.inf, 0.0
@@ -391,15 +408,15 @@ def validate_oom(
 
     Returns the residual ``|l(v) - 1|``, the residual ``max |l sum_d T_d - l|``
     and the most negative word value over all words up to ``checked_depth``:
-    ``l_val``, or the deepest depth below it that the split scan's guard
-    admits (8 for up to 10 symbols, 5 for 26). The verdict passes iff the
+    ``l_val``, or the deepest depth below it whose scan fits the budget (8 for
+    up to 10 symbols, 5 for 26, up to 176 states). The verdict passes iff the
     first two are within ``condition_tol`` and the scan found nothing below
     ``-neg_tol``. A pass certifies nonnegativity only up to that depth.
     """
     if l_val < 0:
         raise ValueError("l_val must be nonnegative")
     depth = 0
-    while depth < l_val and _scan_pairs(len(m.alphabet), depth + 1) <= _SCAN_GUARD:
+    while depth < l_val and _within_budget(*_scan_cost(len(m.alphabet), m.dim, depth + 1)):
         depth += 1
     c1 = abs(float(m.eval @ m.init) - 1.0)
     c2 = float(np.max(np.abs(m.eval @ m.operator_sum - m.eval)))
@@ -463,6 +480,8 @@ def kolmogorov_residual(p, depth: int) -> float:
         m = ora.model
         defect = m.eval @ m.operator_sum - m.eval
         return _split_scan(m.operator_stack, m.init, defect, depth - 1)[1]
+    n_words = word_count_up_to(len(ora.alphabet), depth - 1)
+    _budget(f"consistency check to depth {depth}", n_words * (len(ora.alphabet) + 1), n_words)
     worst = 0.0
     for w in words_up_to(ora.alphabet, depth - 1):
         total = sum(ora.probability(w + (d,)) for d in ora.alphabet)

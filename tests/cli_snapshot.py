@@ -2,11 +2,14 @@
 
 Runs ``oomlab.cli.main`` in-process for every subcommand on every model file
 under ``tests/fixtures/``, plus ``experiment run`` on each ``exp_*.json``
-spec, ``dim --max-level 8`` on a 20-state binary HMM whose fixed rank cut
-lands inside its spectrum, ``minimize`` on that HMM and on a 12-state binary
-HMM, ``validate`` on 7- and 26-symbol coins, which pins the depth each is
-scanned to, and ``validate --check-stationarity`` on a phase-locked 2-cycle
-embedded as an operator-algebra model. It writes one file per case into an
+spec, two requests on either side of the resource budget (``dim --max-level
+6`` on ``markov3``, which it admits, and ``causal --past-len 12 --horizon 16``
+on ``bernoulli05``, which it refuses), ``dim --max-level 8`` on a 20-state
+binary HMM whose fixed rank cut lands inside its spectrum, ``minimize`` on
+that HMM and on a 12-state binary HMM, ``validate`` on 7- and 26-symbol
+coins, which pins the depth each is scanned to, and ``validate
+--check-stationarity`` on a phase-locked 2-cycle embedded as an
+operator-algebra model. It writes one file per case into an
 output directory: the exit code, standard output and standard error, with the
 wall-clock ``runtime:`` line dropped. Two checkouts can then be compared with
 ``diff -r``:
@@ -82,6 +85,13 @@ def cases(scratch: str) -> list:
             spec = os.path.join(FIXTURES, name)
             out.append((f"experiment__{name[:-5]}",
                         ["experiment", "run", spec, "--out-dir", scratch]))
+    out += [
+        ("dim-level6__markov3",
+         ["dim", "--model", os.path.join(FIXTURES, "markov3.json"), "--max-level", "6"]),
+        ("causal-p12-h16__bernoulli05",
+         ["causal", "--model", os.path.join(FIXTURES, "bernoulli05.json"),
+          "--past-len", "12", "--horizon", "16"]),
+    ]
     hmm20 = hmm_to_oom(random_hmm(20, "01", rng=1))
     cycle = markov_chain([[0, 1], [1, 0]], labels=["A", "B"], init=[1, 0])
     for kind, stem, model, argv in (

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 import oomlab as ol
 
 
@@ -34,6 +36,14 @@ def markov3():
 
 def mixture_2bern(p1=0.2, p2=0.7):
     return ol.mixture_direct_sum([(0.5, ol.bernoulli(p1)), (0.5, ol.bernoulli(p2))])
+
+
+def signed_coin_mixture(q=0.96) -> ol.OomModel:
+    """``1.2 P_A - 0.2 P_B`` for coins with P(1) = 0.5 and ``q``. Both defining
+    equalities hold, but long runs of ones are negative: P(111) = 0.15 - 0.2 q^3
+    at the default ``q``, first P(1^19) at ``q = 0.55``."""
+    ops = {"0": np.diag([0.5, 1.0 - q]), "1": np.diag([0.5, q])}
+    return ol.OomModel(("0", "1"), ops, init=[1.2, -0.2], eval=[1.0, 1.0])
 
 
 def curated_suite() -> list[Curated]:

@@ -4,7 +4,7 @@ import pytest
 import oomlab as ol
 from oomlab import ResourceLimitError
 
-from curated import curated_suite, markov2, mixture_2bern
+from curated import curated_suite, markov2, mixture_2bern, signed_coin_mixture
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +46,15 @@ def test_prediction_normalises():
         pd = ol.predictive_distribution(entry.model, ("0",) * entry.past_length, entry.horizon)
         if not pd.is_null:
             assert pd.dist.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_negative_predictions_raise():
+    m = signed_coin_mixture()  # P(110) > 0 > P(111)
+    below = r" below -neg_tol=-1e-10; the oracle does not yield a probability distribution$"
+    with pytest.raises(ol.ValidationError, match=r"^past probability -0\.02\d+" + below):
+        ol.enumerate_causal_states(m, 3, 1)
+    with pytest.raises(ol.ValidationError, match=r"^predictive entry -0\.02\d+" + below):
+        ol.predictive_distribution(m, "11", 1)
 
 
 def test_horizon_guard():
@@ -117,6 +126,24 @@ def test_empirical_path_estimates_the_exact_partition():
     assert sampled.n_states == exact.n_states == 2
     assert np.allclose(sorted(sampled.weights), sorted(exact.weights), atol=0.02)
     assert sampled.to_dict()["method"] == "empirical"
+
+
+def test_empirical_path_lists_only_observed_pasts():
+    # 2^40 pasts could not be listed; 100 windows observe at most 100 of them
+    chain = ol.markov_chain([[0.9, 0.1], [0.2, 0.8]], labels=["b", "a"], init=[2 / 3, 1 / 3])
+    m = ol.hmm_to_oom(chain)
+    part = ol.empirical_causal_states(m, 40, 2, n_windows=100, seed=5)
+    assert part.weights.sum() == pytest.approx(1.0)
+    assert all(s.representative.sum() == pytest.approx(1.0) for s in part.states)
+
+    def alphabet_order(u):
+        return [m.alphabet.index(s) for s in u]
+
+    firsts = [s.member_pasts[0] for s in part.states]
+    assert firsts == sorted(firsts, key=alphabet_order)
+    for s in part.states:
+        assert all(len(u) == 40 for u in s.member_pasts)
+        assert s.member_pasts == sorted(s.member_pasts, key=alphabet_order)
 
 
 def test_empirical_path_is_deterministic_given_seed():

@@ -8,7 +8,7 @@ from oomlab import ResourceLimitError, ValidationError
 from oomlab.dimension import MIN_RANK_MARGIN
 
 from conftest import fixture_path
-from curated import curated_suite, markov2, markov3, mixture_2bern
+from curated import curated_suite, markov2, markov3, mixture_2bern, signed_coin_mixture
 from oracles import (
     RationalBernoulli,
     RationalMarkovChain,
@@ -89,7 +89,7 @@ def test_rectangular_blocks_for_diagnostics():
 
 def test_hankel_entry_guard():
     with pytest.raises(ResourceLimitError):
-        ol.build_hankel(ol.bernoulli(0.5), 10, 10)
+        ol.build_hankel(ol.bernoulli(0.5), 11, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -458,33 +458,27 @@ def test_negative_noise_levels_are_clamped_like_the_dense_block():
     assert rep.stabilized and rep.dimension == 3
 
 
-def _signed_coin_mixture() -> ol.OomModel:
-    """``1.2 P_A - 0.2 P_B`` for coins with P(1) = 0.5 and 0.96. Both defining
-    equalities hold, but P(111) = 0.15 - 0.2 * 0.96^3 is negative."""
-    ops = {"0": np.diag([0.5, 0.04]), "1": np.diag([0.5, 0.96])}
-    return ol.OomModel(("0", "1"), ops, init=[1.2, -0.2], eval=[1.0, 1.0])
-
-
 _NEGATIVE = "Hankel entry {} below -neg_tol={}; the oracle does not yield a probability distribution"
-_GUARD = "Hankel block would have {} entries, guard is {}"
+_BUDGET = ("{} would take {} values and hold {} entries; "
+           "the budget is 134217728 values and 4194304 entries")
 
 
 @pytest.mark.parametrize(
     "model, kw, level, kind, message",
     [
-        (_signed_coin_mixture(), {}, 2, ValidationError,
+        (signed_coin_mixture(), {}, 2, ValidationError,
          _NEGATIVE.format(-0.09486931199999998, -1e-10)),
-        (_signed_coin_mixture(), {"max_entries": 50}, 2, ValidationError,
-         _NEGATIVE.format(-0.09486931199999998, -1e-10)),
-        (_signed_coin_mixture(), {"max_entries": 40}, 2, ResourceLimitError, _GUARD.format(49, 40)),
-        (_signed_coin_mixture(), {"neg_tol": 0.1}, 3, ValidationError,
+        # the depth-10 block holds P(1^19) < 0, but exceeds the budget first
+        (signed_coin_mixture(0.55), {}, 10, ResourceLimitError,
+         _BUDGET.format("Hankel block to depths 10 and 10", 4190209, 4198397)),
+        (signed_coin_mixture(), {"neg_tol": 0.1}, 3, ValidationError,
          _NEGATIVE.format(-0.13780155793919996, -0.1)),
-        (ol.bernoulli(0.5), {}, 9, ResourceLimitError, _GUARD.format(1046529, 1000000)),
-        (ol.hmm_to_oom(markov3()), {"max_entries": 100}, 2, ResourceLimitError,
-         _GUARD.format(169, 100)),
+        (ol.bernoulli(0.5), {}, 11, ResourceLimitError,
+         _BUDGET.format("Hankel block to depths 11 and 11", 16769025, 16777215)),
+        (ol.hmm_to_oom(markov3()), {}, 7, ResourceLimitError,
+         _BUDGET.format("Hankel block to depths 7 and 7", 10758400, 10778080)),
     ],
-    ids=["negative", "negative-before-guard", "guard-before-negative", "negative-late",
-         "guard", "guard-3-symbols"],
+    ids=["negative", "guard-before-negative", "negative-late", "guard", "guard-3-symbols"],
 )
 def test_ladder_errors_fire_at_their_level(model, kw, level, kind, message):
     with pytest.raises(kind) as err:
@@ -496,9 +490,9 @@ def test_ladder_errors_fire_at_their_level(model, kw, level, kind, message):
 def test_operator_algebra_guard_fires_at_its_level():
     m = ol.embed_classical(ol.bernoulli(0.5))
     with pytest.raises(ResourceLimitError) as err:
-        ol.nc_process_dimension(m, 9)
-    assert str(err.value) == "block would have 1046529 entries, guard is 1000000"
-    ol.nc_process_dimension(m, 8)
+        ol.nc_process_dimension(m, 11)
+    assert str(err.value) == _BUDGET.format("block to depths 11 and 11", 16769025, 16777215)
+    ol.nc_process_dimension(m, 10)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -373,9 +375,50 @@ def test_split_scan_guard_refuses_before_enumerating():
     ops = ol.bernoulli(0.5).operator_stack
     with pytest.raises(
         ResourceLimitError,
-        match=r"^scanning to depth 26 would take 268402689 word pairs, guard is 134217728$",
+        match=r"^scanning to depth 26 would take 268402689 values and hold 294910 entries; "
+        r"the budget is 134217728 values and 4194304 entries$",
     ):
         _split_scan(ops, np.ones(1), np.ones(1), 26)
+
+
+_COIN = ol.bernoulli(0.5)
+_TABLE = ol.TableOracle(("0", "1"), {(): 1.0})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: ol.stationarity_check(_COIN, 26), id="stationarity"),
+        pytest.param(lambda: ol.kolmogorov_residual(_COIN, 27), id="kolmogorov-model"),
+        pytest.param(lambda: ol.kolmogorov_residual(_TABLE, 23), id="kolmogorov-oracle"),
+        pytest.param(lambda: ol.nc_stationarity_check(ol.embed_classical(_COIN), 26),
+                     id="nc-stationarity"),
+        pytest.param(lambda: ol.build_hankel(_COIN, 11, 11), id="hankel-model"),
+        pytest.param(lambda: ol.build_hankel(_TABLE, 11, 11), id="hankel-oracle"),
+        pytest.param(lambda: ol.nc_hankel(ol.embed_classical(_COIN), 11, 11), id="nc-hankel"),
+        pytest.param(lambda: ol.enumerate_causal_states(_COIN, 12, 16), id="causal-model"),
+        pytest.param(lambda: ol.enumerate_causal_states(_TABLE, 12, 16), id="causal-oracle"),
+        pytest.param(lambda: ol.predictive_distribution(_COIN, "0", 23), id="predictive-model"),
+        pytest.param(lambda: ol.predictive_distribution(_TABLE, "", 23),
+                     id="predictive-oracle"),
+        pytest.param(lambda: ol.empirical_causal_states(_COIN, 40, 22, n_windows=2),
+                     id="empirical"),
+        pytest.param(lambda: ol.cylinder_distance(_COIN, ol.bernoulli(0.4), 22), id="cylinder"),
+    ],
+)
+def test_oversized_requests_are_refused_before_allocating(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"^.+ would take \d+ values and hold \d+ entries; "
+            r"the budget is 134217728 values and 4194304 entries$",
+        ):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_validate_scans_to_the_asked_depth_within_the_guard():
