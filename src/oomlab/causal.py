@@ -16,7 +16,6 @@ process dimension once the horizon is at least that dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -24,6 +23,9 @@ from .dimension import DEFAULT_RANK_TOL, numerical_rank
 from .oom import DEFAULT_NEG_TOL, OomOracle, as_oracle
 from .oom import _budget, _clamp_probabilities, _functional_levels, _propagate, _state_levels
 from .words import Word, normalize_word, words_of_length
+
+#: Entries of the gathered row pairs :func:`_components` holds at once.
+_CLUSTER_CHUNK = 2**18
 
 
 @dataclass(eq=False)
@@ -103,7 +105,7 @@ def _predictive_matrix(ora, past_length: int, horizon: int, neg_tol: float):
     n_past, n_future = k**past_length, k**horizon
     d = ora.model.dim if isinstance(ora, OomOracle) else 1
     held = n_past * n_future + (n_past + n_future) * d
-    # clustering then compares the rows pairwise
+    # clustering may test up to pasts^2 candidate pairs of rows
     _budget(f"{k}^{past_length} pasts by {k}^{horizon} futures", n_past * n_past + held, held)
     pasts = words_of_length(ora.alphabet, past_length)
     if isinstance(ora, OomOracle):
@@ -151,35 +153,53 @@ def predictive_distribution(
     return PredictiveDistribution(past=w, horizon=horizon, dist=numer / weight, weight=weight)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _components(dists: np.ndarray, cluster_tol: float) -> np.ndarray:
+    """Single-linkage components of the rows of ``dists`` under total-variation
+    distance ``<= cluster_tol``, each row labelled with its component's lowest
+    index.
 
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            # keep the smaller index as root so cluster order is by first member
-            if rj < ri:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
+    For ``|r_j| <= 1``, ``|r.(x - y)| <= |x - y|_1 = 2 TV(x, y)``, so only rows
+    whose projections on a fixed ``r`` lie within ``2 cluster_tol`` (plus a
+    round-off slack) can be linked. The sorted projections give those
+    candidate pairs, nearest neighbours first, in chunks of
+    ``_CLUSTER_CHUNK`` gathered entries. A pair is tested only while its rows
+    are in different components, by ``0.5 * |d_j - d_i|.sum()`` with ``j > i``
+    in full, so the components are those of testing every pair.
+    """
+    n, n_future = dists.shape
+    labels = np.arange(n)
+    proj = dists @ np.random.default_rng(0).uniform(-1.0, 1.0, n_future)
+    order = np.argsort(proj, kind="stable")
+    sorted_proj = proj[order]
+    scale = float(np.abs(dists).sum(axis=1).max()) if n else 0.0
+    slack = 4 * (n_future + 1) * np.finfo(float).eps * (scale + cluster_tol)
+    reach = np.searchsorted(sorted_proj, sorted_proj + (2 * cluster_tol + slack), side="right")
+    step = max(1, _CLUSTER_CHUNK // (2 * n_future))
+    active, offset = np.arange(n), 1
+    while True:
+        active = active[reach[active] > active + offset]
+        if not active.size:
+            return labels
+        left, right = order[active], order[active + offset]
+        lo, hi = np.minimum(left, right), np.maximum(left, right)
+        open_pair = labels[lo] != labels[hi]
+        lo, hi = lo[open_pair], hi[open_pair]
+        for start in range(0, lo.size, step):
+            i, j = lo[start : start + step], hi[start : start + step]
+            open_pair = labels[i] != labels[j]
+            i, j = i[open_pair], j[open_pair]
+            linked = 0.5 * np.abs(dists[j] - dists[i]).sum(axis=1) <= cluster_tol
+            for x, y in zip(i[linked].tolist(), j[linked].tolist()):
+                a, b = sorted((labels[x], labels[y]))
+                if a != b:
+                    labels[labels == b] = a
+        offset += 1
 
 
 def _cluster(pasts, weights, dists, past_length, horizon, cluster_tol, method):
-    n = len(pasts)
-    uf = _UnionFind(n)
-    for i in range(n):
-        tv = 0.5 * np.abs(dists[i + 1 :] - dists[i]).sum(axis=1)
-        for off in np.flatnonzero(tv <= cluster_tol):
-            uf.union(i, i + 1 + int(off))
     clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(uf.find(i), []).append(i)
+    for i, root in enumerate(_components(dists, cluster_tol).tolist()):
+        clusters.setdefault(root, []).append(i)
     states = []
     for root in sorted(clusters):
         members = clusters[root]
@@ -212,11 +232,14 @@ def enumerate_causal_states(
     """Cluster all positive-probability pasts of length ``past_length`` by
     total-variation distance of their predictive distributions.
 
-    Clustering is single linkage over pairs at distance <= ``cluster_tol``
-    (union-find), deterministic in the lexicographic past order. Cluster
-    weight is the summed past probability; pasts of exact length partition
-    the process, so the weights sum to one. The representative is the
-    highest-weight member (earliest on ties).
+    Clustering is exact single linkage over pairs at distance <=
+    ``cluster_tol``, deterministic in the lexicographic past order: clusters
+    are listed by their first member. It sweeps rows sorted by a projection
+    that cannot separate a linked pair by more than ``2 cluster_tol``, so only
+    nearby pairs are compared in full. Cluster weight is the summed past
+    probability; pasts of exact length partition the process, so the weights
+    sum to one. The representative is the highest-weight member (earliest on
+    ties).
     """
     ora = as_oracle(p, neg_tol=neg_tol)
     pasts, weights, numerators = _predictive_matrix(ora, past_length, horizon, neg_tol)
@@ -249,27 +272,39 @@ def empirical_causal_states(
         m = hmm_to_oom(m)
     if n_windows < 1:
         raise ValueError("n_windows must be positive")
-    window = past_length + horizon
+    window, k = past_length + horizon, len(m.alphabet)
     traj = sample_trajectory(m, window + n_windows - 1, seed)
-    counts: dict = {}
-    for i in range(n_windows):
-        past = traj[i : i + past_length]
-        fut = traj[i + past_length : i + window]
-        by_future = counts.setdefault(past, {})
-        by_future[fut] = by_future.get(fut, 0) + 1
-    k, index = len(m.alphabet), {s: i for i, s in enumerate(m.alphabet)}
-    pasts = sorted(counts, key=lambda u: [index[s] for s in u])  # words_of_length order
-    n_past, n_future = len(pasts), k**horizon
+    index = {s: i for i, s in enumerate(m.alphabet)}
+    # past codes beyond int64 stay Python integers
+    code_type = np.int64 if k**past_length < 2**63 else object
+    digits = np.lib.stride_tricks.sliding_window_view(
+        np.array([index[s] for s in traj], dtype=code_type), window
+    )
+    # base-k codes of equal-length words sort as words_of_length lists them
+    _, first, past_ids = np.unique(
+        _base_k_codes(digits[:, :past_length], k), return_index=True, return_inverse=True
+    )
+    n_past, n_future = len(first), k**horizon
     held = n_past * n_future
+    # clustering may test up to pasts^2 candidate pairs of rows
     _budget(f"{n_past} pasts by {k}^{horizon} futures", n_past * n_past + held, held)
-    weights = np.empty(n_past)
+    futures = _base_k_codes(digits[:, past_length:].astype(np.int64), k)
+    cells, counts = np.unique(past_ids * n_future + futures, return_counts=True)
+    totals = np.bincount(past_ids, minlength=n_past)
+    rows = cells // n_future
+    weights = totals / n_windows
     dists = np.zeros((n_past, n_future))
-    for i, u in enumerate(pasts):
-        total = sum(counts[u].values())
-        weights[i] = total / n_windows
-        for fut, c in counts[u].items():
-            dists[i, reduce(lambda j, s: j * k + index[s], fut, 0)] = c / total
+    dists[rows, cells % n_future] = counts / totals[rows]
+    pasts = [traj[i : i + past_length] for i in first.tolist()]
     return _cluster(pasts, weights, dists, past_length, horizon, cluster_tol, "empirical")
+
+
+def _base_k_codes(digits: np.ndarray, k: int) -> np.ndarray:
+    """Base-``k`` value of each row of ``digits``, most significant first."""
+    codes = np.zeros(len(digits), dtype=digits.dtype)
+    for col in digits.T:
+        codes = codes * k + col
+    return codes
 
 
 def statistical_complexity(c: CausalStatePartition) -> float:

@@ -329,37 +329,30 @@ def parse_model_file(path, validate: bool = True, _depth: int = 0):
 
 
 def _validate_loaded(model):
-    if isinstance(model, OomModel):
-        rep = validate_oom(model)
-        if not rep.passed:
-            raise ValidationError(
-                "model failed validation: "
-                f"condition-1 residual {rep.condition1_residual:.6e}, "
-                f"condition-2 residual {rep.condition2_residual:.6e}, "
-                f"most negative probability {rep.most_negative_probability:.6e} "
-                f"at depth {rep.checked_depth}"
-            )
-    elif isinstance(model, HmmModel):
-        rep = validate_hmm(model)
-        if not rep.passed:
-            raise ValidationError(
-                "HMM failed validation: "
-                f"row-sum residual {rep.row_sum_residual:.6e}, "
-                f"init-sum residual {rep.init_sum_residual:.6e}, "
-                f"min entry {rep.min_entry:.6e}"
-            )
-    elif isinstance(model, NcOomModel):
-        rep = validate_ncoom(model)
-        if not rep.passed:
-            raise ValidationError(
-                "model failed validation: "
-                f"condition-1 residual {rep.condition1_residual:.6e}, "
-                f"condition-2 residual {rep.condition2_residual:.6e}, "
-                f"worst sampled value real part {rep.worst_negative_real:.6e}, "
-                f"worst imaginary magnitude {rep.worst_imaginary:.6e}"
-            )
-    else:
-        raise TypeError(f"cannot validate {type(model).__name__}")
+    # the table is built per call so that wrappers installed on the
+    # validator names later see every call
+    for kind, validate, label, fields in (
+        (OomModel, validate_oom, "model",
+         "condition-1 residual {condition1_residual:.6e}, "
+         "condition-2 residual {condition2_residual:.6e}, "
+         "most negative probability {most_negative_probability:.6e} at depth {checked_depth}"),
+        (HmmModel, validate_hmm, "HMM",
+         "row-sum residual {row_sum_residual:.6e}, "
+         "init-sum residual {init_sum_residual:.6e}, "
+         "min entry {min_entry:.6e}"),
+        (NcOomModel, validate_ncoom, "model",
+         "condition-1 residual {condition1_residual:.6e}, "
+         "condition-2 residual {condition2_residual:.6e}, "
+         "worst sampled value real part {worst_negative_real:.6e}, "
+         "worst imaginary magnitude {worst_imaginary:.6e}"),
+    ):
+        if isinstance(model, kind):
+            rep = validate(model)
+            if not rep.passed:
+                detail = fields.format_map(vars(rep))
+                raise ValidationError(f"{label} failed validation: {detail}")
+            return
+    raise TypeError(f"cannot validate {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ convex mixtures of processes are realized structurally as direct sums
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -41,6 +42,8 @@ MAX_VALUES = 2**27
 MAX_HELD = 2**22
 #: Entries of ``S F^T`` that :func:`_split_scan` holds at once.
 _SCAN_CHUNK = 2**18
+#: Uniforms :func:`sample_trajectory` draws from its generator at once.
+_SAMPLE_BLOCK = 2**10
 
 
 @dataclass(eq=False)
@@ -555,33 +558,50 @@ def sample_trajectory(
 
     Sampling walks sequential conditionals ``P(d | w) = P(wd) / P(w)`` with
     the state renormalized each step, so arbitrarily long trajectories stay
-    numerically stable. Deterministic given ``seed``.
+    numerically stable. With ``C`` the stack of covectors ``l T_e``, each step
+    is one product of the state with ``G_s = [T_s ; C T_s ; l T_s]`` for the
+    symbol ``s`` just drawn: the next state, the next conditionals and their
+    mass. Uniforms are drawn from the generator in fixed blocks, the same
+    stream as one draw per step. Deterministic given ``seed``.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
     rng = np.random.default_rng(seed)
-    ops = m.operator_stack
-    state = m.init.copy()
-    mass = float(m.eval @ state)
+    ops, l, k, d = m.operator_stack, m.eval, len(m.alphabet), m.dim
+    state = m.init
+    mass = float(l @ state)
     if abs(mass - 1.0) > 1e-6:
         raise ValidationError(f"initial mass is {mass}, expected 1")
+    covectors = l @ ops
+    fused = [np.vstack([t, covectors @ t, l @ t]) for t in ops]
+    cond = (covectors @ state).tolist()
     out = []
-    for _ in range(length):
-        cond = np.einsum("kij,j->ki", ops, state) @ m.eval
-        if float(cond.min()) < -neg_tol:
-            raise ValidationError(
-                f"conditional mass {cond.min()} below -neg_tol while sampling; "
-                "the model does not generate a probability distribution"
-            )
-        cond = np.clip(cond, 0.0, None)
-        total = float(cond.sum())
-        if total <= 0.0:
-            raise ValidationError("no probability mass left while sampling")
-        cond /= total
-        u = rng.random()
-        idx = min(int(np.searchsorted(np.cumsum(cond), u, side="right")), len(cond) - 1)
-        sym = m.alphabet[idx]
-        out.append(sym)
-        state = m.operators[sym] @ state
-        state /= float(m.eval @ state)
-    return tuple(out)
+    for start in range(0, length, _SAMPLE_BLOCK):
+        for u in rng.random(min(_SAMPLE_BLOCK, length - start)).tolist():
+            lowest = min(cond)
+            if lowest < -neg_tol:
+                raise ValidationError(
+                    f"conditional mass {lowest} below -neg_tol while sampling; "
+                    "the model does not generate a probability distribution"
+                )
+            if lowest < 0.0:
+                cond = [max(c, 0.0) for c in cond]
+            # np.sum's total: it adds fewer than 8 terms in order, more pairwise
+            total = float(np.sum(cond)) if k >= 8 else _running_sums(cond)[-1]
+            if total <= 0.0:
+                raise ValidationError("no probability mass left while sampling")
+            idx = min(bisect_right(_running_sums([c / total for c in cond]), u), k - 1)
+            out.append(idx)
+            nxt = fused[idx].dot(state)
+            nxt /= nxt[-1]
+            state, cond = nxt[:d], nxt[d:-1].tolist()
+    return tuple(m.alphabet[i] for i in out)
+
+
+def _running_sums(values: list) -> list:
+    """Prefix sums added left to right, as ``np.cumsum`` adds."""
+    acc, sums = 0.0, []
+    for v in values:
+        acc += v
+        sums.append(acc)
+    return sums

@@ -4,14 +4,16 @@ Runs ``oomlab.cli.main`` in-process for every subcommand on every model file
 under ``tests/fixtures/``, plus ``experiment run`` on each ``exp_*.json``
 spec, two requests on either side of the resource budget (``dim --max-level
 6`` on ``markov3``, which it admits, and ``causal --past-len 12 --horizon 16``
-on ``bernoulli05``, which it refuses), ``dim --max-level 8`` on a 20-state
-binary HMM whose fixed rank cut lands inside its spectrum, ``minimize`` on
-that HMM and on a 12-state binary HMM, ``validate`` on 7- and 26-symbol
-coins, which pins the depth each is scanned to, and ``validate
+on ``bernoulli05``, which it refuses), ``sample --length 5000`` and ``causal
+--past-len 8 --horizon 3`` on ``markov3`` and ``mixture_2bern``, which run the
+sampler and the clustering at more than toy size, ``dim --max-level 8`` on a
+20-state binary HMM whose fixed rank cut lands inside its spectrum,
+``minimize`` on that HMM and on a 12-state binary HMM, ``validate`` on 7- and
+26-symbol coins, which pins the depth each is scanned to, and ``validate
 --check-stationarity`` on a phase-locked 2-cycle embedded as an
-operator-algebra model. It writes one file per case into an
-output directory: the exit code, standard output and standard error, with the
-wall-clock ``runtime:`` line dropped. Two checkouts can then be compared with
+operator-algebra model. It writes one file per case into an output directory:
+the exit code, standard output and standard error, with the wall-clock
+``runtime:`` line dropped. Two checkouts can then be compared with
 ``diff -r``:
 
     PYTHONPATH=<checkout-a>/src python3 tests/cli_snapshot.py snap-a
@@ -92,6 +94,12 @@ def cases(scratch: str) -> list:
          ["causal", "--model", os.path.join(FIXTURES, "bernoulli05.json"),
           "--past-len", "12", "--horizon", "16"]),
     ]
+    for stem in ("markov3", "mixture_2bern"):
+        model = ["--model", os.path.join(FIXTURES, stem + ".json")]
+        out += [
+            (f"sample-5000__{stem}", ["sample", *model, "--length", "5000", "--seed", "3"]),
+            (f"causal-p8-h3__{stem}", ["causal", *model, "--past-len", "8", "--horizon", "3"]),
+        ]
     hmm20 = hmm_to_oom(random_hmm(20, "01", rng=1))
     cycle = markov_chain([[0, 1], [1, 0]], labels=["A", "B"], init=[1, 0])
     for kind, stem, model, argv in (

@@ -3,6 +3,8 @@ import pytest
 
 import oomlab as ol
 from oomlab import ResourceLimitError
+from oomlab.causal import _components, _predictive_matrix
+from oomlab.oom import DEFAULT_NEG_TOL, as_oracle
 
 from curated import curated_suite, markov2, mixture_2bern, signed_coin_mixture
 
@@ -152,6 +154,152 @@ def test_empirical_path_is_deterministic_given_seed():
     b = ol.empirical_causal_states(m, 2, 1, n_windows=5_000, seed=11)
     assert a.n_states == b.n_states == 1
     assert np.array_equal(a.weights, b.weights)
+
+
+# ---------------------------------------------------------------------------
+# clustering against the full pairwise loop
+
+
+def reference_labels(dists, cluster_tol):
+    """Single linkage comparing every pair of rows in full: union-find that
+    keeps the smaller index as root, so each label is its component's first
+    row."""
+    parent = list(range(len(dists)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(dists)):
+        tv = 0.5 * np.abs(dists[i + 1 :] - dists[i]).sum(axis=1)
+        for off in np.flatnonzero(tv <= cluster_tol):
+            a, b = sorted((find(i), find(i + 1 + int(off))))
+            parent[b] = a
+    return [find(i) for i in range(len(dists))]
+
+
+def reference_groups(pasts, dists, cluster_tol):
+    groups = {}
+    for past, label in zip(pasts, reference_labels(dists, cluster_tol)):
+        groups.setdefault(label, []).append(past)
+    return [groups[label] for label in sorted(groups)]
+
+
+def reference_empirical_rows(m, past_length, horizon, n_windows, seed):
+    """Window counts kept per past in dicts, pasts sorted by alphabet index."""
+    window = past_length + horizon
+    traj = ol.sample_trajectory(m, window + n_windows - 1, seed)
+    counts = {}
+    for i in range(n_windows):
+        by_future = counts.setdefault(traj[i : i + past_length], {})
+        fut = traj[i + past_length : i + window]
+        by_future[fut] = by_future.get(fut, 0) + 1
+    k, index = len(m.alphabet), {s: i for i, s in enumerate(m.alphabet)}
+    pasts = sorted(counts, key=lambda u: [index[s] for s in u])
+    weights = np.empty(len(pasts))
+    dists = np.zeros((len(pasts), k**horizon))
+    for i, u in enumerate(pasts):
+        total = sum(counts[u].values())
+        weights[i] = total / n_windows
+        for fut, c in counts[u].items():
+            col = 0
+            for s in fut:
+                col = col * k + index[s]
+            dists[i, col] = c / total
+    return pasts, weights, dists
+
+
+def seeded_model(seed):
+    """Random HMMs of 1 to 6 states over 2, 3 or 4 symbols, every fourth one
+    a mixture of two coins whose pasts tie by their count of ones."""
+    rng = np.random.default_rng(seed)
+    if seed % 4 == 0:
+        p, q = rng.uniform(0.1, 0.9, 2)
+        return ol.mixture_direct_sum([(0.5, ol.bernoulli(p)), (0.5, ol.bernoulli(q))])
+    alphabet = ("01", "cab", "0123")[seed % 3]
+    return ol.hmm_to_oom(ol.random_hmm(int(rng.integers(1, 7)), alphabet, rng=rng))
+
+
+TOLS = (1e-8, 1e-3, 0.05)
+
+
+@pytest.mark.parametrize("cluster_tol", TOLS)
+def test_exact_partitions_match_the_pairwise_loop(cluster_tol):
+    cases = [(e.model, e.past_length, e.horizon) for e in curated_suite()]
+    for seed in range(200):
+        m = seeded_model(seed)
+        cases.append((m, *((4, 2) if len(m.alphabet) == 2 else (2, 1 + seed % 2))))
+    for m, past_length, horizon in cases:
+        part = ol.enumerate_causal_states(m, past_length, horizon, cluster_tol=cluster_tol)
+        pasts, weights, numerators = _predictive_matrix(
+            as_oracle(m), past_length, horizon, DEFAULT_NEG_TOL
+        )
+        keep = weights > 0.0
+        rows = numerators[keep] / weights[keep, None]
+        live = [u for u, k in zip(pasts, keep) if k]
+        assert [s.member_pasts for s in part.states] == reference_groups(live, rows, cluster_tol)
+
+
+@pytest.mark.parametrize("cluster_tol", TOLS)
+def test_empirical_partitions_match_the_pairwise_loop(cluster_tol):
+    for seed in range(200):
+        m = seeded_model(seed)
+        past_length = 3 if len(m.alphabet) == 2 else 2
+        part = ol.empirical_causal_states(m, past_length, 1, n_windows=400, seed=seed,
+                                          cluster_tol=cluster_tol)
+        pasts, _, dists = reference_empirical_rows(m, past_length, 1, 400, seed)
+        assert [s.member_pasts for s in part.states] == reference_groups(
+            pasts, dists, cluster_tol
+        )
+
+
+@pytest.mark.parametrize(
+    "alphabet, past_length, horizon, n_windows",
+    [(a, p, h, 3000) for a in ("01", "cab") for p in (1, 2, 4, 6) for h in (1, 2)]
+    # binary pasts of length 70 have codes beyond int64
+    + [("01", 70, 2, 300)],
+)
+def test_empirical_counts_match_per_past_dicts(alphabet, past_length, horizon, n_windows):
+    for rng in range(3):
+        m = ol.hmm_to_oom(ol.random_hmm(3 + rng, alphabet, rng=rng))
+        part = ol.empirical_causal_states(m, past_length, horizon, n_windows=n_windows, seed=rng)
+        pasts, weights, dists = reference_empirical_rows(
+            m, past_length, horizon, n_windows, rng
+        )
+        labels = reference_labels(dists, part.cluster_tol)
+        want = {}
+        for i, label in enumerate(labels):
+            want.setdefault(label, []).append(i)
+        assert part.n_states == len(want)
+        for state, members in zip(part.states, (want[label] for label in sorted(want))):
+            rep = max(members, key=lambda i: (weights[i], -i))
+            assert state.member_pasts == [pasts[i] for i in members]
+            assert state.weight == float(weights[members].sum())
+            assert state.representative_past == pasts[rep]
+            assert np.array_equal(state.representative, dists[rep])
+
+
+@pytest.mark.parametrize(
+    "rows, cluster_tol, labels",
+    [
+        # a~b and b~c at 0.03, a and c 0.06 apart: one cluster through b
+        ([[0.5, 0.5], [0.56, 0.44], [0.9, 0.1], [0.53, 0.47]], 0.05, [0, 0, 2, 0]),
+        (np.tile([0.25, 0.75], (50, 1)), 1e-8, [0] * 50),
+        (np.ones((7, 1)), 0.0, [0] * 7),
+        # duplicates tie in any projection; interleaved, each keeps its first index
+        (np.tile([[0.1, 0.9], [0.7, 0.3], [0.4, 0.6]], (6, 1)), 1e-8, [0, 1, 2] * 6),
+        # a distance of exactly cluster_tol links
+        ([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], 0.5, [0, 0, 0]),
+        ([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], 0.4999, [0, 1, 2]),
+        (np.zeros((0, 4)), 0.05, []),
+    ],
+    ids=["chain", "identical", "one-future", "ties", "at-tol", "below-tol", "empty"],
+)
+def test_hand_built_clusters(rows, cluster_tol, labels):
+    rows = np.asarray(rows, dtype=float)
+    assert _components(rows, cluster_tol).tolist() == labels
+    assert reference_labels(rows, cluster_tol) == labels
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oomlab as ol
 from oomlab import ResourceLimitError, ValidationError
-from oomlab.oom import _split_scan
+from oomlab.oom import _SAMPLE_BLOCK, DEFAULT_NEG_TOL, _split_scan
 from oomlab.processes import stationary_distribution
 
 from curated import markov2
@@ -270,6 +270,72 @@ def test_sampled_frequency_within_three_sigma():
 def test_long_trajectories_do_not_underflow():
     w = ol.sample_trajectory(ol.hmm_to_oom(markov2()), 5000, seed=9)
     assert len(w) == 5000 and set(w) <= {"0", "1"}
+
+
+def reference_sample(m, length, seed, neg_tol=DEFAULT_NEG_TOL):
+    """One scalar draw and a fresh conditional vector per step."""
+    rng = np.random.default_rng(seed)
+    ops = m.operator_stack
+    state = m.init.copy()
+    out = []
+    for _ in range(length):
+        cond = np.einsum("kij,j->ki", ops, state) @ m.eval
+        if float(cond.min()) < -neg_tol:
+            raise ValidationError(
+                f"conditional mass {cond.min()} below -neg_tol while sampling; "
+                "the model does not generate a probability distribution"
+            )
+        cond = np.clip(cond, 0.0, None)
+        total = float(cond.sum())
+        if total <= 0.0:
+            raise ValidationError("no probability mass left while sampling")
+        cond /= total
+        u = rng.random()
+        idx = min(int(np.searchsorted(np.cumsum(cond), u, side="right")), len(cond) - 1)
+        sym = m.alphabet[idx]
+        out.append(sym)
+        state = m.operators[sym] @ state
+        state /= float(m.eval @ state)
+    return tuple(out)
+
+
+def test_sampler_matches_the_per_step_loop():
+    # 10 symbols take numpy's pairwise sum of the conditionals, fewer its plain one
+    alphabets = ("01", "abc", "abcdef", "abcdefghij")
+    for seed in range(1000):
+        rng = np.random.default_rng(seed)
+        h = ol.random_hmm(int(rng.integers(1, 13)), alphabets[seed % 4], rng=rng)
+        m = ol.hmm_to_oom(h)
+        assert ol.sample_trajectory(m, 40, seed) == reference_sample(m, 40, seed), seed
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (1, -1), (1, 0), (1, 1), (3, 0)])
+def test_sampler_across_uniform_blocks(blocks, extra):
+    length = blocks * _SAMPLE_BLOCK + extra
+    m = ol.hmm_to_oom(ol.random_hmm(5, "abc", rng=4))
+    w = ol.sample_trajectory(m, length, 17)
+    assert len(w) == length and w == reference_sample(m, length, 17)
+
+
+def test_sampler_errors_keep_their_messages():
+    signed = ol.OomModel(("0", "1"), {"0": [[1.2]], "1": [[-0.2]]}, [1.0], [1.0])
+    negative = (
+        "conditional mass -0.2 below -neg_tol while sampling; "
+        "the model does not generate a probability distribution"
+    )
+    # e1 -> e2 under "0", then every operator kills e2
+    dead_end = ol.OomModel(
+        ("0", "1"), {"0": [[0.0, 0.0], [1.0, 0.0]], "1": np.zeros((2, 2))}, [1.0, 0.0], [1.0, 1.0]
+    )
+    assert ol.sample_trajectory(dead_end, 1, 0) == reference_sample(dead_end, 1, 0) == ("0",)
+    for m, length, message in (
+        (signed, 1, negative),
+        (dead_end, 2, "no probability mass left while sampling"),
+    ):
+        for sample in (ol.sample_trajectory, reference_sample):
+            with pytest.raises(ValidationError) as err:
+                sample(m, length, 0)
+            assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
