@@ -24,7 +24,6 @@ from .algebra import (
     basis_elements,
     construct_algebra,
     is_positive,
-    random_element,
     unit_element,
 )
 from .causal import (
@@ -169,7 +168,6 @@ __all__ = [
     "periodic",
     "predictive_distribution",
     "process_dimension",
-    "random_element",
     "random_hmm",
     "run_additivity",
     "run_semicontinuity",

@@ -185,21 +185,3 @@ def basis_elements(algebra: CStarAlgebra) -> list[AlgebraElement]:
                 out.append(AlgebraElement(algebra, blocks))
     return out
 
-
-def random_element(
-    algebra: CStarAlgebra, rng: np.random.Generator, normalize: bool = True
-) -> AlgebraElement:
-    """Random element with complex Gaussian entries, used by sampling checks.
-
-    With ``normalize`` the element is scaled to unit Frobenius norm (over all
-    blocks jointly) so downstream tolerances stay scale-free.
-    """
-    blocks = [
-        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        for d in algebra.block_dims
-    ]
-    if normalize:
-        norm = np.sqrt(sum(float(np.sum(np.abs(b) ** 2)) for b in blocks))
-        if norm > 0:
-            blocks = [b / norm for b in blocks]
-    return AlgebraElement(algebra, blocks)

@@ -164,7 +164,9 @@ def _components(dists: np.ndarray, cluster_tol: float) -> np.ndarray:
     candidate pairs, nearest neighbours first, in chunks of
     ``_CLUSTER_CHUNK`` gathered entries. A pair is tested only while its rows
     are in different components, by ``0.5 * |d_j - d_i|.sum()`` with ``j > i``
-    in full, so the components are those of testing every pair.
+    in full, so the components are those of testing every pair. A position
+    leaves the sweep once the run of equal labels that starts at it covers
+    its reach.
     """
     n, n_future = dists.shape
     labels = np.arange(n)
@@ -175,15 +177,16 @@ def _components(dists: np.ndarray, cluster_tol: float) -> np.ndarray:
     slack = 4 * (n_future + 1) * np.finfo(float).eps * (scale + cluster_tol)
     reach = np.searchsorted(sorted_proj, sorted_proj + (2 * cluster_tol + slack), side="right")
     step = max(1, _CLUSTER_CHUNK // (2 * n_future))
-    active, offset = np.arange(n), 1
+    active, offset, run_end = np.arange(n), 1, np.arange(1, n + 1)
     while True:
-        active = active[reach[active] > active + offset]
+        # a position whose run of equal labels covers its reach has no open pair
+        active = active[reach[active] > np.maximum(active + offset, run_end[active])]
         if not active.size:
             return labels
         left, right = order[active], order[active + offset]
         lo, hi = np.minimum(left, right), np.maximum(left, right)
         open_pair = labels[lo] != labels[hi]
-        lo, hi = lo[open_pair], hi[open_pair]
+        lo, hi, merged = lo[open_pair], hi[open_pair], False
         for start in range(0, lo.size, step):
             i, j = lo[start : start + step], hi[start : start + step]
             open_pair = labels[i] != labels[j]
@@ -193,6 +196,10 @@ def _components(dists: np.ndarray, cluster_tol: float) -> np.ndarray:
                 a, b = sorted((labels[x], labels[y]))
                 if a != b:
                     labels[labels == b] = a
+                    merged = True
+        if merged:
+            starts = np.flatnonzero(np.diff(labels[order])) + 1
+            run_end = np.append(starts, n)[np.searchsorted(starts, np.arange(n), side="right")]
         offset += 1
 
 

@@ -126,14 +126,6 @@ def _emit(obj) -> None:
     sys.stdout.write(dumps_canonical(obj))
 
 
-def _resolve_seed(args) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        return int(seed)
-    env = os.environ.get("OOMLAB_SEED")
-    return int(env) if env else 0
-
-
 def _parse_cli_word(text: str, alphabet) -> tuple:
     if text == "":
         return ()
@@ -156,18 +148,9 @@ def _classical(model, what: str) -> OomModel:
 
 def _cmd_validate(args) -> int:
     model = parse_model_file(args.model, validate=False)
-    seed = _resolve_seed(args)
     report: dict = {"model_type": type(model).__name__}
     depth = {} if args.depth is None else {"l_val": args.depth}
-    if isinstance(model, NcOomModel):
-        rep = validate_ncoom(model, **depth, samples=args.samples, seed=seed)
-        report["validation"] = rep.to_dict()
-        if args.check_stationarity:
-            report["stationarity"] = nc_stationarity_check(
-                model, l=args.stationarity_level
-            ).to_dict()
-        passed = rep.passed
-    elif isinstance(model, HmmModel):
+    if isinstance(model, HmmModel):
         hrep = validate_hmm(model)
         report["validation"] = hrep.to_dict()
         passed = hrep.passed
@@ -180,12 +163,12 @@ def _cmd_validate(args) -> int:
                 hmm_to_oom(model), l=args.stationarity_level
             ).to_dict()
     else:
-        rep = validate_oom(model, **depth)
+        nc = isinstance(model, NcOomModel)
+        rep = (validate_ncoom if nc else validate_oom)(model, **depth)
         report["validation"] = rep.to_dict()
         if args.check_stationarity:
-            report["stationarity"] = stationarity_check(
-                model, l=args.stationarity_level
-            ).to_dict()
+            check = nc_stationarity_check if nc else stationarity_check
+            report["stationarity"] = check(model, l=args.stationarity_level).to_dict()
         passed = rep.passed
     _emit(report)
     return 0 if passed else 1
@@ -294,21 +277,15 @@ def _cmd_experiment(args) -> int:
     report = runner()
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(dumps_canonical(report.to_dict()))
     header, rows = experiment_points_rows(report)
-    csv_path = os.path.join(out_dir, "points.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    table = io.StringIO()
+    csv.writer(table).writerows([header, *rows])
+    with open(os.path.join(out_dir, "points.csv"), "w", encoding="utf-8", newline="") as fh:
+        fh.write(table.getvalue())
     if args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(table.getvalue())
     else:
         _emit(report.to_dict())
     if report.runtime_seconds is not None:
@@ -318,7 +295,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = _classical(parse_model_file(args.model), "sample")
-    seed = _resolve_seed(args)
+    seed = args.seed if args.seed is not None else int(os.environ.get("OOMLAB_SEED") or 0)
     word = sample_trajectory(model, args.length, seed)
     _emit({"length": args.length, "seed": seed, "word": list(word)})
     return 0
@@ -341,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check the defining conditions of a model file")
     add_model(p)
     p.add_argument("--depth", type=int, default=None, help="word/tuple scan depth")
-    p.add_argument("--samples", type=int, default=200, help="positivity samples per depth")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--check-stationarity", action="store_true")
     p.add_argument("--stationarity-level", type=int, default=4)
     p.set_defaults(func=_cmd_validate)

@@ -51,7 +51,7 @@ from .oom import (
     OomOracle,
     _budget,
     _clamp_probabilities,
-    _direct_sum,
+    _difference,
     _functional_levels,
     _propagate,
     _state_levels,
@@ -341,10 +341,6 @@ def equivalent(m1: OomModel, m2: OomModel, l: int, tol: float = 1e-9) -> bool:
     """
     if m1.alphabet != m2.alphabet:
         raise ValidationError("alphabet mismatch")
-    ops, init, evalv = _direct_sum(
-        (1.0, 1.0),
-        [(m1.operator_stack, m1.init, m1.eval), (m2.operator_stack, m2.init, -m2.eval)],
-        float,
-    )
+    ops, init, evalv = _difference(m1, m2)
     _, images = _closure_basis([init], ops, DEFAULT_RANK_TOL, l)
     return float(np.max(np.abs(images @ evalv), initial=0.0)) <= tol

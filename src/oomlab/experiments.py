@@ -26,7 +26,10 @@ from .errors import PreconditionError, ValidationError
 from .oom import (
     HmmModel,
     OomModel,
+    OomOracle,
     _budget,
+    _difference,
+    _split_scan,
     as_oracle,
     hmm_to_oom,
     mixture_direct_sum,
@@ -87,12 +90,24 @@ def cylinder_distance(p, q, l: int) -> float:
 
     This metrizes convergence of all finite-depth cylinder probabilities at
     the chosen depth, the sense of convergence in which dimension is lower
-    semi-continuous.
+    semi-continuous. For two models it is the largest magnitude of the split
+    scan of their difference model, the direct sum with the second eval
+    negated; other oracles are compared word by word. A word value below
+    ``-neg_tol`` raises :class:`ValidationError`.
     """
     po = as_oracle(p)
     qo = as_oracle(q)
     if tuple(po.alphabet) != tuple(qo.alphabet):
         raise ValidationError("alphabet mismatch")
+    if isinstance(po, OomOracle) and isinstance(qo, OomOracle):
+        for ora in (po, qo):
+            m = ora.model
+            lowest = _split_scan(m.operator_stack, m.init, m.eval, l)[0]
+            if lowest < -ora.neg_tol:
+                raise ValidationError(
+                    f"a word up to length {l} has probability {lowest}, below -neg_tol"
+                )
+        return _split_scan(*_difference(po.model, qo.model), l)[1]
     n_words = word_count_up_to(len(po.alphabet), l)
     _budget(f"cylinder distance to depth {l}", 2 * n_words, n_words)
     worst = 0.0

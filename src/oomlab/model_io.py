@@ -92,10 +92,6 @@ def _pop(data: dict, key: str, context: str):
     return data.pop(key)
 
 
-def _pop_optional(data: dict, key: str):
-    return data.pop(key, None)
-
-
 def _pop_number(data: dict, key: str, default: float) -> float:
     raw = data.pop(key, None)
     return default if raw is None else _as_number(raw, key)
@@ -159,7 +155,7 @@ def _as_matrix(x, field: str, shape: tuple, kind=_REAL) -> np.ndarray:
 
 
 def _pop_metadata(data: dict) -> dict:
-    meta = {key: _pop_optional(data, key) for key in ("name", "description")}
+    meta = {key: data.pop(key, None) for key in ("name", "description")}
     for key, value in meta.items():
         if value is not None and not isinstance(value, str):
             raise SchemaError(f'field "{key}" must be a string')
@@ -343,8 +339,8 @@ def _validate_loaded(model):
         (NcOomModel, validate_ncoom, "model",
          "condition-1 residual {condition1_residual:.6e}, "
          "condition-2 residual {condition2_residual:.6e}, "
-         "worst sampled value real part {worst_negative_real:.6e}, "
-         "worst imaginary magnitude {worst_imaginary:.6e}"),
+         "most negative eigenvalue {most_negative_eigenvalue:.6e} at depth {checked_depth}, "
+         "hermitian defect {hermitian_defect:.6e}"),
     ):
         if isinstance(model, kind):
             rep = validate(model)
@@ -481,7 +477,7 @@ def parse_experiment_file(path):
     data = _load_json(path, dict, "an object")
     context = f"experiment file {os.path.basename(path)}"
     kind = _pop(data, "experiment", context)
-    name = _pop_optional(data, "name")
+    name = data.pop("name", None)
     if name is None:
         name = str(kind)
     elif not isinstance(name, str):
@@ -574,11 +570,7 @@ def experiment_points_rows(report) -> tuple[list, list]:
         flat: dict = {}
         _flatten("", point, flat)
         flats.append(flat)
-    header: list = []
-    for flat in flats:
-        for key in flat:
-            if key not in header:
-                header.append(key)
+    header = list(dict.fromkeys(key for flat in flats for key in flat))
     rows = []
     for flat in flats:
         row = []

@@ -24,9 +24,14 @@ direct sums and the invariance scan therefore come from the classical core
 (:mod:`oomlab.oom` and :mod:`oomlab.dimension`), run with complex dtype over
 basis-index tuples.
 
-Positivity of the generated state quantifies over all tuples of positive
-algebra elements and is not finitely certifiable; validation spot-checks it
-on seeded random tuples ``b* b``.
+The generated state is positive when it is positive on every local algebra
+``A^(x)n``, not only on elementary tensors of positives. At depth ``n`` its
+values on the matrix-unit basis tuples are, block tuple by block tuple, the
+entries of a density ``rho_n`` with ``phi(E_IJ) = (rho_n)_JI``, and it is
+positive on ``A^(x)n`` iff every ``rho_n`` is Hermitian and positive
+semidefinite (Fannes, Nachtergaele and Werner, CMP 144, 1992). Validation
+checks exactly that, depth by depth; for a commutative algebra every density
+is one word value, so the check is word nonnegativity.
 
 A note on the canonical state space: for two-sided translation-invariant
 states one can alternatively span the conditionals induced by finite left
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +53,6 @@ from .algebra import (
     AlgebraElement,
     CStarAlgebra,
     basis_elements,
-    random_element,
     unit_element,
 )
 from .dimension import (
@@ -59,9 +64,10 @@ from .dimension import (
     _rank_ladder,
 )
 from .errors import ValidationError
-from .oom import DEFAULT_CONDITION_TOL, DEFAULT_NEG_TOL, OomModel
-from .oom import _direct_sum, _frozen_vectors, _mixture_weights, _split_scan
-from .words import words_up_to
+from .oom import DEFAULT_CONDITION_TOL, DEFAULT_NEG_TOL, OomModel, _direct_sum
+from .oom import _frozen_vectors, _functional_levels, _mixture_weights, _split_scan
+from .oom import _state_levels, _within_budget
+from .words import word_count_up_to, words_up_to
 
 DEFAULT_IMAG_TOL = 1e-9
 
@@ -121,11 +127,9 @@ class NcOomModel:
 class NcValidationReport:
     condition1_residual: float
     condition2_residual: float
-    worst_negative_real: float
-    worst_imaginary: float
+    most_negative_eigenvalue: float
+    hermitian_defect: float
     checked_depth: int
-    samples_per_depth: int
-    seed: int
     neg_tol: float
     imag_tol: float
     condition_tol: float
@@ -161,55 +165,79 @@ def nc_evaluate(
     return complex(m.eval @ state)
 
 
+def _density_cost(algebra: CStarAlgebra, d: int, depth: int) -> tuple[int, int]:
+    """Values and eigenvalue work of the densities of all depths up to
+    ``depth``, and the entries held at ``depth``: the half-depth stacks, the
+    values and the densities of one tuple of block sizes."""
+    td, cubes = algebra.total_dim, sum(s**3 for s in algebra.block_dims)
+    stacks = word_count_up_to(td, (depth + 1) // 2) + word_count_up_to(td, depth // 2)
+    work = word_count_up_to(td, depth) + word_count_up_to(cubes, depth)
+    return work, stacks * d + 2 * td**depth
+
+
+def _densities(m: NcOomModel, n: int):
+    """Yield, for each tuple of block sizes in lexicographic order, the
+    transposed depth-``n`` densities of the block tuples ``K`` of those sizes,
+    also in lexicographic order: ``phi[K, I, J] = phi(E_IJ) = rho_K[J, I]``,
+    the multi-indices ``I`` and ``J`` first factor major. Each is one gather
+    from the level-``n`` values, the flattened ``S F^T`` of half depth."""
+    h, dims, td = (n + 1) // 2, np.array(m.algebra.block_dims), m.algebra.total_dim
+    states = _state_levels(m.op_per_basis, m.init, h)[h]
+    values = (states @ _functional_levels(m.op_per_basis, m.eval, n - h)[n - h].T).reshape(-1)
+    starts = np.cumsum(dims**2) - dims**2
+    # basis indices of the matrix units (block, i, j) of the blocks of each size
+    units = {
+        s: starts[dims == s][:, None, None] + s * np.arange(s)[:, None] + np.arange(s)
+        for s in sorted(set(dims.tolist()))
+    }
+    for sizes in product(units, repeat=n):
+        index = np.zeros((1, 1, 1), dtype=np.intp)
+        for s in sizes:
+            (b, r, c), u = index.shape, units[s]
+            index = index[:, None, :, None, :, None] * td + u[None, :, None, :, None, :]
+            index = index.reshape(b * len(u), r * s, c * s)
+        yield values[index]
+
+
 def validate_ncoom(
     m: NcOomModel,
     l_val: int = 4,
-    samples: int = 200,
-    seed: int = 0,
     neg_tol: float = DEFAULT_NEG_TOL,
     imag_tol: float = DEFAULT_IMAG_TOL,
     condition_tol: float = DEFAULT_CONDITION_TOL,
 ) -> NcValidationReport:
-    """Check the defining conditions, spot-checking positivity.
+    """Check the defining conditions, and positivity exactly up to a depth.
 
-    Conditions one and two are exact residuals. Positivity of the generated
-    state on tuples of positive elements is sampled: ``samples`` tuples of
-    ``b* b`` elements (unit Frobenius norm) per depth up to ``l_val``; the
-    worst negative real part and the worst imaginary magnitude are reported.
-    Deterministic given ``seed``; a pass is necessary, not sufficient.
+    Conditions one and two are exact residuals. Positivity on ``A^(x)n`` is
+    checked for every ``n`` up to ``checked_depth``: ``l_val``, or the deepest
+    depth below it whose values and eigenvalue work fit the budget. Reported
+    are the largest entry of ``|rho_n - rho_n^*|`` over all densities and the
+    lowest eigenvalue of their Hermitian parts, for a commutative algebra the
+    lowest word value. The verdict passes iff the conditions are within
+    ``condition_tol``, the defect within ``imag_tol`` and no eigenvalue is
+    below ``-neg_tol``; a pass certifies positivity up to ``checked_depth``.
     """
     if l_val < 0:
         raise ValueError("l_val must be nonnegative")
+    depth = 0
+    while depth < l_val and _within_budget(*_density_cost(m.algebra, m.dim, depth + 1)):
+        depth += 1
     c1 = abs(complex(m.eval @ m.init) - 1.0)
     c2 = float(np.max(np.abs(m.eval @ m.unit_operator - m.eval)))
-    rng = np.random.default_rng(seed)
-    worst_real = np.inf
-    worst_imag = 0.0
-    for depth in range(1, l_val + 1):
-        for _ in range(samples):
-            factors = []
-            for _ in range(depth):
-                b = random_element(m.algebra, rng, normalize=True)
-                factors.append(b.adjoint() * b)
-            val = nc_evaluate(m, factors)
-            worst_real = min(worst_real, val.real)
-            worst_imag = max(worst_imag, abs(val.imag))
-    if not np.isfinite(worst_real):
-        worst_real = float(complex(m.eval @ m.init).real)
-    passed = (
-        c1 <= condition_tol
-        and c2 <= condition_tol
-        and worst_real >= -neg_tol
-        and worst_imag <= imag_tol
-    )
+    lowest, defect = np.inf, 0.0
+    for n in range(depth + 1):
+        for phi in _densities(m, n):
+            adjoint = phi.conj().swapaxes(1, 2)
+            defect = max(defect, float(np.abs(phi - adjoint).max()))
+            # phi's Hermitian part is rho's conjugated, with the same spectrum
+            lowest = min(lowest, float(np.linalg.eigvalsh(0.5 * (phi + adjoint))[:, 0].min()))
+    passed = max(c1, c2) <= condition_tol and lowest >= -neg_tol and defect <= imag_tol
     return NcValidationReport(
         condition1_residual=float(c1),
         condition2_residual=c2,
-        worst_negative_real=float(worst_real),
-        worst_imaginary=float(worst_imag),
-        checked_depth=l_val,
-        samples_per_depth=samples,
-        seed=seed,
+        most_negative_eigenvalue=lowest,
+        hermitian_defect=defect,
+        checked_depth=depth,
         neg_tol=neg_tol,
         imag_tol=imag_tol,
         condition_tol=condition_tol,

@@ -397,6 +397,13 @@ def _direct_sum(weights, parts: list, dtype) -> tuple:
     return ops, init, evalv
 
 
+def _difference(m1: OomModel, m2: OomModel) -> tuple:
+    """``(ops, init, eval)`` of the model whose word values are those of
+    ``m1`` minus those of ``m2``: their direct sum, ``m2``'s eval negated."""
+    parts = [(m.operator_stack, m.init, sign * m.eval) for m, sign in ((m1, 1), (m2, -1))]
+    return _direct_sum((1.0, 1.0), parts, float)
+
+
 # ---------------------------------------------------------------------------
 # Operations
 

@@ -9,9 +9,11 @@ on ``bernoulli05``, which it refuses), ``sample --length 5000`` and ``causal
 sampler and the clustering at more than toy size, ``dim --max-level 8`` on a
 20-state binary HMM whose fixed rank cut lands inside its spectrum,
 ``minimize`` on that HMM and on a 12-state binary HMM, ``validate`` on 7- and
-26-symbol coins, which pins the depth each is scanned to, and ``validate
+26-symbol coins, which pins the depth each is scanned to, ``validate
 --check-stationarity`` on a phase-locked 2-cycle embedded as an
-operator-algebra model. It writes one file per case into an output directory:
+operator-algebra model, and ``validate`` and ``nc-dim`` on a signed mixture
+of two qubit product states that is positive on one site and not on two, so
+that both exit 1. It writes one file per case into an output directory:
 the exit code, standard output and standard error, with the wall-clock
 ``runtime:`` line dropped. Two checkouts can then be compared with
 ``diff -r``:
@@ -32,7 +34,16 @@ import os
 import sys
 import tempfile
 
-from oomlab import embed_classical, hmm_to_oom, iid, markov_chain, random_hmm, save_model
+from oomlab import (
+    NcOomModel,
+    construct_algebra,
+    embed_classical,
+    hmm_to_oom,
+    iid,
+    markov_chain,
+    random_hmm,
+    save_model,
+)
 from oomlab.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -102,6 +113,11 @@ def cases(scratch: str) -> list:
         ]
     hmm20 = hmm_to_oom(random_hmm(20, "01", rng=1))
     cycle = markov_chain([[0, 1], [1, 0]], labels=["A", "B"], init=[1, 0])
+    # 1.5 qp(0.5, 0.5) - 0.5 qp(1, 0), with qp(a, b) the product state of diag(a, b)
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    signed = NcOomModel(construct_algebra([2]), [[[0.5, 0.0], [0.0, 1.0]], zero, zero,
+                                                 [[0.5, 0.0], [0.0, 0.0]]],
+                        init=[1.5, -0.5], eval=[1.0, 1.0])
     for kind, stem, model, argv in (
         ("dim", "hmm20_rng1", hmm20, ["dim", "--max-level", "8"]),
         ("minimize", "hmm12_rng0", hmm_to_oom(random_hmm(12, "01", rng=0)), ["minimize"]),
@@ -110,6 +126,8 @@ def cases(scratch: str) -> list:
         ("validate", "coin26", iid({str(i): 1 / 26 for i in range(26)}), ["validate"]),
         ("validate-stationarity", "phase_cycle_nc", embed_classical(hmm_to_oom(cycle)),
          ["validate", "--check-stationarity"]),
+        ("validate", "signed_qubit_mix", signed, ["validate"]),
+        ("nc-dim", "signed_qubit_mix", signed, ["nc-dim", "--max-level", "2"]),
     ):
         path = os.path.join(scratch, stem + ".json")
         save_model(model, path)

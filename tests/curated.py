@@ -1,7 +1,9 @@
-"""The curated process suite shared by causal, experiment and acceptance tests.
+"""Inputs shared across test modules: the curated process suite of the
+causal, experiment and acceptance tests, and random algebra elements.
 
-Each entry fixes the model, its known dimension, and the past length, horizon
-and ladder depth at which the causal-state analysis is expected to resolve it.
+Each suite entry fixes the model, its known dimension, and the past length,
+horizon and ladder depth at which the causal-state analysis is expected to
+resolve it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,16 @@ def signed_coin_mixture(q=0.96) -> ol.OomModel:
     return ol.OomModel(("0", "1"), ops, init=[1.2, -0.2], eval=[1.0, 1.0])
 
 
+def signed_qubit_mixture() -> ol.NcOomModel:
+    """``1.5 qp(0.5, 0.5) - 0.5 qp(1, 0)``, with ``qp(a, b)`` the product state
+    of ``diag(a, b)``: its value on ``E_00`` tensored n times is
+    ``1.5 / 2^n - 0.5``, so it is positive on one site (density
+    ``diag(0.25, 0.75)``) and ``-0.125`` on two."""
+    ops = np.zeros((4, 2, 2), dtype=complex)
+    ops[0], ops[3] = np.diag([0.5, 1.0]), np.diag([0.5, 0.0])
+    return ol.NcOomModel(ol.construct_algebra([2]), ops, init=[1.5, -0.5], eval=[1.0, 1.0])
+
+
 def curated_suite() -> list[Curated]:
     return [
         Curated("iid_05", ol.bernoulli(0.5), 1, 1, 1, 2, 1),
@@ -60,3 +72,19 @@ def curated_suite() -> list[Curated]:
         Curated("mix_02_07", mixture_2bern(0.2, 0.7), 2, 3, 2, 3, 4),
         Curated("mix_05_09", mixture_2bern(0.5, 0.9), 2, 3, 2, 3, 4),
     ]
+
+
+def random_element(
+    algebra: ol.CStarAlgebra, rng: np.random.Generator, normalize: bool = True
+) -> ol.AlgebraElement:
+    """Element with complex Gaussian entries; with ``normalize``, scaled to
+    unit Frobenius norm over all blocks jointly."""
+    blocks = [
+        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for d in algebra.block_dims
+    ]
+    if normalize:
+        norm = np.sqrt(sum(float(np.sum(np.abs(b) ** 2)) for b in blocks))
+        if norm > 0:
+            blocks = [b / norm for b in blocks]
+    return ol.AlgebraElement(algebra, blocks)

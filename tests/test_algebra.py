@@ -9,9 +9,10 @@ from oomlab.algebra import (
     basis_elements,
     construct_algebra,
     is_positive,
-    random_element,
     unit_element,
 )
+
+from curated import random_element
 
 SHAPES = [[1, 1], [2], [2, 1], [3], [1, 2, 1]]
 

@@ -8,6 +8,7 @@ from oomlab.cli import COMMANDS, OPERATION_COVERAGE, build_parser, main
 from oomlab.model_io import save_model, serialize_model
 
 from conftest import fixture_path
+from curated import signed_qubit_mixture
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +78,34 @@ def test_validate_bad_model_exits_one(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "validate", "--model", str(path))
     assert code == 1
     assert json.loads(out)["validation"]["passed"] is False
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--seed"])
+def test_validate_has_no_sampling_flags(capsys, flag):
+    code, out, err = run_cli(
+        capsys, "validate", "--model", fixture_path("qubit_product.json"), flag, "5"
+    )
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag} 5" in err
+
+
+def test_signed_qubit_mixture_is_refuted(capsys, tmp_path):
+    save_model(signed_qubit_mixture(), tmp_path / "signed.json")
+    code, out, _ = run_cli(capsys, "validate", "--model", str(tmp_path / "signed.json"))
+    assert code == 1
+    report = json.loads(out)["validation"]
+    assert not report["passed"] and report["checked_depth"] == 4
+    # 1.5 / 2^4 - 0.5 on E_00 tensored four times
+    assert report["most_negative_eigenvalue"] == pytest.approx(-0.40625, abs=1e-15)
+    code, out, err = run_cli(
+        capsys, "nc-dim", "--model", str(tmp_path / "signed.json"), "--max-level", "2"
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "error: model failed validation: condition-1 residual 0.000000e+00, "
+        "condition-2 residual 0.000000e+00, most negative eigenvalue -4.062500e-01 "
+        "at depth 4, hermitian defect 0.000000e+00\n"
+    )
 
 
 def test_validate_with_stationarity(capsys):

@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 
 import oomlab as ol
 from oomlab import PreconditionError
 from oomlab.processes import stationary_distribution
 
-from curated import curated_suite, markov2, mixture_2bern
+from curated import curated_suite, markov2, mixture_2bern, signed_coin_mixture
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +32,29 @@ def test_mixture_family_distance_shrinks_linearly():
     dev = ol.cylinder_distance(other, base, 3)
     for t, d in zip(fam.grid, dists):
         assert d <= t * dev + 1e-12
+
+
+def test_model_pairs_match_the_word_loop():
+    rng = np.random.default_rng(77)
+    for i in range(120):
+        alphabet = "01" if i % 3 else "abc"
+        p, q = (
+            ol.random_hmm(int(rng.integers(1, 5)), alphabet, rng=int(rng.integers(2**31)))
+            for _ in range(2)
+        )
+        l = int(rng.integers(0, 6 if i % 3 else 4))
+        expected = max(
+            abs(ol.word_probability(p, w) - ol.word_probability(q, w))
+            for w in ol.words_up_to(tuple(alphabet), l)
+        )
+        assert ol.cylinder_distance(p, q, l) == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_negative_word_values_raise(first):
+    pair = (signed_coin_mixture(), ol.bernoulli(0.5))
+    with pytest.raises(ol.ValidationError, match=r"^a word up to length 3 has probability "):
+        ol.cylinder_distance(*(pair if first else pair[::-1]), 3)
 
 
 def test_distance_alphabet_mismatch():

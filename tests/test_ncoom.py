@@ -1,12 +1,15 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 import oomlab as ol
 from oomlab import ValidationError
+from oomlab.ncoom import _densities
+from oomlab.oom import _direct_sum
 
-from curated import curated_suite, markov2
+from curated import curated_suite, markov2, random_element, signed_qubit_mixture
 from oracles import RationalProductStateMixture, rational_rank
 
 
@@ -30,7 +33,7 @@ def test_embedded_coin_validates_with_zero_residuals():
     assert rep.passed
     assert rep.condition1_residual == 0.0
     assert rep.condition2_residual == 0.0
-    assert rep.worst_negative_real >= 0.0
+    assert rep.most_negative_eigenvalue >= 0.0
 
 
 def test_perturbed_operator_breaks_condition_two_by_known_amount():
@@ -39,7 +42,7 @@ def test_perturbed_operator_breaks_condition_two_by_known_amount():
     ops = np.array(m.op_per_basis, dtype=complex)
     ops[0] = ops[0] + delta
     broken = ol.NcOomModel(algebra=m.algebra, op_per_basis=ops, init=m.init, eval=m.eval)
-    rep = ol.validate_ncoom(broken, l_val=1, samples=5)
+    rep = ol.validate_ncoom(broken, l_val=1)
     assert not rep.passed
     assert rep.condition2_residual == pytest.approx(delta, abs=1e-15)
 
@@ -48,11 +51,164 @@ def test_qubit_product_state_validates():
     assert ol.validate_ncoom(qubit_product(0.8, 0.2)).passed
 
 
-def test_validation_deterministic_given_seed():
-    q = qubit_product(0.6, 0.4)
-    a = ol.validate_ncoom(q, seed=5)
-    b = ol.validate_ncoom(q, seed=5)
-    assert a.to_dict() == b.to_dict()
+def cp_model(blocks, k: int, rng) -> ol.NcOomModel:
+    """Finitely correlated model on ``k x k`` matrices, vectorised row-major:
+    an isometry ``V: C^k -> C^D (x) C^k`` with ``D = sum(blocks)`` gives
+    ``E_a(sigma) = Tr_D[(a (x) 1) V sigma V^*]``, read by the trace from a
+    random density. Every such model is positive."""
+    alg = ol.construct_algebra(blocks)
+    n = sum(blocks)
+    v = np.linalg.qr(rng.normal(size=(n * k, k)) + 1j * rng.normal(size=(n * k, k)))[0]
+    ops = []
+    for e in ol.basis_elements(alg):
+        a, pos = np.zeros((n, n), dtype=complex), 0
+        for b in e.blocks:
+            a[pos : pos + len(b), pos : pos + len(b)] = b
+            pos += len(b)
+        lifted = np.kron(a, np.eye(k)) @ v
+        # column p*k + q is the image of the matrix unit e_p e_q^T
+        ops.append(np.stack([
+            np.einsum("ikil->kl", np.outer(lifted[:, p], v[:, q].conj()).reshape(n, k, n, k))
+            .reshape(-1)
+            for p in range(k) for q in range(k)
+        ], axis=1))
+    g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    sigma = g @ g.conj().T
+    return ol.NcOomModel(algebra=alg, op_per_basis=ops,
+                         init=(sigma / np.trace(sigma)).reshape(-1), eval=np.eye(k).reshape(-1))
+
+
+def brute_force_densities(m: ol.NcOomModel, n: int) -> list:
+    """``phi[I, J] = phi(E_IJ)`` from :func:`nc_evaluate` on basis tuples, for
+    every block tuple: sizes in lexicographic order, then block tuples."""
+    basis, dims = ol.basis_elements(m.algebra), m.algebra.block_dims
+    starts = np.cumsum([d * d for d in dims]) - [d * d for d in dims]
+    out = []
+    for sizes in product(sorted(set(dims)), repeat=n):
+        for blocks in product(*([b for b, d in enumerate(dims) if d == s] for s in sizes)):
+            rows = list(product(*(range(dims[b]) for b in blocks)))
+            out.append(np.array([[
+                ol.nc_evaluate(m, [basis[starts[b] + i * dims[b] + j]
+                                   for b, i, j in zip(blocks, row, col)])
+                for col in rows] for row in rows]))
+    return out
+
+
+@pytest.mark.parametrize("blocks", [[2], [2, 1], [1, 1, 1], [3]])
+def test_densities_match_brute_force_on_cp_models(blocks):
+    rng = np.random.default_rng(sum(blocks) * 10 + len(blocks))
+    for k in (1, 2):
+        m = cp_model(blocks, k, rng)
+        lowest = 1.0
+        for n in range(1, 4):
+            fast = [phi for batch in _densities(m, n) for phi in batch]
+            slow = brute_force_densities(m, n)
+            assert len(fast) == len(slow)
+            for a, b in zip(fast, slow):
+                assert np.max(np.abs(a - b)) <= 1e-12
+            lowest = min(lowest, *(np.linalg.eigvalsh(0.5 * (b + b.conj().T))[0] for b in slow))
+            rep = ol.validate_ncoom(m, l_val=n)
+            assert rep.passed and rep.checked_depth == n
+            assert rep.hermitian_defect <= 1e-12
+            assert rep.most_negative_eigenvalue == pytest.approx(lowest, abs=1e-12)
+
+
+def _signed_hmm_mixtures():
+    """200 seeded models over 1-3 symbols: induced models of random HMMs and
+    ``(1 + w) P_A - w P_B`` for two of them, which satisfy both defining
+    equalities and often take negative values."""
+    rng = np.random.default_rng(909)
+    out = []
+    for i in range(200):
+        alphabet = [str(s) for s in range(int(rng.integers(1, 4)))]
+        a = ol.hmm_to_oom(ol.random_hmm(int(rng.integers(1, 4)), alphabet, rng=2 * i))
+        if i % 2 == 0:
+            out.append((a, int(rng.integers(0, 6))))
+            continue
+        b = ol.hmm_to_oom(ol.random_hmm(int(rng.integers(1, 4)), alphabet, rng=2 * i + 1))
+        w = float(rng.uniform(0.05, 1.0))
+        parts = [(m.operator_stack, m.init, m.eval) for m in (a, b)]
+        ops, init, evalv = _direct_sum((1 + w, -w), parts, float)
+        out.append((ol.OomModel(alphabet, dict(zip(alphabet, ops)), init, evalv),
+                    int(rng.integers(0, 6))))
+    return out
+
+
+def test_embedded_models_reduce_to_word_nonnegativity():
+    invalid = 0
+    for m, depth in _signed_hmm_mixtures():
+        classical = ol.validate_oom(m, l_val=depth)
+        rep = ol.validate_ncoom(ol.embed_classical(m), l_val=depth)
+        assert rep.checked_depth == classical.checked_depth == depth
+        expected = classical.most_negative_probability
+        assert abs(rep.most_negative_eigenvalue - expected) <= 4e-16 * max(1.0, abs(expected))
+        assert rep.hermitian_defect == 0.0
+        assert rep.passed == classical.passed
+        invalid += not rep.passed
+    assert invalid >= 20
+
+
+def test_signed_mixture_passes_one_site_and_fails_two():
+    m = signed_qubit_mixture()
+    one = ol.validate_ncoom(m, l_val=1)
+    assert one.passed and one.checked_depth == 1
+    assert one.most_negative_eigenvalue == pytest.approx(0.25, abs=1e-15)
+    two = ol.validate_ncoom(m, l_val=2)
+    assert not two.passed and two.checked_depth == 2
+    assert two.most_negative_eigenvalue == pytest.approx(-0.125, abs=1e-15)
+    assert two.condition1_residual == two.condition2_residual == two.hermitian_defect == 0.0
+
+
+def test_qubit_product_fixture_certified_to_depth_four(fixtures_dir):
+    rep = ol.validate_ncoom(ol.parse_model_file(f"{fixtures_dir}/qubit_product.json"))
+    assert rep.passed and rep.checked_depth == 4
+    assert rep.most_negative_eigenvalue == pytest.approx(0.2**4, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model, asked, checked",
+    [
+        # depth 9 would take 8^9 = 2^27 eigenvalue work for its one 512 x 512 density
+        (qubit_product(0.8, 0.2), 12, 8),
+        # depth 5 would hold 2 * 26^5 entries, past the 2^22 of the budget
+        (ol.embed_classical(ol.iid({str(i): 1 / 26 for i in range(26)})), 6, 4),
+    ],
+    ids=["qubit", "coin26"],
+)
+def test_budget_lowers_the_checked_depth(model, asked, checked):
+    rep = ol.validate_ncoom(model, l_val=asked)
+    assert rep.passed and rep.checked_depth == checked
+
+
+@pytest.mark.parametrize(
+    "d, parts",
+    [
+        (2, [(1, [Fraction(4, 5), Fraction(1, 5)])]),
+        (2, [(Fraction(1, 3), [Fraction(9, 10), Fraction(1, 10)]),
+             (Fraction(2, 3), [Fraction(1, 4), Fraction(3, 4)])]),
+        (2, [(Fraction(3, 2), [Fraction(1, 2), Fraction(1, 2)]), (Fraction(-1, 2), [1, 0])]),
+        (3, [(Fraction(6, 5), [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]),
+             (Fraction(-1, 5), [Fraction(1, 10), Fraction(1, 10), Fraction(4, 5)])]),
+    ],
+    ids=["product", "mixture", "signed", "signed-qutrit"],
+)
+def test_diagonal_product_mixtures_match_the_rational_oracle(d, parts):
+    exact = RationalProductStateMixture(d, parts)
+    models = []
+    for _, diag in exact.parts:
+        ops = np.zeros((d * d, 1, 1), dtype=complex)
+        ops[[i * d + i for i in range(d)], 0, 0] = [float(x) for x in diag]
+        models.append((ops, np.ones(1), np.ones(1)))
+    ops, init, evalv = _direct_sum([float(w) for w, _ in exact.parts], models, complex)
+    m = ol.NcOomModel(algebra=ol.construct_algebra([d]), op_per_basis=ops, init=init, eval=evalv)
+    lowest = Fraction(1)
+    for n in range(1, 5):
+        (phi,) = _densities(m, n)  # one block, so one block tuple
+        assert not (phi[0] - np.diag(np.diag(phi[0]))).any()
+        lowest = min(lowest, *(exact.value([i * d + i for i in t])
+                               for t in product(range(d), repeat=n)))
+        rep = ol.validate_ncoom(m, l_val=n)
+        assert rep.most_negative_eigenvalue == pytest.approx(float(lowest), abs=1e-15)
 
 
 def test_shape_mismatch_rejected():
@@ -86,9 +242,9 @@ def test_bilinearity_by_superposition():
     q = qubit_product(0.7, 0.3)
     rng = np.random.default_rng(23)
     for _ in range(20):
-        a = ol.random_element(q.algebra, rng)
-        b = ol.random_element(q.algebra, rng)
-        c = ol.random_element(q.algebra, rng)
+        a = random_element(q.algebra, rng)
+        b = random_element(q.algebra, rng)
+        c = random_element(q.algebra, rng)
         lam = complex(rng.normal(), rng.normal())
         lhs = ol.nc_evaluate(q, [a + lam * b, c])
         rhs = ol.nc_evaluate(q, [a, c]) + lam * ol.nc_evaluate(q, [b, c])
@@ -99,7 +255,7 @@ def test_selfadjoint_factors_give_real_values_on_validated_models():
     q = qubit_product(0.8, 0.2)
     rng = np.random.default_rng(29)
     for _ in range(50):
-        b = ol.random_element(q.algebra, rng)
+        b = random_element(q.algebra, rng)
         a = b + b.adjoint()
         val = ol.nc_evaluate(q, [a])
         assert abs(val.imag) <= 1e-12
@@ -216,7 +372,7 @@ def test_dimension_adds_over_distinct_state_mixtures(k):
     weights = [(0.1, 0.9), (0.3, 0.7), (0.55, 0.45), (0.8, 0.2)][:k]
     parts = [(1.0 / k, qubit_product(p0, p1)) for p0, p1 in weights]
     for _, m in parts:
-        assert ol.validate_ncoom(m, l_val=2, samples=50).passed
+        assert ol.validate_ncoom(m, l_val=2).passed
     mix = ol.nc_mixture_direct_sum(parts)
     rep = ol.nc_process_dimension(mix, k)
     assert rep.stabilized and rep.dimension == k == sum(m.dim for _, m in parts)
@@ -231,7 +387,7 @@ def test_single_part_nc_mixture_identity():
     mix = ol.nc_mixture_direct_sum([(1.0, q)])
     rng = np.random.default_rng(31)
     for _ in range(20):
-        factors = [ol.random_element(q.algebra, rng) for _ in range(3)]
+        factors = [random_element(q.algebra, rng) for _ in range(3)]
         assert ol.nc_evaluate(mix, factors) == pytest.approx(
             ol.nc_evaluate(q, factors), abs=1e-13
         )
@@ -255,7 +411,7 @@ def test_three_part_mixture_is_componentwise_on_random_tensors():
     rng = np.random.default_rng(37)
     for _ in range(500):
         n = int(rng.integers(1, 4))
-        factors = [ol.random_element(mix.algebra, rng) for _ in range(n)]
+        factors = [random_element(mix.algebra, rng) for _ in range(n)]
         expected = sum(w * ol.nc_evaluate(m, factors) for w, m in parts)
         assert ol.nc_evaluate(mix, factors) == pytest.approx(expected, abs=1e-12)
 
@@ -351,7 +507,7 @@ def test_invariance_bound_on_general_tuples():
     one = ol.unit_element(e.algebra)
     rng = np.random.default_rng(5)
     for n in range(1, 4):
-        factors = [ol.random_element(e.algebra, rng, normalize=True) for _ in range(n)]
+        factors = [random_element(e.algebra, rng, normalize=True) for _ in range(n)]
         gap = abs(ol.nc_evaluate(e, [one] + factors) - ol.nc_evaluate(e, factors))
         bound = residual * np.prod([np.abs(a.coefficients()).sum() for a in factors])
         assert gap <= bound + 1e-12

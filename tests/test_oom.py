@@ -469,7 +469,8 @@ _TABLE = ol.TableOracle(("0", "1"), {(): 1.0})
                      id="predictive-oracle"),
         pytest.param(lambda: ol.empirical_causal_states(_COIN, 40, 22, n_windows=2),
                      id="empirical"),
-        pytest.param(lambda: ol.cylinder_distance(_COIN, ol.bernoulli(0.4), 22), id="cylinder"),
+        pytest.param(lambda: ol.cylinder_distance(_COIN, ol.bernoulli(0.4), 26), id="cylinder"),
+        pytest.param(lambda: ol.cylinder_distance(_TABLE, _COIN, 22), id="cylinder-oracle"),
     ],
 )
 def test_oversized_requests_are_refused_before_allocating(call):
