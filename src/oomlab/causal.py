@@ -164,9 +164,10 @@ def _components(dists: np.ndarray, cluster_tol: float) -> np.ndarray:
     candidate pairs, nearest neighbours first, in chunks of
     ``_CLUSTER_CHUNK`` gathered entries. A pair is tested only while its rows
     are in different components, by ``0.5 * |d_j - d_i|.sum()`` with ``j > i``
-    in full, so the components are those of testing every pair. A position
-    leaves the sweep once the run of equal labels that starts at it covers
-    its reach.
+    in full, so the components are those of testing every pair. The linked
+    pairs of a chunk are joined by a union-find over their labels, and the
+    labels rewritten in one pass. A position leaves the sweep once the run of
+    equal labels that starts at it covers its reach.
     """
     n, n_future = dists.shape
     labels = np.arange(n)
@@ -192,15 +193,37 @@ def _components(dists: np.ndarray, cluster_tol: float) -> np.ndarray:
             open_pair = labels[i] != labels[j]
             i, j = i[open_pair], j[open_pair]
             linked = 0.5 * np.abs(dists[j] - dists[i]).sum(axis=1) <= cluster_tol
-            for x, y in zip(i[linked].tolist(), j[linked].tolist()):
-                a, b = sorted((labels[x], labels[y]))
-                if a != b:
-                    labels[labels == b] = a
-                    merged = True
+            roots = _merge_labels(labels[i[linked]].tolist(), labels[j[linked]].tolist())
+            if roots:
+                relabel = np.arange(n)
+                relabel[list(roots)] = list(roots.values())
+                labels = relabel[labels]
+                merged = True
         if merged:
             starts = np.flatnonzero(np.diff(labels[order])) + 1
             run_end = np.append(starts, n)[np.searchsorted(starts, np.arange(n), side="right")]
         offset += 1
+
+
+def _merge_labels(left: list, right: list) -> dict:
+    """Union-find over the label pairs ``(left[p], right[p])``: each merged
+    label mapped to the lowest label of its merged group."""
+    parent: dict[int, int] = {}
+
+    def find(a):
+        path = []
+        while a in parent:
+            path.append(a)
+            a = parent[a]
+        for p in path:
+            parent[p] = a
+        return a
+
+    for a, b in zip(left, right):
+        a, b = find(a), find(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return {a: find(a) for a in list(parent)}
 
 
 def _cluster(pasts, weights, dists, past_length, horizon, cluster_tol, method):

@@ -27,6 +27,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import accumulate
+from math import frexp, ldexp
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -44,6 +46,8 @@ MAX_HELD = 2**22
 _SCAN_CHUNK = 2**18
 #: Uniforms :func:`sample_trajectory` draws from its generator at once.
 _SAMPLE_BLOCK = 2**10
+#: Totals outside this window rescale the sampler's state by a power of two.
+_SCALE_LOW, _SCALE_HIGH = 2.0**-256, 2.0**256
 
 
 @dataclass(eq=False)
@@ -563,52 +567,63 @@ def sample_trajectory(
 ) -> Word:
     """Draw a word of the given length from the generated process.
 
-    Sampling walks sequential conditionals ``P(d | w) = P(wd) / P(w)`` with
-    the state renormalized each step, so arbitrarily long trajectories stay
-    numerically stable. With ``C`` the stack of covectors ``l T_e``, each step
-    is one product of the state with ``G_s = [T_s ; C T_s ; l T_s]`` for the
-    symbol ``s`` just drawn: the next state, the next conditionals and their
-    mass. Uniforms are drawn from the generator in fixed blocks, the same
-    stream as one draw per step. Deterministic given ``seed``.
+    Sampling walks sequential conditionals ``P(d | w) = P(wd) / P(w)``. With
+    ``C`` the stack of covectors ``l T_e`` and ``R`` its running sums down
+    the symbols, each step is one product of the state with
+    ``G_s = [T_s ; C T_s ; R T_s]`` for the symbol ``s`` just drawn: the next
+    state, its raw conditionals and their running sums. The next symbol is
+    the first whose running sum exceeds the uniform times the last one, the
+    total. The state is never divided by its mass: when the total leaves
+    ``(2^-256, 2^256)`` the state is scaled by a power of two, which adds no
+    round-off, so arbitrarily long trajectories do not underflow. Only a step
+    with a negative raw conditional or no positive total divides the
+    conditionals by the mass ``l x`` (1 at the initial state), clamps those
+    in ``[-neg_tol, 0)`` to zero and raises below that or when no mass is
+    left. Running sums taken as products round differently in the last bits
+    from sums of normalised conditionals, so a symbol can differ from such a
+    sampler only where a uniform lies within about ``1e-15`` of a boundary.
+    Uniforms are drawn from the generator in fixed blocks, the same stream as
+    one draw per step. Deterministic given ``seed``.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
     rng = np.random.default_rng(seed)
     ops, l, k, d = m.operator_stack, m.eval, len(m.alphabet), m.dim
-    state = m.init
-    mass = float(l @ state)
+    mass = float(l @ m.init)
     if abs(mass - 1.0) > 1e-6:
         raise ValidationError(f"initial mass is {mass}, expected 1")
     covectors = l @ ops
-    fused = [np.vstack([t, covectors @ t, l @ t]) for t in ops]
-    cond = (covectors @ state).tolist()
+    rows = np.vstack([covectors, np.cumsum(covectors, axis=0)])
+    fused = [np.vstack([t, rows @ t]) for t in ops]
+    # a model without negative entries has no negative conditional
+    signed = any((a < 0.0).any() for a in (ops, m.init, l))
+    nxt = np.concatenate([m.init, rows @ m.init])
+    state, vals = nxt[:d], nxt.tolist()
+    # the first k - 1 running sums are bisected; a uniform past them picks the last symbol
+    lo, hi = d + k, d + 2 * k - 1
     out = []
     for start in range(0, length, _SAMPLE_BLOCK):
         for u in rng.random(min(_SAMPLE_BLOCK, length - start)).tolist():
-            lowest = min(cond)
-            if lowest < -neg_tol:
-                raise ValidationError(
-                    f"conditional mass {lowest} below -neg_tol while sampling; "
-                    "the model does not generate a probability distribution"
-                )
-            if lowest < 0.0:
-                cond = [max(c, 0.0) for c in cond]
-            # np.sum's total: it adds fewer than 8 terms in order, more pairwise
-            total = float(np.sum(cond)) if k >= 8 else _running_sums(cond)[-1]
-            if total <= 0.0:
-                raise ValidationError("no probability mass left while sampling")
-            idx = min(bisect_right(_running_sums([c / total for c in cond]), u), k - 1)
+            total = vals[-1]
+            if total > 0.0 and not (signed and min(vals[d:lo]) < 0.0):
+                idx = bisect_right(vals, u * total, lo, hi) - lo
+            else:
+                # the initial state's mass counts as 1
+                cond = (nxt[d:lo] / (l @ state) if out else nxt[d:lo]).tolist()
+                lowest = min(cond)
+                if lowest < -neg_tol:
+                    raise ValidationError(
+                        f"conditional mass {lowest} below -neg_tol while sampling; "
+                        "the model does not generate a probability distribution"
+                    )
+                sums = list(accumulate(max(c, 0.0) for c in cond))
+                if sums[-1] <= 0.0:
+                    raise ValidationError("no probability mass left while sampling")
+                idx = min(bisect_right(sums, u * sums[-1]), k - 1)
             out.append(idx)
             nxt = fused[idx].dot(state)
-            nxt /= nxt[-1]
-            state, cond = nxt[:d], nxt[d:-1].tolist()
+            vals = nxt.tolist()
+            if not _SCALE_LOW < vals[-1] < _SCALE_HIGH:
+                nxt *= ldexp(1.0, -frexp(vals[-1])[1])
+            state = nxt[:d]
     return tuple(m.alphabet[i] for i in out)
-
-
-def _running_sums(values: list) -> list:
-    """Prefix sums added left to right, as ``np.cumsum`` adds."""
-    acc, sums = 0.0, []
-    for v in values:
-        acc += v
-        sums.append(acc)
-    return sums

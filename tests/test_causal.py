@@ -3,6 +3,7 @@ import pytest
 
 import oomlab as ol
 from oomlab import ResourceLimitError
+from oomlab import causal
 from oomlab.causal import _components, _predictive_matrix
 from oomlab.oom import DEFAULT_NEG_TOL, as_oracle
 
@@ -300,6 +301,28 @@ def test_hand_built_clusters(rows, cluster_tol, labels):
     rows = np.asarray(rows, dtype=float)
     assert _components(rows, cluster_tol).tolist() == labels
     assert reference_labels(rows, cluster_tol) == labels
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+@pytest.mark.parametrize("cluster_tol", TOLS)
+def test_components_match_the_pairwise_loop(cluster_tol, chunk, monkeypatch):
+    # a small chunk spreads one offset's merges over many relabellings
+    if chunk is not None:
+        monkeypatch.setattr(causal, "_CLUSTER_CHUNK", chunk)
+    for seed in range(100):
+        m = seeded_model(seed)
+        past_length = 5 if len(m.alphabet) == 2 else 3
+        _, weights, numerators = _predictive_matrix(as_oracle(m), past_length, 1, DEFAULT_NEG_TOL)
+        keep = weights > 0.0
+        rows = numerators[keep] / weights[keep, None]
+        assert _components(rows, cluster_tol).tolist() == reference_labels(rows, cluster_tol)
+
+
+def test_identical_rows_form_one_component():
+    part = ol.enumerate_causal_states(ol.bernoulli(0.5), 13, 8)
+    assert part.n_states == 1 and len(part.states[0].member_pasts) == 2**13
+    rows = np.tile([0.5, 0.5], (2**13, 1))
+    assert not _components(rows, 1e-8).any()
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,6 @@ def reference_sample(m, length, seed, neg_tol=DEFAULT_NEG_TOL):
 
 
 def test_sampler_matches_the_per_step_loop():
-    # 10 symbols take numpy's pairwise sum of the conditionals, fewer its plain one
     alphabets = ("01", "abc", "abcdef", "abcdefghij")
     for seed in range(1000):
         rng = np.random.default_rng(seed)
@@ -315,6 +314,55 @@ def test_sampler_across_uniform_blocks(blocks, extra):
     m = ol.hmm_to_oom(ol.random_hmm(5, "abc", rng=4))
     w = ol.sample_trajectory(m, length, 17)
     assert len(w) == length and w == reference_sample(m, length, 17)
+
+
+def similar(m, rng):
+    """The same process through ``A T_s A^-1``, ``A v`` and ``l A^-1``, with
+    the first row of ``A`` negated so that some entry of ``A v`` is negative."""
+    a = rng.normal(size=(m.dim, m.dim)) + 2.0 * np.eye(m.dim)
+    a[0] = -a[0] if (a @ m.init)[0] > 0 else a[0]
+    inv = np.linalg.inv(a)
+    ops = {s: a @ t @ inv for s, t in m.operators.items()}
+    return ol.OomModel(m.alphabet, ops, a @ m.init, m.eval @ inv)
+
+
+def test_sampler_matches_the_per_step_loop_on_signed_models():
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        h = ol.random_hmm(int(rng.integers(2, 7)), ("01", "abc", "abcdef")[seed % 3], rng=rng)
+        m = similar(ol.hmm_to_oom(h), rng)
+        assert (m.init < 0).any()
+        assert ol.sample_trajectory(m, 200, seed) == reference_sample(m, 200, seed), seed
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        ol.hmm_to_oom(ol.random_hmm(5, "abcdefghij", rng=8)),
+        ol.iid({chr(ord("a") + i): 1 / 26 for i in range(26)}),
+    ],
+    ids=["hmm10", "coin26"],
+)
+def test_sampler_rescales_masses_beyond_double_range(m):
+    # the word's probability falls about 10x a step (26x for the coin), to below 1e-3000
+    length = 3 * _SAMPLE_BLOCK + 5
+    w = ol.sample_trajectory(m, length, 5)
+    assert w == reference_sample(m, length, 5)
+    assert len(set(w)) == len(m.alphabet)
+
+
+def test_sampler_clamps_conditionals_within_tolerance():
+    # "n" takes eps of "a"'s operator with a minus sign: P(n | w) = -eps always
+    eps, h = 5e-11, ol.hmm_to_oom(ol.random_hmm(3, "ab", rng=6))
+    shift = eps * np.eye(3)
+    ops = {"a": h.operators["a"] + shift, "n": -shift, "b": h.operators["b"]}
+    m = ol.OomModel(("a", "n", "b"), ops, h.init, h.eval)
+    for seed in range(20):
+        w = ol.sample_trajectory(m, 2000, seed)
+        assert w == reference_sample(m, 2000, seed), seed
+        assert "n" not in w
+    with pytest.raises(ValidationError, match="below -neg_tol"):
+        ol.sample_trajectory(m, 10, 0, neg_tol=1e-11)
 
 
 def test_sampler_errors_keep_their_messages():
