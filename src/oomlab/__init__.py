@@ -88,12 +88,8 @@ from .ncoom import (
 from .oom import (
     HmmModel,
     OomModel,
-    OomOracle,
-    ProcessOracle,
     StationarityReport,
-    TableOracle,
     ValidationReport,
-    as_oracle,
     hmm_to_oom,
     kolmogorov_residual,
     mixture_direct_sum,
@@ -120,19 +116,15 @@ __all__ = [
     "HmmModel",
     "NcOomModel",
     "OomModel",
-    "OomOracle",
     "OomlabError",
     "PreconditionError",
     "PredictiveDistribution",
-    "ProcessOracle",
     "ResourceLimitError",
     "SchemaError",
     "StationarityReport",
-    "TableOracle",
     "ValidationError",
     "ValidationReport",
     "apply_tau",
-    "as_oracle",
     "basis_elements",
     "bernoulli",
     "build_hankel",

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimension import DEFAULT_RANK_TOL, numerical_rank
-from .oom import DEFAULT_NEG_TOL, OomOracle, as_oracle
-from .oom import _budget, _clamp_probabilities, _functional_levels, _propagate, _state_levels
+from .oom import DEFAULT_NEG_TOL, OomModel, sample_trajectory, word_probability
+from .oom import _budget, _clamp_probabilities, _classical_model, _functional_levels
+from .oom import _propagate, _require_nonnegative, _state_levels
 from .words import Word, normalize_word, words_of_length
 
 #: Entries of the gathered row pairs :func:`_components` holds at once.
@@ -99,27 +100,18 @@ def total_variation(d1: np.ndarray, d2: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(d1) - np.asarray(d2)).sum())
 
 
-def _predictive_matrix(ora, past_length: int, horizon: int, neg_tol: float):
+def _predictive_matrix(m: OomModel, past_length: int, horizon: int, neg_tol: float):
     """Pasts of exact length, their probabilities, and P(past+future) rows."""
-    k = len(ora.alphabet)
+    k = len(m.alphabet)
     n_past, n_future = k**past_length, k**horizon
-    d = ora.model.dim if isinstance(ora, OomOracle) else 1
-    held = n_past * n_future + (n_past + n_future) * d
+    held = n_past * n_future + (n_past + n_future) * m.dim
     # clustering may test up to pasts^2 candidate pairs of rows
     _budget(f"{k}^{past_length} pasts by {k}^{horizon} futures", n_past * n_past + held, held)
-    pasts = words_of_length(ora.alphabet, past_length)
-    if isinstance(ora, OomOracle):
-        m = ora.model
-        states = _state_levels(m.operator_stack, m.init, past_length)[past_length]
-        functionals = _functional_levels(m.operator_stack, m.eval, horizon)[horizon]
-        weights = states @ m.eval
-        numerators = states @ functionals.T
-    else:
-        futures = words_of_length(ora.alphabet, horizon)
-        weights = np.array([ora.probability(u) for u in pasts])
-        numerators = np.array(
-            [[ora.probability(u + w) for w in futures] for u in pasts], dtype=float
-        )
+    pasts = words_of_length(m.alphabet, past_length)
+    states = _state_levels(m.operator_stack, m.init, past_length)[past_length]
+    functionals = _functional_levels(m.operator_stack, m.eval, horizon)[horizon]
+    weights = states @ m.eval
+    numerators = states @ functionals.T
     weights = _clamp_probabilities(weights, neg_tol, "past probability")
     numerators = _clamp_probabilities(numerators, neg_tol, "predictive entry")
     return pasts, weights, numerators
@@ -134,21 +126,15 @@ def predictive_distribution(
     ``horizon`` symbols in lexicographic order. Meaningful for stationary
     processes; a zero-probability past yields the null result.
     """
-    ora = as_oracle(p, neg_tol=neg_tol)
-    w = normalize_word(past, ora.alphabet)
-    k = len(ora.alphabet)
-    d = ora.model.dim if isinstance(ora, OomOracle) else 1
-    _budget(f"{k}^{horizon} futures", k**horizon, k**horizon * d)
-    weight = ora.probability(w)
+    _require_nonnegative(horizon=horizon)
+    m = _classical_model(p)
+    w = normalize_word(past, m.alphabet)
+    k = len(m.alphabet)
+    _budget(f"{k}^{horizon} futures", k**horizon, k**horizon * m.dim)
+    weight = word_probability(m, w, neg_tol)
     if weight <= 0.0:
         return PredictiveDistribution(past=w, horizon=horizon, dist=None, weight=0.0)
-    if isinstance(ora, OomOracle):
-        m = ora.model
-        numer = _functional_levels(m.operator_stack, m.eval, horizon)[horizon] @ _propagate(m, w)
-    else:
-        numer = np.array(
-            [ora.probability(w + fut) for fut in words_of_length(ora.alphabet, horizon)]
-        )
+    numer = _functional_levels(m.operator_stack, m.eval, horizon)[horizon] @ _propagate(m, w)
     numer = _clamp_probabilities(numer, neg_tol, "predictive entry")
     return PredictiveDistribution(past=w, horizon=horizon, dist=numer / weight, weight=weight)
 
@@ -271,8 +257,10 @@ def enumerate_causal_states(
     sum to one. The representative is the highest-weight member (earliest on
     ties).
     """
-    ora = as_oracle(p, neg_tol=neg_tol)
-    pasts, weights, numerators = _predictive_matrix(ora, past_length, horizon, neg_tol)
+    _require_nonnegative(past_length=past_length, horizon=horizon)
+    pasts, weights, numerators = _predictive_matrix(
+        _classical_model(p), past_length, horizon, neg_tol
+    )
     keep = np.flatnonzero(weights > 0.0)
     pasts = [pasts[i] for i in keep]
     weights = weights[keep]
@@ -296,10 +284,8 @@ def empirical_causal_states(
     is flagged ``method="empirical"``; the default cluster tolerance is loose
     because the rows carry sampling noise of order ``n_windows**-0.5``.
     """
-    from .oom import HmmModel, hmm_to_oom, sample_trajectory
-
-    if isinstance(m, HmmModel):
-        m = hmm_to_oom(m)
+    _require_nonnegative(past_length=past_length, horizon=horizon)
+    m = _classical_model(m)
     if n_windows < 1:
         raise ValueError("n_windows must be positive")
     window, k = past_length + horizon, len(m.alphabet)

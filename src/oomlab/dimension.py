@@ -18,7 +18,7 @@ from the core ``R_S R_F^T`` built from the QR factors of ``S`` and ``F``. The
 core is at most ``d x d`` and has the block's nonzero singular values (Golub &
 Van Loan, *Matrix Computations*, section 5.4); the remaining ones are exact
 zeros. A block with entries in ``[-neg_tol, 0)`` is clamped, no longer equals
-``S F^T``, and is decomposed densely, as are the blocks of generic oracles.
+``S F^T``, and is decomposed densely.
 
 Each level also records its rank-decision margin: the smallest kept and the
 largest dropped singular value, both relative to the largest. When the kept
@@ -48,14 +48,14 @@ from .words import normalize_word, word_count_up_to, words_up_to
 from .oom import (
     DEFAULT_NEG_TOL,
     OomModel,
-    OomOracle,
     _budget,
     _clamp_probabilities,
+    _classical_model,
     _difference,
     _functional_levels,
     _propagate,
+    _require_nonnegative,
     _state_levels,
-    as_oracle,
 )
 
 DEFAULT_RANK_TOL = 1e-9
@@ -154,27 +154,20 @@ def build_hankel(
     length <= l_future, in length-then-lexicographic order, with its
     singular values.
 
-    Model-backed oracles are filled by one matrix product between the state
-    images of the pasts and the linear functionals of the futures, and their
-    singular values come from the factors unless an entry had to be clamped;
-    generic oracles are filled entrywise and decomposed densely.
+    The block is one matrix product between the state images of the pasts
+    and the linear functionals of the futures of the model (or of the model
+    an HMM induces), and its singular values come from the factors unless an
+    entry had to be clamped.
     """
     if l_past < 0 or l_future < 0:
         raise ValueError("l_past and l_future must be nonnegative")
-    ora = as_oracle(p, neg_tol=neg_tol)
-    d = ora.model.dim if isinstance(ora, OomOracle) else 1
-    _block_budget("Hankel block", len(ora.alphabet), d, l_past, l_future)
-    pasts = words_up_to(ora.alphabet, l_past)
-    futures = words_up_to(ora.alphabet, l_future)
-    sv = None
-    if isinstance(ora, OomOracle):
-        m = ora.model
-        h, sv = _model_block(m.operator_stack, m.init, m.eval, l_past, l_future)
-    else:
-        h = np.array([[ora.probability(u + w) for w in futures] for u in pasts], dtype=float)
+    m = _classical_model(p)
+    _block_budget("Hankel block", len(m.alphabet), m.dim, l_past, l_future)
+    h, sv = _model_block(m.operator_stack, m.init, m.eval, l_past, l_future)
     clamped = _clamp_probabilities(h, neg_tol, "Hankel entry")
-    if sv is None or clamped is not h:  # a clamped block no longer factors
+    if clamped is not h:  # a clamped block no longer factors
         sv = np.linalg.svd(clamped, compute_uv=False)
+    pasts, futures = words_up_to(m.alphabet, l_past), words_up_to(m.alphabet, l_future)
     return HankelBlock(pasts=pasts, futures=futures, matrix=clamped, singular_values=sv)
 
 
@@ -339,6 +332,7 @@ def equivalent(m1: OomModel, m2: OomModel, l: int, tol: float = 1e-9) -> bool:
     pass, and so does every pair whose differences on all words up to ``l``
     are within ``tol``.
     """
+    _require_nonnegative(l=l)
     if m1.alphabet != m2.alphabet:
         raise ValidationError("alphabet mismatch")
     ops, init, evalv = _difference(m1, m2)

@@ -34,11 +34,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .words import Word, normalize_word, word_count_up_to, words_up_to
+from .words import Word, normalize_word, word_count_up_to
 
 DEFAULT_NEG_TOL = 1e-10
 DEFAULT_CONDITION_TOL = 1e-12
-#: Word values one request may compute or compare: word pairs, oracle calls.
+#: Word values one request may compute or compare: word pairs, block entries.
 MAX_VALUES = 2**27
 #: Entries one request may hold at once: stacked vectors, blocks, listed words.
 MAX_HELD = 2**22
@@ -209,68 +209,6 @@ class StationarityReport:
 
 
 # ---------------------------------------------------------------------------
-# Word-probability oracles
-
-
-class ProcessOracle:
-    """Anything that maps words to cylinder probabilities.
-
-    Subclasses provide ``alphabet`` and :meth:`probability`. The empty word
-    has probability one and probabilities are Kolmogorov-consistent,
-    ``sum_d P(wd) = P(w)``; :func:`kolmogorov_residual` measures the latter.
-    """
-
-    alphabet: tuple
-
-    def probability(self, word) -> float:
-        raise NotImplementedError
-
-
-class OomOracle(ProcessOracle):
-    """Oracle backed by an :class:`OomModel` (negative noise clamped)."""
-
-    def __init__(self, model: OomModel, neg_tol: float = DEFAULT_NEG_TOL):
-        self.model = model
-        self.alphabet = model.alphabet
-        self.neg_tol = neg_tol
-
-    def probability(self, word) -> float:
-        w = normalize_word(word, self.alphabet)
-        raw = float(self.model.eval @ _propagate(self.model, w))
-        if raw < -self.neg_tol:
-            raise ValidationError(
-                f"word {w!r} has probability {raw}, below -neg_tol={-self.neg_tol}; "
-                "the model does not generate a probability distribution"
-            )
-        return 0.0 if raw < 0.0 else raw
-
-
-class TableOracle(ProcessOracle):
-    """Oracle backed by an explicit word -> probability table."""
-
-    def __init__(self, alphabet: Sequence[str], table: Mapping):
-        self.alphabet = tuple(alphabet)
-        self.table = {normalize_word(k, self.alphabet): float(v) for k, v in table.items()}
-
-    def probability(self, word) -> float:
-        w = normalize_word(word, self.alphabet)
-        if w not in self.table:
-            raise KeyError(f"word {w!r} not in probability table")
-        return self.table[w]
-
-
-def as_oracle(p, neg_tol: float = DEFAULT_NEG_TOL) -> ProcessOracle:
-    """Coerce a model or oracle to a :class:`ProcessOracle`."""
-    if isinstance(p, ProcessOracle):
-        return p
-    if isinstance(p, OomModel):
-        return OomOracle(p, neg_tol=neg_tol)
-    if isinstance(p, HmmModel):
-        return OomOracle(hmm_to_oom(p), neg_tol=neg_tol)
-    raise TypeError(f"cannot interpret {type(p).__name__} as a process oracle")
-
-
-# ---------------------------------------------------------------------------
 # Linear-representation core, shared with the dimension, causal and ncoom
 # modules. It takes an operator stack ``ops`` (``OomModel.operator_stack`` or
 # ``NcOomModel.op_per_basis``) with an init vector and an eval covector.
@@ -287,6 +225,13 @@ def _frozen_vectors(init, eval, dtype) -> tuple:
     v.setflags(write=False)
     l.setflags(write=False)
     return v, l
+
+
+def _require_nonnegative(**values: int) -> None:
+    """Refuse a negative depth, length or horizon, naming the parameter."""
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative")
 
 
 def _within_budget(values: int, held: int) -> bool:
@@ -309,7 +254,7 @@ def _clamp_probabilities(h: np.ndarray, neg_tol: float, what: str) -> np.ndarray
     if worst < -neg_tol:
         raise ValidationError(
             f"{what} {worst} below -neg_tol={-neg_tol}; "
-            "the oracle does not yield a probability distribution"
+            "the model does not generate a probability distribution"
         )
     return np.where(h < 0.0, 0.0, h) if worst < 0.0 else h
 
@@ -427,8 +372,7 @@ def validate_oom(
     first two are within ``condition_tol`` and the scan found nothing below
     ``-neg_tol``. A pass certifies nonnegativity only up to that depth.
     """
-    if l_val < 0:
-        raise ValueError("l_val must be nonnegative")
+    _require_nonnegative(l_val=l_val)
     depth = 0
     while depth < l_val and _within_budget(*_scan_cost(len(m.alphabet), m.dim, depth + 1)):
         depth += 1
@@ -468,10 +412,10 @@ def validate_hmm(h: HmmModel, tol: float = DEFAULT_CONDITION_TOL) -> HmmValidati
 def word_probability(p, word, neg_tol: float = DEFAULT_NEG_TOL) -> float:
     """Probability of the cylinder of ``word`` under the process.
 
-    For model-backed oracles this is ``l(T_wn ... T_w1 v)``; the empty word
-    gives ``l(v)``, which is one for a valid model. Values below ``-neg_tol``
-    raise :class:`ValidationError`; values in ``[-neg_tol, 0)`` are clamped
-    to zero.
+    This is ``l(T_wn ... T_w1 v)`` for a model, or for the model an HMM
+    induces; the empty word gives ``l(v)``, which is one for a valid model.
+    Values below ``-neg_tol`` raise :class:`ValidationError`; values in
+    ``[-neg_tol, 0)`` are clamped to zero.
 
     Examples
     --------
@@ -481,26 +425,27 @@ def word_probability(p, word, neg_tol: float = DEFAULT_NEG_TOL) -> float:
     >>> word_probability(bernoulli(0.5), "")
     1.0
     """
-    return as_oracle(p, neg_tol=neg_tol).probability(word)
+    m = _classical_model(p)
+    w = normalize_word(word, m.alphabet)
+    raw = float(m.eval @ _propagate(m, w))
+    if raw < -neg_tol:
+        raise ValidationError(
+            f"word {w!r} has probability {raw}, below -neg_tol={-neg_tol}; "
+            "the model does not generate a probability distribution"
+        )
+    return 0.0 if raw < 0.0 else raw
 
 
 def kolmogorov_residual(p, depth: int) -> float:
-    """Max of ``|sum_d P(wd) - P(w)|`` over all words with ``|w| < depth``
-    (none at depth 0); for a model, the split scan against ``l sum_d T_d - l``."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    ora = as_oracle(p)
-    if isinstance(ora, OomOracle) and depth > 0:
-        m = ora.model
-        defect = m.eval @ m.operator_sum - m.eval
-        return _split_scan(m.operator_stack, m.init, defect, depth - 1)[1]
-    n_words = word_count_up_to(len(ora.alphabet), depth - 1)
-    _budget(f"consistency check to depth {depth}", n_words * (len(ora.alphabet) + 1), n_words)
-    worst = 0.0
-    for w in words_up_to(ora.alphabet, depth - 1):
-        total = sum(ora.probability(w + (d,)) for d in ora.alphabet)
-        worst = max(worst, abs(total - ora.probability(w)))
-    return worst
+    """Max of ``|sum_d P(wd) - P(w)|`` over all words with ``|w| < depth``,
+    0.0 at depth 0, where there are none: the split scan of the model's images
+    against the defect covector ``l sum_d T_d - l``."""
+    _require_nonnegative(depth=depth)
+    m = _classical_model(p)
+    if depth == 0:
+        return 0.0
+    defect = m.eval @ m.operator_sum - m.eval
+    return _split_scan(m.operator_stack, m.init, defect, depth - 1)[1]
 
 
 def hmm_to_oom(h: HmmModel) -> OomModel:
@@ -526,6 +471,15 @@ def hmm_to_oom(h: HmmModel) -> OomModel:
         name=h.name,
         description=h.description,
     )
+
+
+def _classical_model(p) -> OomModel:
+    """``p`` as an :class:`OomModel`: a model as is, an HMM through :func:`hmm_to_oom`."""
+    if isinstance(p, OomModel):
+        return p
+    if isinstance(p, HmmModel):
+        return hmm_to_oom(p)
+    raise TypeError(f"expected an OomModel or HmmModel, got {type(p).__name__}")
 
 
 def mixture_direct_sum(parts: Sequence[tuple]) -> OomModel:
@@ -555,8 +509,7 @@ def stationarity_check(m: OomModel, l: int = 6, tol: float = 1e-10) -> Stationar
     necessary; this observable criterion, the split scan of ``v - (sum_d T_d) v``
     against ``l``, is the one actually tested.
     """
-    if l < 0:
-        raise ValueError("l must be nonnegative")
+    _require_nonnegative(l=l)
     shifted = m.init - m.operator_sum @ m.init
     residual = _split_scan(m.operator_stack, shifted, m.eval, l)[1]
     return StationarityReport(residual=residual, level=l, tol=tol, stationary=residual <= tol)
@@ -585,8 +538,7 @@ def sample_trajectory(
     Uniforms are drawn from the generator in fixed blocks, the same stream as
     one draw per step. Deterministic given ``seed``.
     """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+    _require_nonnegative(length=length)
     rng = np.random.default_rng(seed)
     ops, l, k, d = m.operator_stack, m.eval, len(m.alphabet), m.dim
     mass = float(l @ m.init)

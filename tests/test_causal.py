@@ -5,7 +5,7 @@ import oomlab as ol
 from oomlab import ResourceLimitError
 from oomlab import causal
 from oomlab.causal import _components, _predictive_matrix
-from oomlab.oom import DEFAULT_NEG_TOL, as_oracle
+from oomlab.oom import DEFAULT_NEG_TOL
 
 from curated import curated_suite, markov2, mixture_2bern, signed_coin_mixture
 
@@ -53,7 +53,7 @@ def test_prediction_normalises():
 
 def test_negative_predictions_raise():
     m = signed_coin_mixture()  # P(110) > 0 > P(111)
-    below = r" below -neg_tol=-1e-10; the oracle does not yield a probability distribution$"
+    below = r" below -neg_tol=-1e-10; the model does not generate a probability distribution$"
     with pytest.raises(ol.ValidationError, match=r"^past probability -0\.02\d+" + below):
         ol.enumerate_causal_states(m, 3, 1)
     with pytest.raises(ol.ValidationError, match=r"^predictive entry -0\.02\d+" + below):
@@ -233,9 +233,7 @@ def test_exact_partitions_match_the_pairwise_loop(cluster_tol):
         cases.append((m, *((4, 2) if len(m.alphabet) == 2 else (2, 1 + seed % 2))))
     for m, past_length, horizon in cases:
         part = ol.enumerate_causal_states(m, past_length, horizon, cluster_tol=cluster_tol)
-        pasts, weights, numerators = _predictive_matrix(
-            as_oracle(m), past_length, horizon, DEFAULT_NEG_TOL
-        )
+        pasts, weights, numerators = _predictive_matrix(m, past_length, horizon, DEFAULT_NEG_TOL)
         keep = weights > 0.0
         rows = numerators[keep] / weights[keep, None]
         live = [u for u, k in zip(pasts, keep) if k]
@@ -312,7 +310,7 @@ def test_components_match_the_pairwise_loop(cluster_tol, chunk, monkeypatch):
     for seed in range(100):
         m = seeded_model(seed)
         past_length = 5 if len(m.alphabet) == 2 else 3
-        _, weights, numerators = _predictive_matrix(as_oracle(m), past_length, 1, DEFAULT_NEG_TOL)
+        _, weights, numerators = _predictive_matrix(m, past_length, 1, DEFAULT_NEG_TOL)
         keep = weights > 0.0
         rows = numerators[keep] / weights[keep, None]
         assert _components(rows, cluster_tol).tolist() == reference_labels(rows, cluster_tol)

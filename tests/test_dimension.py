@@ -73,11 +73,15 @@ def test_mixture_entries_match_closed_form():
 
 
 def test_generic_oracle_path_matches_model_path():
-    m = ol.hmm_to_oom(markov2())
-    table = {w: ol.word_probability(m, w) for w in ol.words_up_to(m.alphabet, 4)}
-    generic = ol.build_hankel(ol.TableOracle(m.alphabet, table), 2, 2)
-    fast = ol.build_hankel(m, 2, 2)
-    assert np.allclose(generic.matrix, fast.matrix, atol=1e-15)
+    # markov2 as an exact-rational chain, evaluated word by word
+    exact = RationalMarkovChain(
+        [[Fraction(9, 10), Fraction(1, 10)], [Fraction(1, 5), Fraction(4, 5)]],
+        ["0", "1"],
+        [Fraction(2, 3), Fraction(1, 3)],
+    )
+    block = ol.build_hankel(ol.hmm_to_oom(markov2()), 3, 3)
+    expected = np.array(rational_hankel(exact, 3, 3), dtype=float)
+    assert np.allclose(block.matrix, expected, atol=1e-15, rtol=0)
 
 
 def test_rectangular_blocks_for_diagnostics():
@@ -458,7 +462,7 @@ def test_negative_noise_levels_are_clamped_like_the_dense_block():
     assert rep.stabilized and rep.dimension == 3
 
 
-_NEGATIVE = "Hankel entry {} below -neg_tol={}; the oracle does not yield a probability distribution"
+_NEGATIVE = "Hankel entry {} below -neg_tol={}; the model does not generate a probability distribution"
 _BUDGET = ("{} would take {} values and hold {} entries; "
            "the budget is 134217728 values and 4194304 entries")
 

@@ -408,11 +408,16 @@ def test_kolmogorov_model_and_table_paths_agree(depth):
     # invalid on purpose: the symbol sum scales mass by 1.1, so the worst gap
     # is 0.1 at the empty word, the only word shorter than depth 1
     m = ol.OomModel(("0", "1"), {"0": [[0.6]], "1": [[0.5]]}, [1.0], [1.0])
-    table = ol.TableOracle(
-        m.alphabet, {w: ol.word_probability(m, w) for w in ol.words_up_to(m.alphabet, depth)}
+    table = {w: ol.word_probability(m, w) for w in ol.words_up_to(m.alphabet, depth)}
+    table_path = max(
+        (
+            abs(sum(table[w + (d,)] for d in m.alphabet) - table[w])
+            for w in ol.words_up_to(m.alphabet, depth - 1)
+        ),
+        default=0.0,
     )
     model_path = ol.kolmogorov_residual(m, depth)
-    assert model_path == pytest.approx(ol.kolmogorov_residual(table, depth), abs=1e-15)
+    assert model_path == pytest.approx(table_path, abs=1e-15)
     assert model_path == pytest.approx(0.1 if depth else 0.0, abs=1e-15)
 
 
@@ -426,18 +431,49 @@ def test_consistency_pointwise_random_words(word):
     assert total == pytest.approx(ol.word_probability(m, w), abs=1e-12)
 
 
-def test_table_oracle_roundtrip():
-    table = {(): 1.0, ("0",): 0.4, ("1",): 0.6}
-    ora = ol.TableOracle(("0", "1"), table)
-    assert ora.probability("1") == 0.6
-    with pytest.raises(KeyError):
-        ora.probability("00")
-
-
 def test_hmm_coerces_to_oracle_directly():
     hmm = markov2()
     assert ol.word_probability(hmm, "0") == pytest.approx(2 / 3, abs=1e-12)
-    assert ol.as_oracle(hmm).alphabet == ("0", "1")
+
+
+def _block(b):
+    return b.pasts, b.futures, b.matrix.tolist(), b.singular_values.tolist()
+
+
+def _prediction(pd):
+    return pd.past, pd.weight, pd.dist.tolist()
+
+
+def _partition(c):
+    return c.to_dict(), [s.representative.tolist() for s in c.states]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda p: ol.word_probability(p, "0110"), id="word_probability"),
+        pytest.param(lambda p: ol.kolmogorov_residual(p, 6), id="kolmogorov_residual"),
+        pytest.param(lambda p: _block(ol.build_hankel(p, 3, 2)), id="build_hankel"),
+        pytest.param(lambda p: ol.process_dimension(p, 4).to_dict(), id="process_dimension"),
+        pytest.param(lambda p: _prediction(ol.predictive_distribution(p, "01", 2)),
+                     id="predictive_distribution"),
+        pytest.param(lambda p: _partition(ol.enumerate_causal_states(p, 3, 2)),
+                     id="enumerate_causal_states"),
+        pytest.param(lambda p: _partition(ol.empirical_causal_states(p, 2, 1, n_windows=500)),
+                     id="empirical_causal_states"),
+        pytest.param(
+            lambda p: (ol.cylinder_distance(p, ol.bernoulli(0.6), 5),
+                       ol.cylinder_distance(ol.bernoulli(0.6), p, 5)),
+            id="cylinder_distance",
+        ),
+        pytest.param(lambda p: ol.run_upperbound(p, 3, 2, 4).to_dict(), id="run_upperbound"),
+    ],
+)
+def test_hmm_input_equals_its_induced_model(call):
+    hmm = markov2()
+    assert call(hmm) == call(ol.hmm_to_oom(hmm))
+    with pytest.raises(TypeError, match=r"^expected an OomModel or HmmModel, got str$"):
+        call("01")
 
 
 def test_multicharacter_alphabets_need_explicit_sequences():
@@ -496,7 +532,6 @@ def test_split_scan_guard_refuses_before_enumerating():
 
 
 _COIN = ol.bernoulli(0.5)
-_TABLE = ol.TableOracle(("0", "1"), {(): 1.0})
 
 
 @pytest.mark.parametrize(
@@ -504,21 +539,15 @@ _TABLE = ol.TableOracle(("0", "1"), {(): 1.0})
     [
         pytest.param(lambda: ol.stationarity_check(_COIN, 26), id="stationarity"),
         pytest.param(lambda: ol.kolmogorov_residual(_COIN, 27), id="kolmogorov-model"),
-        pytest.param(lambda: ol.kolmogorov_residual(_TABLE, 23), id="kolmogorov-oracle"),
         pytest.param(lambda: ol.nc_stationarity_check(ol.embed_classical(_COIN), 26),
                      id="nc-stationarity"),
         pytest.param(lambda: ol.build_hankel(_COIN, 11, 11), id="hankel-model"),
-        pytest.param(lambda: ol.build_hankel(_TABLE, 11, 11), id="hankel-oracle"),
         pytest.param(lambda: ol.nc_hankel(ol.embed_classical(_COIN), 11, 11), id="nc-hankel"),
         pytest.param(lambda: ol.enumerate_causal_states(_COIN, 12, 16), id="causal-model"),
-        pytest.param(lambda: ol.enumerate_causal_states(_TABLE, 12, 16), id="causal-oracle"),
         pytest.param(lambda: ol.predictive_distribution(_COIN, "0", 23), id="predictive-model"),
-        pytest.param(lambda: ol.predictive_distribution(_TABLE, "", 23),
-                     id="predictive-oracle"),
         pytest.param(lambda: ol.empirical_causal_states(_COIN, 40, 22, n_windows=2),
                      id="empirical"),
         pytest.param(lambda: ol.cylinder_distance(_COIN, ol.bernoulli(0.4), 26), id="cylinder"),
-        pytest.param(lambda: ol.cylinder_distance(_TABLE, _COIN, 22), id="cylinder-oracle"),
     ],
 )
 def test_oversized_requests_are_refused_before_allocating(call):
@@ -549,9 +578,19 @@ def test_validate_scans_to_the_asked_depth_within_the_guard():
         (lambda m: ol.validate_oom(m, l_val=-1), "l_val"),
         (lambda m: ol.stationarity_check(m, l=-1), "l"),
         (lambda m: ol.kolmogorov_residual(m, -1), "depth"),
-        (lambda m: ol.kolmogorov_residual(ol.TableOracle(m.alphabet, {(): 1.0}), -1), "depth"),
+        (lambda m: ol.sample_trajectory(m, -1, 0), "length"),
+        (lambda m: ol.build_hankel(m, 2, -1), "l_past and l_future"),
+        (lambda m: ol.equivalent(ol.bernoulli(0.3), ol.bernoulli(0.4), -1), "l"),
+        (lambda m: ol.predictive_distribution(m, "0", -1), "horizon"),
+        (lambda m: ol.enumerate_causal_states(m, 2, -1), "horizon"),
+        (lambda m: ol.enumerate_causal_states(m, -1, 2), "past_length"),
+        (lambda m: ol.empirical_causal_states(m, -1, 2), "past_length"),
+        (lambda m: ol.empirical_causal_states(m, 2, -1), "horizon"),
+        (lambda m: ol.cylinder_distance(m, ol.bernoulli(0.4), -1), "l"),
     ],
-    ids=["validate", "stationarity", "kolmogorov-model", "kolmogorov-table"],
+    ids=["validate", "stationarity", "kolmogorov-model", "sample", "hankel", "equivalent",
+         "predictive", "causal-horizon", "causal-past", "empirical-past", "empirical-horizon",
+         "cylinder"],
 )
 def test_negative_depths_rejected(check, name):
     with pytest.raises(ValueError, match=rf"^{name} must be nonnegative$"):
