@@ -52,7 +52,7 @@ from .ncoom import (
 from .oom import (
     HmmModel,
     OomModel,
-    hmm_to_oom,
+    _classical_model,
     sample_trajectory,
     stationarity_check,
     validate_hmm,
@@ -135,11 +135,9 @@ def _parse_cli_word(text: str, alphabet) -> tuple:
 
 
 def _classical(model, what: str) -> OomModel:
-    if isinstance(model, HmmModel):
-        return hmm_to_oom(model)
-    if isinstance(model, OomModel):
-        return model
-    raise ValueError(f"{what} needs a classical model, got an operator-algebra model")
+    if isinstance(model, NcOomModel):
+        raise ValueError(f"{what} needs a classical model, got an operator-algebra model")
+    return _classical_model(model)
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +153,13 @@ def _cmd_validate(args) -> int:
         report["validation"] = hrep.to_dict()
         passed = hrep.passed
         if passed:
-            orep = validate_oom(hmm_to_oom(model), **depth)
+            induced = _classical_model(model)
+            orep = validate_oom(induced, **depth)
             report["induced_model_validation"] = orep.to_dict()
             passed = orep.passed
         if args.check_stationarity and passed:
             report["stationarity"] = stationarity_check(
-                hmm_to_oom(model), l=args.stationarity_level
+                induced, l=args.stationarity_level
             ).to_dict()
     else:
         nc = isinstance(model, NcOomModel)
@@ -235,13 +234,10 @@ def _cmd_causal(args) -> int:
 
 def _load_nc(args):
     model = parse_model_file(args.model)
-    alphabet = None
-    if isinstance(model, HmmModel):
-        model = hmm_to_oom(model)
-    if isinstance(model, OomModel):
-        alphabet = model.alphabet
-        model = embed_classical(model)
-    return model, alphabet
+    if isinstance(model, NcOomModel):
+        return model, None
+    model = _classical_model(model)
+    return embed_classical(model), model.alphabet
 
 
 def _cmd_nc_eval(args) -> int:

@@ -13,6 +13,7 @@ mutual singularity its formula needs (see :func:`run_additivity`).
 from __future__ import annotations
 
 import time
+from itertools import combinations
 from dataclasses import asdict, dataclass
 from typing import Callable, ClassVar, Sequence
 
@@ -68,9 +69,9 @@ class FamilySpec:
 class ExperimentReport:
     """Outcome of one harness run.
 
-    Serialization (:meth:`to_dict`) is deterministic given the inputs and
-    seed; the wall-clock runtime is kept only as an in-memory attribute so
-    that written reports are reproducible byte for byte.
+    Serialization (:meth:`to_dict`) is deterministic given the inputs; the
+    wall-clock runtime is kept only as an in-memory attribute so that written
+    reports are reproducible byte for byte.
     """
 
     name: str
@@ -78,7 +79,6 @@ class ExperimentReport:
     predicate: str
     points: list
     tolerances: dict
-    seed: int
     runtime_seconds: ClassVar[float | None] = None
 
     to_dict = asdict
@@ -115,6 +115,19 @@ def _require_stationary(m: OomModel, level: int, tol: float, what: str):
         )
 
 
+def _report(start: float, ladders: list, holds: Callable, **fields) -> ExperimentReport:
+    """The harness report on the rank ladders ``ladders``: INCONCLUSIVE unless
+    every ladder stabilized, otherwise PASS if ``holds`` is true of the list of
+    their dimensions and FAIL if not, with the runtime counted from ``start``."""
+    if not all(rep.stabilized for rep in ladders):
+        verdict = INCONCLUSIVE
+    else:
+        verdict = PASS if holds([rep.dimension for rep in ladders]) else FAIL
+    report = ExperimentReport(verdict=verdict, **fields)
+    report.runtime_seconds = time.perf_counter() - start
+    return report
+
+
 def run_additivity(
     parts: Sequence[tuple],
     l_max: int,
@@ -123,7 +136,6 @@ def run_additivity(
     stationarity_tol: float = 1e-10,
     equiv_tol: float = 1e-9,
     name: str = "additivity",
-    seed: int = 0,
 ) -> ExperimentReport:
     """Dimension of a mixture of pairwise distinct stationary parts versus
     the sum of the parts' dimensions.
@@ -141,41 +153,24 @@ def run_additivity(
     models = [m for _, m in parts]
     for i, m in enumerate(models):
         _require_stationary(m, stationarity_level, stationarity_tol, f"part {i}")
-    for i in range(len(models)):
-        for j in range(i + 1, len(models)):
-            l_eq = models[i].dim + models[j].dim
-            if equivalent(models[i], models[j], l_eq, tol=equiv_tol):
-                raise PreconditionError(
-                    f"parts {i} and {j} generate the same process; "
-                    "mixture components must be pairwise distinct"
-                )
-    points = []
-    dims = []
-    all_stable = True
-    for i, m in enumerate(models):
-        rep = process_dimension(m, l_max, tol_rel)
-        all_stable &= rep.stabilized
-        dims.append(rep.dimension)
-        points.append(
-            {"point": f"part_{i}", "dimension_report": rep.to_dict(), "model_dim": m.dim}
-        )
-    mixture = mixture_direct_sum(list(parts))
-    mix_rep = process_dimension(mixture, l_max, tol_rel)
-    all_stable &= mix_rep.stabilized
-    points.append(
-        {
-            "point": "mixture",
-            "dimension_report": mix_rep.to_dict(),
-            "model_dim": mixture.dim,
-        }
-    )
-    if not all_stable:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS if mix_rep.dimension == sum(dims) else FAIL
-    report = ExperimentReport(
+    for (i, a), (j, b) in combinations(enumerate(models), 2):
+        if equivalent(a, b, a.dim + b.dim, tol=equiv_tol):
+            raise PreconditionError(
+                f"parts {i} and {j} generate the same process; "
+                "mixture components must be pairwise distinct"
+            )
+    named = [(f"part_{i}", m) for i, m in enumerate(models)]
+    named.append(("mixture", mixture_direct_sum(list(parts))))
+    ladders = [process_dimension(m, l_max, tol_rel) for _, m in named]
+    points = [
+        {"point": point, "dimension_report": rep.to_dict(), "model_dim": m.dim}
+        for (point, m), rep in zip(named, ladders)
+    ]
+    return _report(
+        start,
+        ladders,
+        lambda dims: dims[-1] == sum(dims[:-1]),
         name=name,
-        verdict=verdict,
         predicate="dim(mixture) == sum(dim(part_k)), all ladders stabilized",
         points=points,
         tolerances={
@@ -184,10 +179,7 @@ def run_additivity(
             "equiv_tol": equiv_tol,
             "l_max": l_max,
         },
-        seed=seed,
     )
-    report.runtime_seconds = time.perf_counter() - start
-    return report
 
 
 def run_semicontinuity(
@@ -196,7 +188,6 @@ def run_semicontinuity(
     tol_rel: float = DEFAULT_RANK_TOL,
     distance_level: int | None = None,
     name: str = "semicontinuity",
-    seed: int = 0,
 ) -> ExperimentReport:
     """Dimension of the limit versus dimensions along a convergent family.
 
@@ -225,45 +216,26 @@ def run_semicontinuity(
             raise PreconditionError(
                 f"cylinder distances to the limit are not nonincreasing: {distances}"
             )
-    points = []
-    dims = []
-    all_stable = True
-    for t, m, dist in zip(f.grid, grid_models, distances):
-        rep = process_dimension(m, l_max, tol_rel)
-        all_stable &= rep.stabilized
-        dims.append(rep.dimension)
-        points.append(
-            {
-                "point": f"t={t!r}",
-                "t": t,
-                "distance_to_limit": dist,
-                "dimension_report": rep.to_dict(),
-            }
-        )
-    limit_rep = process_dimension(limit, l_max, tol_rel)
-    all_stable &= limit_rep.stabilized
-    points.append(
+    ladders = [process_dimension(m, l_max, tol_rel) for m in grid_models + [limit]]
+    # the grid is strictly positive, so t == 0 marks the limit
+    points = [
         {
-            "point": "limit",
-            "t": 0.0,
-            "distance_to_limit": 0.0,
-            "dimension_report": limit_rep.to_dict(),
+            "point": f"t={t!r}" if t else "limit",
+            "t": t,
+            "distance_to_limit": dist,
+            "dimension_report": rep.to_dict(),
         }
-    )
-    if not all_stable:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS if limit_rep.dimension <= min(dims) else FAIL
-    report = ExperimentReport(
+        for t, dist, rep in zip(f.grid + (0.0,), distances + [0.0], ladders)
+    ]
+    return _report(
+        start,
+        ladders,
+        lambda dims: dims[-1] <= min(dims[:-1]),
         name=name,
-        verdict=verdict,
         predicate="dim(limit) <= min over grid of dim(P_t), all ladders stabilized",
         points=points,
         tolerances={"tol_rel": tol_rel, "l_max": l_max, "distance_level": distance_level},
-        seed=seed,
     )
-    report.runtime_seconds = time.perf_counter() - start
-    return report
 
 
 def run_upperbound(
@@ -276,7 +248,6 @@ def run_upperbound(
     stationarity_level: int = 4,
     stationarity_tol: float = 1e-10,
     name: str = "upperbound",
-    seed: int = 0,
 ) -> ExperimentReport:
     """Log of the dimension versus the topological statistical complexity.
 
@@ -288,30 +259,25 @@ def run_upperbound(
     start = time.perf_counter()
     model = _classical_model(p)
     _require_stationary(model, stationarity_level, stationarity_tol, "process")
-    dim_rep = process_dimension(model, l_max, tol_rel)
+    ladders = [process_dimension(model, l_max, tol_rel)]
     partition = enumerate_causal_states(model, l_p, horizon, cluster_tol=cluster_tol)
-    c_mu = statistical_complexity(partition)
-    c_topo = topological_complexity(partition)
-    span = causal_span_rank(partition, tol_rel)
     points = [
         {
             "point": "process",
-            "dimension_report": dim_rep.to_dict(),
+            "dimension_report": ladders[0].to_dict(),
             "n_causal_states": partition.n_states,
-            "statistical_complexity_bits": c_mu,
-            "topological_complexity_bits": c_topo,
-            "causal_span_rank": span,
+            "statistical_complexity_bits": statistical_complexity(partition),
+            "topological_complexity_bits": topological_complexity(partition),
+            "causal_span_rank": causal_span_rank(partition, tol_rel),
             "past_length": l_p,
             "horizon": horizon,
         }
     ]
-    if not dim_rep.stabilized:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS if dim_rep.dimension <= partition.n_states else FAIL
-    report = ExperimentReport(
+    return _report(
+        start,
+        ladders,
+        lambda dims: dims[0] <= partition.n_states,
         name=name,
-        verdict=verdict,
         predicate=(
             "dim <= #causal states (log2 of both sides compared exactly as integers); "
             "span rank of predictive rows recorded against dim"
@@ -323,10 +289,7 @@ def run_upperbound(
             "l_max": l_max,
             "stationarity_tol": stationarity_tol,
         },
-        seed=seed,
     )
-    report.runtime_seconds = time.perf_counter() - start
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .ncoom import NcOomModel, nc_mixture_direct_sum, validate_ncoom
 from .oom import (
     HmmModel,
     OomModel,
-    hmm_to_oom,
+    _classical_model,
     mixture_direct_sum,
     validate_hmm,
     validate_oom,
@@ -242,16 +242,13 @@ def _parse_ncoom(data: dict, context: str) -> NcOomModel:
     return NcOomModel(algebra=algebra, op_per_basis=ops, init=init, eval=evalv, **meta)
 
 
-def _parse_mixture(data: dict, context: str, base_dir: str, validate: bool, depth: int):
-    if depth > _MAX_MIXTURE_DEPTH:
-        raise SchemaError(f"mixture nesting deeper than {_MAX_MIXTURE_DEPTH} in {context}")
-    raw_parts = _pop(data, "parts", context)
-    if not isinstance(raw_parts, list) or not raw_parts:
+def _parse_parts(raw, context: str, load) -> list:
+    """``(weight, load(path, field))`` for each ``{"weight", "path"}`` object
+    of a ``parts`` list, ``field`` naming the entry's path."""
+    if not isinstance(raw, list) or not raw:
         raise SchemaError('field "parts" must be a non-empty list')
-    meta = _pop_metadata(data)
-    _no_leftovers(data, context)
     parts = []
-    for i, entry in enumerate(raw_parts):
+    for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise SchemaError(f'field "parts[{i}]" must be an object with "weight" and "path"')
         entry = dict(entry)
@@ -260,17 +257,27 @@ def _parse_mixture(data: dict, context: str, base_dir: str, validate: bool, dept
         if not isinstance(path, str):
             raise SchemaError(f'field "parts[{i}].path" must be a string')
         _no_leftovers(entry, f'{context}, field "parts[{i}]"')
-        sub = parse_model_file(
+        parts.append((weight, load(path, f"parts[{i}].path")))
+    return parts
+
+
+def _parse_mixture(data: dict, context: str, base_dir: str, validate: bool, depth: int):
+    if depth > _MAX_MIXTURE_DEPTH:
+        raise SchemaError(f"mixture nesting deeper than {_MAX_MIXTURE_DEPTH} in {context}")
+    raw_parts = _pop(data, "parts", context)
+    meta = _pop_metadata(data)
+    _no_leftovers(data, context)
+    parts = _parse_parts(
+        raw_parts,
+        context,
+        lambda path, _: parse_model_file(
             os.path.join(base_dir, path), validate=validate, _depth=depth + 1
-        )
-        parts.append((weight, sub))
-    classical = [isinstance(m, (OomModel, HmmModel)) for _, m in parts]
-    if all(classical):
-        resolved = [
-            (w, hmm_to_oom(m) if isinstance(m, HmmModel) else m) for w, m in parts
-        ]
-        combined = mixture_direct_sum(resolved)
-    elif all(isinstance(m, NcOomModel) for _, m in parts):
+        ),
+    )
+    nc = [isinstance(m, NcOomModel) for _, m in parts]
+    if not any(nc):
+        combined = mixture_direct_sum([(w, _classical_model(m)) for w, m in parts])
+    elif all(nc):
         combined = nc_mixture_direct_sum(parts)
     else:
         raise SchemaError(f"mixture in {context} mixes classical and operator-algebra parts")
@@ -487,31 +494,15 @@ def parse_experiment_file(path):
         if not isinstance(rel, str):
             raise SchemaError(f'field "{field}" must be a path string')
         m = parse_model_file(os.path.join(base_dir, rel))
-        if isinstance(m, HmmModel):
-            m = hmm_to_oom(m)
-        if not isinstance(m, OomModel):
+        if isinstance(m, NcOomModel):
             raise SchemaError(f'field "{field}" must reference a classical model')
-        return m
+        return _classical_model(m)
 
+    extra = {}
     if kind == "additivity":
-        raw_parts = _pop(data, "parts", context)
-        if not isinstance(raw_parts, list) or not raw_parts:
-            raise SchemaError('field "parts" must be a non-empty list')
-        parts = []
-        for i, entry in enumerate(raw_parts):
-            if not isinstance(entry, dict):
-                raise SchemaError(f'field "parts[{i}]" must be an object')
-            entry = dict(entry)
-            w = _as_number(_pop(entry, "weight", context), f"parts[{i}].weight")
-            rel = _pop(entry, "path", context)
-            _no_leftovers(entry, f'{context}, field "parts[{i}]"')
-            parts.append((w, load_classical(rel, f"parts[{i}].path")))
-        l_max = _as_int(_pop(data, "max_level", context), "max_level")
-        tol_rel = _pop_number(data, "tol_rel", DEFAULT_RANK_TOL)
-        _no_leftovers(data, context)
-        return name, lambda: xp.run_additivity(parts, l_max, tol_rel, name=name)
-
-    if kind == "semicontinuity":
+        parts = _parse_parts(_pop(data, "parts", context), context, load_classical)
+        harness, args = xp.run_additivity, [parts]
+    elif kind == "semicontinuity":
         fam = _pop(data, "family", context)
         if not isinstance(fam, dict):
             raise SchemaError('field "family" must be an object with a "kind"')
@@ -535,24 +526,19 @@ def parse_experiment_file(path):
             family = xp.markov_merge_family(grid)
         else:
             raise SchemaError(f'unknown family kind {fkind!r} in {context}')
-        l_max = _as_int(_pop(data, "max_level", context), "max_level")
-        tol_rel = _pop_number(data, "tol_rel", DEFAULT_RANK_TOL)
-        _no_leftovers(data, context)
-        return name, lambda: xp.run_semicontinuity(family, l_max, tol_rel, name=name)
-
-    if kind == "upperbound":
+        harness, args = xp.run_semicontinuity, [family]
+    elif kind == "upperbound":
         model = load_classical(_pop(data, "model", context), "model")
         l_p = _as_int(_pop(data, "past_length", context), "past_length")
         horizon = _as_int(_pop(data, "horizon", context), "horizon")
-        l_max = _as_int(_pop(data, "max_level", context), "max_level")
-        tol_rel = _pop_number(data, "tol_rel", DEFAULT_RANK_TOL)
-        cluster_tol = _pop_number(data, "cluster_tol", 1e-8)
-        _no_leftovers(data, context)
-        return name, lambda: xp.run_upperbound(
-            model, l_p, horizon, l_max, tol_rel=tol_rel, cluster_tol=cluster_tol, name=name
-        )
-
-    raise SchemaError(f"unknown experiment kind {kind!r} in {context}")
+        harness, args = xp.run_upperbound, [model, l_p, horizon]
+        extra["cluster_tol"] = _pop_number(data, "cluster_tol", 1e-8)
+    else:
+        raise SchemaError(f"unknown experiment kind {kind!r} in {context}")
+    l_max = _as_int(_pop(data, "max_level", context), "max_level")
+    tol_rel = _pop_number(data, "tol_rel", DEFAULT_RANK_TOL)
+    _no_leftovers(data, context)
+    return name, lambda: harness(*args, l_max, tol_rel, name=name, **extra)
 
 
 def _flatten(prefix: str, value, into: dict):

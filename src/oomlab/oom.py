@@ -166,6 +166,11 @@ class HmmModel:
     def n_states(self) -> int:
         return self.init.size
 
+    @cached_property
+    def _induced(self) -> OomModel:
+        """The induced model, built once for :func:`_classical_model`."""
+        return hmm_to_oom(self)
+
     def __repr__(self):
         return f"HmmModel(alphabet={list(self.alphabet)}, n_states={self.n_states})"
 
@@ -474,11 +479,12 @@ def hmm_to_oom(h: HmmModel) -> OomModel:
 
 
 def _classical_model(p) -> OomModel:
-    """``p`` as an :class:`OomModel`: a model as is, an HMM through :func:`hmm_to_oom`."""
+    """``p`` as an :class:`OomModel`: a model as is, an HMM as its induced
+    model, converted by :func:`hmm_to_oom` once per HMM and then reused."""
     if isinstance(p, OomModel):
         return p
     if isinstance(p, HmmModel):
-        return hmm_to_oom(p)
+        return p._induced
     raise TypeError(f"expected an OomModel or HmmModel, got {type(p).__name__}")
 
 

@@ -15,8 +15,9 @@ operator-algebra model, and ``validate`` and ``nc-dim`` on a signed mixture
 of two qubit product states that is positive on one site and not on two, so
 that both exit 1. It writes one file per case into an output directory:
 the exit code, standard output and standard error, with the wall-clock
-``runtime:`` line dropped. Two checkouts can then be compared with
-``diff -r``:
+``runtime:`` line dropped, and for ``experiment run`` the ``points.csv`` it
+wrote (its ``report.json`` equals its standard output). Two checkouts can
+then be compared with ``diff -r``:
 
     PYTHONPATH=<checkout-a>/src python3 tests/cli_snapshot.py snap-a
     PYTHONPATH=<checkout-b>/src python3 tests/cli_snapshot.py snap-b
@@ -96,8 +97,9 @@ def cases(scratch: str) -> list:
     for name in names:
         if name.startswith("exp_") and name.endswith(".json"):
             spec = os.path.join(FIXTURES, name)
-            out.append((f"experiment__{name[:-5]}",
-                        ["experiment", "run", spec, "--out-dir", scratch]))
+            case = f"experiment__{name[:-5]}"
+            out.append((case, ["experiment", "run", spec,
+                               "--out-dir", os.path.join(scratch, case)]))
     out += [
         ("dim-level6__markov3",
          ["dim", "--model", os.path.join(FIXTURES, "markov3.json"), "--max-level", "6"]),
@@ -153,7 +155,12 @@ def snapshot(out_dir: str) -> int:
         all_cases = cases(scratch)
         for case, argv in all_cases:
             # paths inside the output would differ between checkouts
-            text = run_case(argv).replace(FIXTURES, "<fixtures>").replace(scratch, "<scratch>")
+            text = run_case(argv)
+            points = os.path.join(scratch, case, "points.csv")
+            if case.startswith("experiment__") and os.path.exists(points):
+                with open(points, encoding="utf-8", newline="") as fh:
+                    text += f"--- points.csv\n{fh.read()}"
+            text = text.replace(FIXTURES, "<fixtures>").replace(scratch, "<scratch>")
             with open(os.path.join(out_dir, case + ".txt"), "w", encoding="utf-8") as fh:
                 fh.write(text)
     return len(all_cases)

@@ -460,6 +460,68 @@ def test_experiment_refusal_is_usage_error(capsys, tmp_path):
     assert "pairwise distinct" in err
 
 
+_PARTS = [
+    {"weight": 0.5, "path": fixture_path("bernoulli02.json")},
+    {"weight": 0.5, "path": fixture_path("bernoulli07.json")},
+]
+_SPEC_ERRORS = {
+    "unknown-kind": (
+        {"experiment": "nope", "max_level": 2},
+        "unknown experiment kind 'nope' in experiment file spec.json",
+    ),
+    "unknown-family-kind": (
+        {"experiment": "semicontinuity", "family": {"kind": "nope", "grid": [0.1]},
+         "max_level": 2},
+        "unknown family kind 'nope' in experiment file spec.json",
+    ),
+    "additivity-no-max-level": (
+        {"experiment": "additivity", "parts": _PARTS},
+        'missing field "max_level" in experiment file spec.json',
+    ),
+    "semicontinuity-no-max-level": (
+        {"experiment": "semicontinuity", "family": {"kind": "markov_merge", "grid": [0.1]}},
+        'missing field "max_level" in experiment file spec.json',
+    ),
+    "upperbound-no-max-level": (
+        {"experiment": "upperbound", "model": fixture_path("markov2.json"),
+         "past_length": 1, "horizon": 2},
+        'missing field "max_level" in experiment file spec.json',
+    ),
+    "part-not-an-object": (
+        {"experiment": "additivity", "parts": [1], "max_level": 2},
+        'field "parts[0]" must be an object with "weight" and "path"',
+    ),
+    "part-without-weight": (
+        {"experiment": "additivity", "parts": [{"path": "bernoulli02.json"}], "max_level": 2},
+        'missing field "weight" in experiment file spec.json, "parts[0]"',
+    ),
+    "path-not-a-string": (
+        {"experiment": "additivity", "parts": [{"weight": 1.0, "path": 3}], "max_level": 2},
+        'field "parts[0].path" must be a string',
+    ),
+    "operator-algebra-model": (
+        {"experiment": "upperbound", "model": fixture_path("qubit_product.json"),
+         "past_length": 1, "horizon": 2, "max_level": 2},
+        'field "model" must reference a classical model',
+    ),
+    "unknown-field": (
+        {"experiment": "additivity", "parts": _PARTS, "max_level": 2, "seed": 0},
+        "unknown field(s) 'seed' in experiment file spec.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, message", _SPEC_ERRORS.values(), ids=_SPEC_ERRORS)
+def test_experiment_spec_errors_are_usage_errors(capsys, tmp_path, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(
+        capsys, "experiment", "run", str(path), "--out-dir", str(tmp_path)
+    )
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_byte_identical_reports_across_runs(capsys, tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oomlab as ol
 from oomlab import ResourceLimitError, ValidationError
-from oomlab.oom import _SAMPLE_BLOCK, DEFAULT_NEG_TOL, _split_scan
+from oomlab.oom import _SAMPLE_BLOCK, DEFAULT_NEG_TOL, _classical_model, _split_scan
 from oomlab.processes import stationary_distribution
 
 from curated import markov2
@@ -146,6 +146,16 @@ def test_invalid_hmm_rejected():
                 init=[1.0],
             )
         )
+
+
+def test_hmm_coercion_converts_once():
+    hmm = markov2()
+    induced = _classical_model(hmm)
+    assert _classical_model(hmm) is induced
+    assert ol.word_probability(hmm, "0110") == ol.word_probability(induced, "0110")
+    # the public conversion still hands out a fresh model each call
+    assert ol.hmm_to_oom(hmm) is not ol.hmm_to_oom(hmm)
+    assert ol.hmm_to_oom(hmm) is not induced
 
 
 # ---------------------------------------------------------------------------
