@@ -13,11 +13,15 @@ are written as ``[re, im]`` pairs and all matrices are row-major.
 
 The canonical emitter formats every float with 17 significant digits, enough
 to round-trip doubles exactly, so identical inputs produce byte-identical
-reports.
+reports. Numbers must be finite (json's ``NaN``, ``Infinity`` and ``1e400``
+are schema errors). Rows of finite numbers are read in one array conversion
+and rows of finite floats written in one formatting step; anything else goes
+element by element, so that errors name the field or value at fault.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -75,6 +79,11 @@ def dumps_canonical(obj, indent: int = 2) -> str:
             seq = list(x)
             if not seq:
                 return "[]"
+            if set(map(type, seq)) == {float} and all(map(math.isfinite, seq)):
+                # a row of finite floats in one step; any other row, and a
+                # non-finite entry's error, go through the items one by one
+                row = ",\n".join([pad_in + "%.17g"] * len(seq)) % tuple(seq)
+                return "[\n" + row + "\n" + pad + "]"
             items = [f"{pad_in}{fmt(v, level + 1)}" for v in seq]
             return "[\n" + ",\n".join(items) + "\n" + pad + "]"
         raise TypeError(f"cannot serialize {type(x).__name__}")
@@ -118,7 +127,13 @@ def _as_int(x, field: str) -> int:
 def _as_number(x, field: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SchemaError(f'field "{field}" must be a number')
-    return float(x)
+    try:
+        v = float(x)
+    except OverflowError:  # an integer literal beyond the float range
+        v = math.inf
+    if not math.isfinite(v):  # json reads NaN, Infinity and 1e400 as such
+        raise SchemaError(f'field "{field}" must be a finite number')
+    return v
 
 
 def _as_complex(x, field: str) -> complex:
@@ -133,10 +148,25 @@ _REAL = (_as_number, float, "numbers", "row-major matrix")
 _PAIR = (_as_complex, complex, "[re, im] pairs", "matrix of [re, im] pairs")
 
 
+def _real_array(x: list, entries, shape: tuple):
+    """``x`` as one float array of ``shape`` when ``entries``, its leaves, are
+    all finite ints and floats (bools excluded); None otherwise, so that the
+    per-element parse reports the fault."""
+    if not set(map(type, entries)) <= {float, int}:
+        return None
+    try:
+        out = np.array(x, dtype=float)
+    except (OverflowError, ValueError):  # a huge integer, a ragged row
+        return None
+    return out if out.shape == shape and np.isfinite(out).all() else None
+
+
 def _as_vector(x, field: str, length: int, kind=_REAL) -> np.ndarray:
     parse, dtype, noun, _ = kind
     if not isinstance(x, list) or len(x) != length:
         raise SchemaError(f'field "{field}" must be a list of {length} {noun}')
+    if kind is _REAL and (out := _real_array(x, x, (length,))) is not None:
+        return out
     return np.array([parse(v, field) for v in x], dtype=dtype)
 
 
@@ -146,6 +176,10 @@ def _as_matrix(x, field: str, shape: tuple, kind=_REAL) -> np.ndarray:
     message = f'field "{field}" must be a {rows}x{cols} {noun}'
     if not isinstance(x, list) or len(x) != rows:
         raise SchemaError(message)
+    if kind is _REAL and set(map(type, x)) == {list}:
+        out = _real_array(x, itertools.chain.from_iterable(x), shape)
+        if out is not None:
+            return out
     out = np.empty(shape, dtype=dtype)
     for i, row in enumerate(x):
         if not isinstance(row, list) or len(row) != cols:

@@ -316,8 +316,12 @@ def _split_scan(ops: np.ndarray, vector, covector, depth: int) -> tuple[float, f
     step = max(1, _SCAN_CHUNK // functionals.shape[1])
     for start in range(0, states.shape[0], step):
         block = states[start : start + step] @ functionals
-        lowest = min(lowest, float(block.real.min()))
-        largest = max(largest, float(np.abs(block).max()))
+        low = float(block.real.min())
+        if np.iscomplexobj(block):
+            high = float(np.abs(block).max())
+        else:  # the largest magnitude without an abs temporary
+            high = max(float(block.max()), -low)
+        lowest, largest = min(lowest, low), max(largest, high)
     return lowest, largest
 
 
@@ -327,9 +331,9 @@ def _mixture_weights(parts: Sequence[tuple]) -> np.ndarray:
     if not parts:
         raise ValidationError("mixture needs at least one part")
     weights = np.array([float(w) for w, _ in parts])
-    if np.any(weights <= 0):
+    if not np.all(weights > 0):  # written so that a NaN weight fails
         raise ValidationError("mixture weights must be positive")
-    if abs(weights.sum() - 1.0) > 1e-12:
+    if not abs(weights.sum() - 1.0) <= 1e-12:
         raise ValidationError(f"mixture weights sum to {float(weights.sum())!r}, not 1")
     return weights
 

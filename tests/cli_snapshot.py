@@ -13,7 +13,9 @@ sampler and the clustering at more than toy size, ``dim --max-level 8`` on a
 --check-stationarity`` on a phase-locked 2-cycle embedded as an
 operator-algebra model, and ``validate`` and ``nc-dim`` on a signed mixture
 of two qubit product states that is positive on one site and not on two, so
-that both exit 1. It writes one file per case into an output directory:
+that both exit 1, and ``validate`` on a model file with a ``NaN`` entry and
+``eval`` on one with a 400-digit integer entry, which are schema errors. It
+writes one file per case into an output directory:
 the exit code, standard output and standard error, with the wall-clock
 ``runtime:`` line dropped, and for ``experiment run`` the ``points.csv`` it
 wrote (its ``report.json`` equals its standard output). Two checkouts can
@@ -133,6 +135,16 @@ def cases(scratch: str) -> list:
     ):
         path = os.path.join(scratch, stem + ".json")
         save_model(model, path)
+        out.append((f"{kind}__{stem}", [*argv, "--model", path]))
+    # numbers that json reads but that are not finite doubles
+    for kind, stem, literal, argv in (
+        ("validate", "nan_entry", "NaN", ["validate"]),
+        ("eval", "int400_entry", "1" + "0" * 400, ["eval", "--word", "0"]),
+    ):
+        path = os.path.join(scratch, stem + ".json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write('{"type": "oom", "alphabet": ["0", "1"], "dim": 1, "operators": '
+                     '{"0": [[%s]], "1": [[0.5]]}, "init": [1.0], "eval": [1.0]}' % literal)
         out.append((f"{kind}__{stem}", [*argv, "--model", path]))
     return out
 

@@ -168,6 +168,18 @@ def test_schema_error_exits_two(capsys, tmp_path):
     assert "missing field" in err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "1e400", "int400"])
+@pytest.mark.parametrize("command", [["validate"], ["eval", "--word", "0"]])
+def test_non_finite_number_exits_two(capsys, tmp_path, literal, command):
+    path = tmp_path / "m.json"
+    path.write_text('{"type": "oom", "alphabet": ["0", "1"], "dim": 1, "operators": '
+                    '{"0": [[%s]], "1": [[0.5]]}, "init": [1.0], "eval": [1.0]}' % literal)
+    code, out, err = run_cli(capsys, *command, "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err == """error: field "operators['0']" must be a finite number\n"""
+
+
 def test_minimize_reports_reduction(capsys):
     code, out, _ = run_cli(capsys, "minimize", "--model", fixture_path("mixture_2bern.json"))
     assert code == 0

@@ -1,13 +1,18 @@
 import json
+import math
+import os
+from typing import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oomlab as ol
 from oomlab import SchemaError, ValidationError, model_io
 from oomlab.model_io import dumps_canonical, parse_model_file, save_model, serialize_model
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 from curated import markov2
 
 
@@ -150,6 +155,124 @@ def test_bool_is_not_a_number(tmp_path):
         parse_model_file(path)
 
 
+_BASE = {
+    "type": "oom", "alphabet": ["0", "1"], "dim": 2,
+    "operators": {"0": [[0.5, 0.0], [0.0, 0.5]], "1": [[0.5, 0.0], [0.0, 0.5]]},
+    "init": [1.0, 0.0], "eval": [1.0, 1.0],
+}
+_MATRIX = """field "operators['1']" must be a 2x2 row-major matrix"""
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None, [0.5]])
+@pytest.mark.parametrize(
+    "where, message",
+    [("matrix", """field "operators['1']" must be a number"""),
+     ("vector", 'field "init" must be a number')],
+)
+def test_bad_entry_messages(tmp_path, value, where, message):
+    data = json.loads(json.dumps(_BASE))
+    if where == "matrix":
+        data["operators"]["1"][1][0] = value
+    else:
+        data["init"][1] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError) as err:
+        parse_model_file(path)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [([[0.5, 0.0], [0.5]], _MATRIX),  # ragged
+     ([[0.5, 0.0]], _MATRIX),  # one row short
+     ([[0.5, 0.0], 0.5], _MATRIX),  # a row that is not a list
+     ([[[0.5], 0.0], [0.5, 0.0]], """field "operators['1']" must be a number""")],
+)
+def test_bad_shape_messages(tmp_path, matrix, message):
+    data = json.loads(json.dumps(_BASE))
+    data["operators"]["1"] = matrix
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError) as err:
+        parse_model_file(path)
+    assert str(err.value) == message
+
+
+# the literals json reads as NaN or +-inf, and an integer beyond the float range
+_LITERALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "1e400": "1e400",
+             "-1e400": "-1e400", "int400": "1" + "0" * 400}
+non_finite = pytest.mark.parametrize("literal", list(_LITERALS.values()), ids=list(_LITERALS))
+
+
+@non_finite
+@pytest.mark.parametrize(
+    "entry, number, field",
+    [('"0": [[0.5, 0.0], [0.0, 0.5]]', "0.0", "operators['0']"),
+     ('"init": [1.0, 0.0]', "0.0", "init"),
+     ('"eval": [1.0, 1.0]', "1.0", "eval")],
+)
+def test_non_finite_numbers_are_schema_errors(tmp_path, literal, entry, number, field):
+    text = json.dumps(_BASE).replace(entry, entry.replace(number, literal, 1))
+    assert text != json.dumps(_BASE)
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    for validate in (True, False):
+        with pytest.raises(SchemaError) as err:
+            parse_model_file(path, validate=validate)
+        assert str(err.value) == f'field "{field}" must be a finite number'
+
+
+@non_finite
+def test_non_finite_complex_entry_is_a_schema_error(tmp_path, literal):
+    payload = json.dumps(serialize_model(ol.embed_classical(ol.bernoulli(0.5))))
+    path = tmp_path / "q.json"
+    path.write_text(payload.replace("[1.0, 0.0]", f"[1.0, {literal}]", 1))
+    with pytest.raises(SchemaError, match="must be a finite number"):
+        parse_model_file(path)
+
+
+@non_finite
+def test_non_finite_mixture_weight_is_a_schema_error(tmp_path, literal):
+    save_model(ol.bernoulli(0.2), tmp_path / "a.json")
+    (tmp_path / "mix.json").write_text(
+        '{"type": "mixture", "parts": [{"weight": %s, "path": "a.json"}]}' % literal
+    )
+    with pytest.raises(SchemaError) as err:
+        parse_model_file(tmp_path / "mix.json")
+    assert str(err.value) == 'field "parts[0].weight" must be a finite number'
+
+
+@non_finite
+def test_non_finite_spec_number_is_a_schema_error(tmp_path, literal):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        '{"experiment": "upperbound", "model": "%s", "past_length": 2, "horizon": 2,'
+        ' "max_level": 3, "tol_rel": %s}' % (fixture_path("markov2.json"), literal)
+    )
+    with pytest.raises(SchemaError) as err:
+        model_io.parse_experiment_file(spec)
+    assert str(err.value) == 'field "tol_rel" must be a finite number'
+
+
+def test_bulk_parse_matches_per_element_floats():
+    ints = [0, -0, 1, -7, 2**53 + 1, -(2**53 + 1), 2**63 + 1, -(2**63 + 1), 2**64 + 3, 10**300]
+    floats = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, 0.1]
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        pool = ints + floats + rng.normal(size=8).tolist()
+        x = [[pool[int(rng.integers(len(pool)))] for _ in range(cols)] for _ in range(rows)]
+        want = np.array([[float(v) for v in row] for row in x])
+        got = model_io._as_matrix(x, "m", (rows, cols))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        bulk = model_io._real_array(x, [v for row in x for v in row], (rows, cols))
+        assert bulk is not None and bulk.tobytes() == want.tobytes()
+        got = model_io._as_vector(x[0], "v", cols)
+        assert got.tobytes() == want[0].tobytes()
+        assert model_io._real_array(x[0], x[0], (cols,)).tobytes() == want[0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # mixtures
 
@@ -262,6 +385,104 @@ def test_canonical_output_is_stable():
 def test_non_finite_floats_rejected():
     with pytest.raises(ValueError):
         dumps_canonical({"x": float("inf")})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", range(4))
+def test_non_finite_float_anywhere_in_a_row_rejected(bad, position):
+    row = [0.25, -0.0, 5e-324, 1e308]
+    row[position] = bad
+    for payload in (row, tuple(row), {"m": [[0.5] * 4, row]}, row + [math.nan]):
+        with pytest.raises(ValueError) as err:
+            dumps_canonical(payload)
+        assert str(err.value) == f"cannot serialize non-finite float {bad!r}"
+
+
+def _reference_canonical(obj, indent: int = 2) -> str:
+    """The emitter written one element at a time."""
+
+    def fmt(x, level: int) -> str:
+        pad = " " * (indent * level)
+        pad_in = " " * (indent * (level + 1))
+        if x is None:
+            return "null"
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        if isinstance(x, (float, np.floating)):
+            v = float(x)
+            if not math.isfinite(v):
+                raise ValueError(f"cannot serialize non-finite float {v!r}")
+            return format(v, ".17g")
+        if isinstance(x, str):
+            return json.dumps(x)
+        if isinstance(x, Mapping):
+            if not x:
+                return "{}"
+            items = [f"{pad_in}{json.dumps(str(k))}: {fmt(v, level + 1)}" for k, v in x.items()]
+            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        if isinstance(x, (list, tuple, np.ndarray)):
+            seq = list(x)
+            if not seq:
+                return "[]"
+            items = [f"{pad_in}{fmt(v, level + 1)}" for v in seq]
+            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        raise TypeError(f"cannot serialize {type(x).__name__}")
+
+    return fmt(obj, 0) + "\n"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e300, 1.0 / 3.0]
+)
+_leaves = (
+    _finite
+    | st.integers(-(2**70), 2**70)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=4)
+    | _finite.map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+)
+_values = st.recursive(
+    _leaves | st.lists(_finite, max_size=6) | st.lists(_finite, max_size=6).map(np.array),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values, st.integers(0, 4))
+def test_emitter_matches_per_element_reference(obj, indent):
+    assert dumps_canonical(obj, indent) == _reference_canonical(obj, indent)
+
+
+def test_emitter_matches_reference_on_float_rows():
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e300]
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        row = (rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)).tolist()
+        row[int(rng.integers(n))] = special[int(rng.integers(len(special)))]
+        payload = {"row": row, "matrix": [row, row[::-1]], "mixed": row + [1]}
+        assert dumps_canonical(payload) == _reference_canonical(payload)
+
+
+_MODEL_FIXTURES = sorted(
+    name for name in os.listdir(FIXTURES)
+    if name.endswith(".json") and not name.startswith(("exp_", "mixture_"))
+)
+
+
+@pytest.mark.parametrize("name", _MODEL_FIXTURES)
+def test_fixture_reserializes_byte_for_byte(name):
+    path = fixture_path(name)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert dumps_canonical(serialize_model(parse_model_file(path, validate=False))) == text
 
 
 # ---------------------------------------------------------------------------

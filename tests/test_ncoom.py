@@ -343,6 +343,13 @@ def test_product_state_dimension_one():
     assert rep.stabilized and rep.dimension == 1
 
 
+@pytest.mark.parametrize("weights", [(np.nan, 1.0), (1.0, np.nan), (0.5, np.inf)])
+def test_nc_mixture_weights_nan_or_inf_rejected(weights):
+    q = ol.embed_classical(ol.bernoulli(0.3))
+    with pytest.raises(ValidationError, match="positive|sum"):
+        ol.nc_mixture_direct_sum([(w, q) for w in weights])
+
+
 def test_mixture_of_distinct_product_states_has_dimension_two():
     mix = ol.nc_mixture_direct_sum(
         [(0.5, qubit_product(0.9, 0.1)), (0.5, qubit_product(0.3, 0.7))]

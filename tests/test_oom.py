@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oomlab as ol
-from oomlab import ResourceLimitError, ValidationError
+from oomlab import ResourceLimitError, ValidationError, oom
 from oomlab.oom import _SAMPLE_BLOCK, DEFAULT_NEG_TOL, _classical_model, _split_scan
 from oomlab.processes import stationary_distribution
 
@@ -199,6 +199,15 @@ def test_nested_mixtures_associate():
 def test_mixture_weight_sum_checked():
     with pytest.raises(ValidationError, match="sum"):
         ol.mixture_direct_sum([(0.5, ol.bernoulli(0.2)), (0.6, ol.bernoulli(0.7))])
+
+
+@pytest.mark.parametrize(
+    "weights", [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan), (0.5, np.inf)]
+)
+def test_mixture_weights_nan_or_inf_rejected(weights):
+    parts = list(zip(weights, (ol.bernoulli(0.2), ol.bernoulli(0.7))))
+    with pytest.raises(ValidationError, match="positive|sum"):
+        ol.mixture_direct_sum(parts)
 
 
 def test_mixture_alphabet_mismatch():
@@ -529,6 +538,32 @@ def test_split_scan_matches_level_scan():
         assert largest == pytest.approx(ref_largest, abs=scale, rel=0)
         negative += ref_lowest < 0
     assert negative >= 100  # most of the 144 unconstrained models are invalid
+
+
+def _abs_chunk_scan(ops, v, l, depth):
+    """``_split_scan`` with each chunk's largest magnitude taken as
+    ``np.abs(block).max()``."""
+    states = np.vstack(oom._state_levels(ops, v, (depth + 1) // 2))
+    functionals = np.vstack(oom._functional_levels(ops, l, depth // 2)).T
+    lowest, largest = np.inf, 0.0
+    step = max(1, oom._SCAN_CHUNK // functionals.shape[1])
+    for start in range(0, states.shape[0], step):
+        block = states[start : start + step] @ functionals
+        lowest = min(lowest, float(block.real.min()))
+        largest = max(largest, float(np.abs(block).max()))
+    return lowest, largest
+
+
+@pytest.mark.parametrize("chunk", [oom._SCAN_CHUNK, 64])
+def test_split_scan_equals_abs_formula_exactly(monkeypatch, chunk):
+    monkeypatch.setattr(oom, "_SCAN_CHUNK", chunk)
+    rng = np.random.default_rng(313)
+    for i in range(60):
+        k, d, depth = int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(0, 9))
+        a = ol.hmm_to_oom(ol.random_hmm(d, [str(s) for s in range(k)], rng=i))
+        b = ol.hmm_to_oom(ol.random_hmm(int(rng.integers(1, 6)), a.alphabet, rng=1000 + i))
+        for args in ((a.operator_stack, a.init, a.eval), oom._difference(a, b)):
+            assert _split_scan(*args, depth) == _abs_chunk_scan(*args, depth)
 
 
 def test_split_scan_guard_refuses_before_enumerating():
