@@ -29,12 +29,13 @@ class CStarAlgebra:
     block_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.block_dims)
-        if len(dims) == 0:
+        dims = tuple(self.block_dims)
+        if not dims:
             raise ValidationError("an algebra needs at least one block")
-        if any(d < 1 for d in dims):
-            raise ValidationError(f"block sizes must be >= 1, got {list(dims)}")
-        object.__setattr__(self, "block_dims", dims)
+        for d in dims:
+            if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
+                raise ValidationError(f"block sizes must be positive integers, got {d!r}")
+        object.__setattr__(self, "block_dims", tuple(int(d) for d in dims))
 
     @property
     def total_dim(self) -> int:
@@ -140,13 +141,7 @@ def construct_algebra(block_dims: Iterable[int]) -> CStarAlgebra:
     ``[1, 1, ..., 1]`` with n entries is the commutative algebra of functions
     on an n-symbol alphabet; ``[2]`` is the full 2x2 matrix algebra.
     """
-    dims = list(block_dims)
-    if not dims:
-        raise ValidationError("block_dims must be non-empty")
-    for d in dims:
-        if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
-            raise ValidationError(f"block sizes must be positive integers, got {d!r}")
-    return CStarAlgebra(tuple(int(d) for d in dims))
+    return CStarAlgebra(tuple(block_dims))
 
 
 def unit_element(algebra: CStarAlgebra) -> AlgebraElement:

@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Subcommands cover every library operation (validate, eval, dim, minimize,
-causal, nc-eval, nc-dim, experiment, sample). Reports go to standard output
-as canonical JSON (17-significant-digit floats, byte-identical across runs
-for identical inputs and seeds); errors go to standard error. Exit codes:
-0 success or PASS, 1 FAIL or invalid model, 2 usage or schema error,
-3 INCONCLUSIVE. The env var OOMLAB_SEED overrides the default seed 0.
+Subcommands: validate, eval, dim, minimize, causal, nc-eval, nc-dim, experiment
+and sample. Reports go to standard output as canonical JSON
+(17-significant-digit floats, byte-identical across runs for identical inputs
+and seeds); errors go to standard error. Exit codes: 0 success or PASS, 1 FAIL
+or invalid model, 2 usage or schema error, 3 INCONCLUSIVE. The env var
+OOMLAB_SEED overrides the default seed 0.
 """
 
 from __future__ import annotations
@@ -61,66 +61,6 @@ from .oom import (
 )
 from .algebra import is_positive
 from .words import normalize_word
-
-COMMANDS = (
-    "validate",
-    "eval",
-    "dim",
-    "minimize",
-    "causal",
-    "nc-eval",
-    "nc-dim",
-    "experiment",
-    "sample",
-)
-
-# Which library operations each subcommand exercises, directly or through the
-# machinery it drives; the test suite checks this table against the public API.
-OPERATION_COVERAGE = {
-    "validate": (
-        "parse_model_file",
-        "validate_oom",
-        "validate_ncoom",
-        "construct_algebra",
-        "unit_element",
-        "mixture_direct_sum",
-        "nc_mixture_direct_sum",
-        "stationarity_check",
-        "nc_stationarity_check",
-    ),
-    "eval": ("parse_model_file", "word_probability", "hmm_to_oom"),
-    "dim": ("parse_model_file", "apply_tau", "build_hankel", "numerical_rank", "process_dimension"),
-    "minimize": ("parse_model_file", "minimize_oom", "equivalent"),
-    "causal": (
-        "parse_model_file",
-        "stationarity_check",
-        "predictive_distribution",
-        "enumerate_causal_states",
-        "statistical_complexity",
-        "topological_complexity",
-        "causal_span_rank",
-    ),
-    "nc-eval": (
-        "parse_model_file",
-        "embed_classical",
-        "nc_evaluate",
-        "is_positive",
-        "basis_elements",
-        "unit_element",
-    ),
-    "nc-dim": ("parse_model_file", "embed_classical", "nc_hankel", "nc_process_dimension", "numerical_rank"),
-    "experiment": (
-        "parse_model_file",
-        "run_additivity",
-        "run_semicontinuity",
-        "run_upperbound",
-        "cylinder_distance",
-        "mixture_direct_sum",
-        "dispatch",
-    ),
-    "sample": ("parse_model_file", "hmm_to_oom", "sample_trajectory", "validate_oom"),
-}
-
 
 def _emit(obj) -> None:
     sys.stdout.write(dumps_canonical(obj))

@@ -1,9 +1,11 @@
 """Model persistence: strict JSON schemas, round-trip serialization, and a
 canonical emitter.
 
-Files carry a ``type`` tag (``oom``, ``hmm``, ``ncoom`` or ``mixture``).
-Unknown fields are rejected rather than ignored so fixtures cannot drift, and
-schema errors name the offending field. Models are validated on load by
+Files carry a ``type`` tag (``oom``, ``hmm``, ``ncoom`` or ``mixture``). Each
+model type's fields are listed once, in file order, each with a reader and a
+writer (``_TYPES``); parsing and serialization both follow that list. Unknown
+fields are rejected rather than ignored so fixtures cannot drift, and schema
+errors name the offending field. Models are validated on load by
 default; loading can be deferred with ``validate=False`` when the point is to
 inspect an invalid model.
 
@@ -21,6 +23,7 @@ element by element, so that errors name the field or value at fault.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -112,12 +115,6 @@ def _no_leftovers(data: dict, context: str):
         raise SchemaError(f"unknown field(s) {names} in {context}")
 
 
-def _as_str_list(x, field: str) -> list:
-    if not isinstance(x, list) or not x or not all(isinstance(s, str) for s in x):
-        raise SchemaError(f'field "{field}" must be a non-empty list of strings')
-    return x
-
-
 def _as_int(x, field: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise SchemaError(f'field "{field}" must be an integer')
@@ -188,8 +185,12 @@ def _as_matrix(x, field: str, shape: tuple, kind=_REAL) -> np.ndarray:
     return out
 
 
+#: Optional string fields of every model file, and attributes of every model.
+_METADATA = ("name", "description")
+
+
 def _pop_metadata(data: dict) -> dict:
-    meta = {key: data.pop(key, None) for key in ("name", "description")}
+    meta = {key: data.pop(key, None) for key in _METADATA}
     for key, value in meta.items():
         if value is not None and not isinstance(value, str):
             raise SchemaError(f'field "{key}" must be a string')
@@ -200,80 +201,110 @@ def _pop_metadata(data: dict) -> dict:
 # Parsing
 
 
-def _parse_oom(data: dict, context: str) -> OomModel:
-    alphabet = _as_str_list(_pop(data, "alphabet", context), "alphabet")
-    dim = _as_int(_pop(data, "dim", context), "dim")
-    if dim < 1:
-        raise SchemaError('field "dim" must be a positive integer')
-    operators = _pop(data, "operators", context)
-    if not isinstance(operators, dict):
-        raise SchemaError('field "operators" must map symbols to matrices')
-    if set(operators) != set(alphabet):
-        raise SchemaError('field "operators" must have exactly one matrix per alphabet symbol')
-    ops = {
-        s: _as_matrix(operators[s], f"operators[{s!r}]", (dim, dim))
-        for s in alphabet
-    }
-    init = _as_vector(_pop(data, "init", context), "init", dim)
-    evalv = _as_vector(_pop(data, "eval", context), "eval", dim)
-    meta = _pop_metadata(data)
-    _no_leftovers(data, context)
-    return OomModel(alphabet=tuple(alphabet), operators=ops, init=init, eval=evalv, **meta)
-
-
-def _parse_hmm(data: dict, context: str) -> HmmModel:
-    alphabet = _as_str_list(_pop(data, "alphabet", context), "alphabet")
-    n = _as_int(_pop(data, "n_states", context), "n_states")
+def _read_size(x, field: str, got: dict, context: str) -> int:
+    n = _as_int(x, field)
     if n < 1:
-        raise SchemaError('field "n_states" must be a positive integer')
-    te = _pop(data, "transition_emission", context)
-    if not isinstance(te, dict) or set(te) != set(alphabet):
-        raise SchemaError(
-            'field "transition_emission" must have exactly one matrix per alphabet symbol'
-        )
-    mats = {
-        s: _as_matrix(te[s], f"transition_emission[{s!r}]", (n, n)) for s in alphabet
-    }
-    init = _as_vector(_pop(data, "init", context), "init", n)
-    meta = _pop_metadata(data)
-    _no_leftovers(data, context)
-    return HmmModel(alphabet=tuple(alphabet), transition_emission=mats, init=init, **meta)
+        raise SchemaError(f'field "{field}" must be a positive integer')
+    return n
 
 
-def _parse_ncoom(data: dict, context: str) -> NcOomModel:
-    alg = _pop(data, "algebra", context)
-    if not isinstance(alg, dict):
-        raise SchemaError('field "algebra" must be an object like {"blocks": [2, 1]}')
-    alg = dict(alg)
-    blocks = alg.pop("blocks", None)
-    _no_leftovers(alg, f'{context}, field "algebra"')
-    if (
-        not isinstance(blocks, list)
-        or not blocks
-        or not all(isinstance(b, int) and not isinstance(b, bool) and b >= 1 for b in blocks)
-    ):
-        raise SchemaError('field "algebra.blocks" must be a non-empty list of positive integers')
-    algebra = construct_algebra(blocks)
-    dim = _as_int(_pop(data, "dim", context), "dim")
-    if dim < 1:
-        raise SchemaError('field "dim" must be a positive integer')
-    raw_ops = _pop(data, "op_per_basis", context)
-    if not isinstance(raw_ops, list) or len(raw_ops) != algebra.total_dim:
+#: The size fields. They shape the arrays read after them; the constructors
+#: take the size from those arrays.
+_SIZES = ("dim", "n_states")
+
+
+def _size(got: dict) -> int:
+    return next(got[k] for k in _SIZES if k in got)
+
+
+def _read_alphabet(x, field: str, got: dict, context: str) -> list:
+    if not isinstance(x, list) or not x or not all(isinstance(s, str) for s in x):
+        raise SchemaError(f'field "{field}" must be a non-empty list of strings')
+    return x
+
+
+def _read_symbol_matrices(x, field: str, got: dict, context: str) -> dict:
+    if not isinstance(x, dict) or set(x) != set(got["alphabet"]):
+        raise SchemaError(f'field "{field}" must have exactly one matrix per alphabet symbol')
+    n = _size(got)
+    return {s: _as_matrix(x[s], f"{field}[{s!r}]", (n, n)) for s in got["alphabet"]}
+
+
+def _read_vector(x, field: str, got: dict, context: str) -> np.ndarray:
+    return _as_vector(x, field, _size(got))
+
+
+def _read_pair_vector(x, field: str, got: dict, context: str) -> np.ndarray:
+    return _as_vector(x, field, _size(got), _PAIR)
+
+
+def _read_algebra(x, field: str, got: dict, context: str) -> CStarAlgebra:
+    if not isinstance(x, dict):
+        raise SchemaError(f'field "{field}" must be an object like {{"blocks": [2, 1]}}')
+    x = dict(x)
+    blocks = x.pop("blocks", None)
+    _no_leftovers(x, f'{context}, field "{field}"')
+    if isinstance(blocks, list):
+        with contextlib.suppress(ValidationError):  # the algebra checks the sizes
+            return construct_algebra(blocks)
+    raise SchemaError(f'field "{field}.blocks" must be a non-empty list of positive integers')
+
+
+def _read_op_per_basis(x, field: str, got: dict, context: str) -> np.ndarray:
+    count, n = got["algebra"].total_dim, _size(got)
+    if not isinstance(x, list) or len(x) != count:
         raise SchemaError(
-            f'field "op_per_basis" must list {algebra.total_dim} matrices '
-            "(one per basis element)"
+            f'field "{field}" must list {count} matrices (one per basis element)'
         )
-    ops = np.stack(
-        [
-            _as_matrix(m, f"op_per_basis[{i}]", (dim, dim), _PAIR)
-            for i, m in enumerate(raw_ops)
-        ]
-    )
-    init = _as_vector(_pop(data, "init", context), "init", dim, _PAIR)
-    evalv = _as_vector(_pop(data, "eval", context), "eval", dim, _PAIR)
+    return np.stack([_as_matrix(m, f"{field}[{i}]", (n, n), _PAIR) for i, m in enumerate(x)])
+
+
+def _pairs(a: np.ndarray) -> list:
+    """Nested lists of a complex array, each entry as an [re, im] pair."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _write_symbol_matrices(matrices: dict) -> dict:
+    return {s: m.tolist() for s, m in matrices.items()}
+
+
+# Each model file type: its class and its fields in file order, each as
+# (name, reader, writer). ``reader(value, name, got, context)`` checks and
+# converts the field's JSON value, given the fields read before it by name;
+# ``writer`` turns the model's attribute of that name back into JSON. The
+# constructor takes every field but the size, with the name and description.
+_TYPES = {
+    "oom": (OomModel, (
+        ("alphabet", _read_alphabet, list),
+        ("dim", _read_size, int),
+        ("operators", _read_symbol_matrices, _write_symbol_matrices),
+        ("init", _read_vector, np.ndarray.tolist),
+        ("eval", _read_vector, np.ndarray.tolist),
+    )),
+    "hmm": (HmmModel, (
+        ("alphabet", _read_alphabet, list),
+        ("n_states", _read_size, int),
+        ("transition_emission", _read_symbol_matrices, _write_symbol_matrices),
+        ("init", _read_vector, np.ndarray.tolist),
+    )),
+    "ncoom": (NcOomModel, (
+        ("algebra", _read_algebra, lambda a: {"blocks": list(a.block_dims)}),
+        ("dim", _read_size, int),
+        ("op_per_basis", _read_op_per_basis, _pairs),
+        ("init", _read_pair_vector, _pairs),
+        ("eval", _read_pair_vector, _pairs),
+    )),
+}
+
+
+def _parse_typed(data: dict, context: str, mtype: str):
+    cls, fields = _TYPES[mtype]
+    got = {}
+    for name, read, _ in fields:
+        got[name] = read(_pop(data, name, context), name, got, context)
     meta = _pop_metadata(data)
     _no_leftovers(data, context)
-    return NcOomModel(algebra=algebra, op_per_basis=ops, init=init, eval=evalv, **meta)
+    return cls(**{k: v for k, v in got.items() if k not in _SIZES}, **meta)
 
 
 def _parse_parts(raw, context: str, load) -> list:
@@ -338,9 +369,6 @@ def _load_json(path, top_type: type, what: str):
     return data
 
 
-_PARSERS = {"oom": _parse_oom, "hmm": _parse_hmm, "ncoom": _parse_ncoom}
-
-
 def parse_model_file(path, validate: bool = True, _depth: int = 0):
     """Load and (by default) validate a typed model from a JSON file.
 
@@ -356,8 +384,8 @@ def parse_model_file(path, validate: bool = True, _depth: int = 0):
         model = _parse_mixture(
             data, context, os.path.dirname(os.path.abspath(path)), validate, _depth
         )
-    elif isinstance(mtype, str) and mtype in _PARSERS:
-        model = _PARSERS[mtype](data, context)
+    elif isinstance(mtype, str) and mtype in _TYPES:
+        model = _parse_typed(data, context, mtype)
     else:
         raise SchemaError(f'unknown model type {mtype!r} in {context}')
     if validate:
@@ -396,47 +424,19 @@ def _validate_loaded(model):
 # Serialization
 
 
-def _pairs(a: np.ndarray) -> list:
-    """Nested lists of a complex array, each entry as an [re, im] pair."""
-    return np.stack([a.real, a.imag], axis=-1).tolist()
-
-
 def serialize_model(model) -> dict:
     """Plain-JSON dict for a model; inverse of parsing, field for field."""
-    if isinstance(model, OomModel):
-        out = {
-            "type": "oom",
-            "alphabet": list(model.alphabet),
-            "dim": model.dim,
-            "operators": {s: model.operators[s].tolist() for s in model.alphabet},
-            "init": model.init.tolist(),
-            "eval": model.eval.tolist(),
-        }
-    elif isinstance(model, HmmModel):
-        out = {
-            "type": "hmm",
-            "alphabet": list(model.alphabet),
-            "n_states": model.n_states,
-            "transition_emission": {
-                s: model.transition_emission[s].tolist() for s in model.alphabet
-            },
-            "init": model.init.tolist(),
-        }
-    elif isinstance(model, NcOomModel):
-        out = {
-            "type": "ncoom",
-            "algebra": {"blocks": list(model.algebra.block_dims)},
-            "dim": model.dim,
-            "op_per_basis": _pairs(model.op_per_basis),
-            "init": _pairs(model.init),
-            "eval": _pairs(model.eval),
-        }
+    for mtype, (cls, fields) in _TYPES.items():
+        if isinstance(model, cls):
+            break
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    if model.name is not None:
-        out["name"] = model.name
-    if model.description is not None:
-        out["description"] = model.description
+    out = {"type": mtype}
+    for name, _, write in fields:
+        out[name] = write(getattr(model, name))
+    for key in _METADATA:
+        if getattr(model, key) is not None:
+            out[key] = getattr(model, key)
     return out
 
 

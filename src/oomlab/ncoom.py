@@ -65,8 +65,8 @@ from .dimension import (
 )
 from .errors import ValidationError
 from .oom import DEFAULT_CONDITION_TOL, DEFAULT_NEG_TOL, OomModel, _direct_sum
-from .oom import _frozen_vectors, _functional_levels, _mixture_weights, _split_scan
-from .oom import _state_levels, _within_budget
+from .oom import _deepest, _frozen, _frozen_vectors, _functional_levels, _mixture_weights
+from .oom import _require_nonnegative, _split_scan, _state_levels
 from .words import word_count_up_to, words_up_to
 
 DEFAULT_IMAG_TOL = 1e-9
@@ -89,19 +89,15 @@ class NcOomModel:
     description: str | None = None
 
     def __post_init__(self):
-        v, l = _frozen_vectors(self.init, self.eval, complex)
-        d = v.size
-        ops = np.array(self.op_per_basis, dtype=complex)
+        self.init, self.eval = _frozen_vectors(self.init, self.eval, complex)
+        self.op_per_basis = _frozen(self.op_per_basis, complex, "op_per_basis")
+        d = self.init.size
         expected = (self.algebra.total_dim, d, d)
-        if ops.shape != expected:
+        if self.op_per_basis.shape != expected:
             raise ValidationError(
                 f"op_per_basis must have shape {expected} "
-                f"(one {d}x{d} operator per basis element), got {ops.shape}"
+                f"(one {d}x{d} operator per basis element), got {self.op_per_basis.shape}"
             )
-        ops.setflags(write=False)
-        self.op_per_basis = ops
-        self.init = v
-        self.eval = l
 
     @property
     def dim(self) -> int:
@@ -217,11 +213,8 @@ def validate_ncoom(
     ``condition_tol``, the defect within ``imag_tol`` and no eigenvalue is
     below ``-neg_tol``; a pass certifies positivity up to ``checked_depth``.
     """
-    if l_val < 0:
-        raise ValueError("l_val must be nonnegative")
-    depth = 0
-    while depth < l_val and _within_budget(*_density_cost(m.algebra, m.dim, depth + 1)):
-        depth += 1
+    _require_nonnegative(l_val=l_val)
+    depth = _deepest(l_val, lambda n: _density_cost(m.algebra, m.dim, n))
     c1 = abs(complex(m.eval @ m.init) - 1.0)
     c2 = float(np.max(np.abs(m.eval @ m.unit_operator - m.eval)))
     lowest, defect = np.inf, 0.0
@@ -355,8 +348,7 @@ def nc_stationarity_check(
     1-norms. With ``reverse_order`` the residual vanishes for any model
     meeting condition two, the alternative convention's built-in invariance.
     """
-    if l < 0:
-        raise ValueError("l must be nonnegative")
+    _require_nonnegative(l=l)
     t, v, e = m.unit_operator, m.init, m.eval
     ends = (v, e @ t - e) if reverse_order else (t @ v - v, e)
     residual = _split_scan(m.op_per_basis, *ends, l)[1]

@@ -77,30 +77,10 @@ class OomModel:
     description: str | None = None
 
     def __post_init__(self):
-        self.alphabet = tuple(str(s) for s in self.alphabet)
-        if not self.alphabet:
-            raise ValidationError("alphabet is empty")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValidationError("alphabet contains duplicate symbols")
-        v, l = _frozen_vectors(self.init, self.eval, float)
-        d = v.size
-        ops = {}
-        for s in self.alphabet:
-            if s not in self.operators:
-                raise ValidationError(f"missing operator for symbol {s!r}")
-            m = np.array(self.operators[s], dtype=float)
-            if m.shape != (d, d):
-                raise ValidationError(
-                    f"operator for {s!r} must be {d}x{d}, got {m.shape}"
-                )
-            m.setflags(write=False)
-            ops[s] = m
-        extra = set(self.operators) - set(self.alphabet)
-        if extra:
-            raise ValidationError(f"operators for symbols outside alphabet: {sorted(extra)}")
-        self.operators = ops
-        self.init = v
-        self.eval = l
+        self.init, self.eval = _frozen_vectors(self.init, self.eval, float)
+        self.alphabet, self.operators = _frozen_symbol_matrices(
+            self.alphabet, self.operators, self.init.size, "operator", "operators"
+        )
 
     @property
     def dim(self) -> int:
@@ -135,32 +115,12 @@ class HmmModel:
     description: str | None = None
 
     def __post_init__(self):
-        self.alphabet = tuple(str(s) for s in self.alphabet)
-        if not self.alphabet:
-            raise ValidationError("alphabet is empty")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValidationError("alphabet contains duplicate symbols")
-        p = np.array(self.init, dtype=float).reshape(-1)
-        n = p.size
-        if n == 0:
+        self.init = _frozen(self.init, float, "init").reshape(-1)
+        if self.init.size == 0:
             raise ValidationError("init vector is empty")
-        mats = {}
-        for s in self.alphabet:
-            if s not in self.transition_emission:
-                raise ValidationError(f"missing matrix for symbol {s!r}")
-            m = np.array(self.transition_emission[s], dtype=float)
-            if m.shape != (n, n):
-                raise ValidationError(
-                    f"matrix for {s!r} must be {n}x{n}, got {m.shape}"
-                )
-            m.setflags(write=False)
-            mats[s] = m
-        extra = set(self.transition_emission) - set(self.alphabet)
-        if extra:
-            raise ValidationError(f"matrices for symbols outside alphabet: {sorted(extra)}")
-        p.setflags(write=False)
-        self.transition_emission = mats
-        self.init = p
+        self.alphabet, self.transition_emission = _frozen_symbol_matrices(
+            self.alphabet, self.transition_emission, self.init.size, "matrix", "matrices"
+        )
 
     @property
     def n_states(self) -> int:
@@ -219,17 +179,46 @@ class StationarityReport:
 # ``NcOomModel.op_per_basis``) with an init vector and an eval covector.
 
 
+def _frozen(x, dtype, what: str) -> np.ndarray:
+    """``x`` as a new read-only array of finite entries, named ``what`` in errors."""
+    a = np.array(x, dtype=dtype)
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} has a non-finite entry")
+    a.setflags(write=False)
+    return a
+
+
 def _frozen_vectors(init, eval, dtype) -> tuple:
-    """``init`` and ``eval`` as read-only flat arrays of one nonzero length."""
-    v = np.array(init, dtype=dtype).reshape(-1)
-    l = np.array(eval, dtype=dtype).reshape(-1)
+    """``init`` and ``eval`` as read-only finite flat arrays of one nonzero length."""
+    v = _frozen(init, dtype, "init").reshape(-1)
+    l = _frozen(eval, dtype, "eval").reshape(-1)
     if v.size == 0:
         raise ValidationError("init vector is empty")
     if l.size != v.size:
         raise ValidationError(f"eval has length {l.size}, init has length {v.size}")
-    v.setflags(write=False)
-    l.setflags(write=False)
     return v, l
+
+
+def _frozen_symbol_matrices(alphabet, matrices: Mapping, d: int, noun: str, nouns: str):
+    """``alphabet`` as a tuple of distinct strings, and ``matrices`` as a dict
+    of read-only finite ``d x d`` float arrays in alphabet order, one per
+    symbol; ``noun`` and its plural ``nouns`` name them in errors."""
+    alphabet = tuple(str(s) for s in alphabet)
+    if not alphabet:
+        raise ValidationError("alphabet is empty")
+    if len(set(alphabet)) != len(alphabet):
+        raise ValidationError("alphabet contains duplicate symbols")
+    out = {}
+    for s in alphabet:
+        if s not in matrices:
+            raise ValidationError(f"missing {noun} for symbol {s!r}")
+        out[s] = _frozen(matrices[s], float, f"{noun} for {s!r}")
+        if out[s].shape != (d, d):
+            raise ValidationError(f"{noun} for {s!r} must be {d}x{d}, got {out[s].shape}")
+    extra = set(matrices) - set(alphabet)
+    if extra:
+        raise ValidationError(f"{nouns} for symbols outside alphabet: {sorted(extra)}")
+    return alphabet, out
 
 
 def _require_nonnegative(**values: int) -> None:
@@ -241,6 +230,15 @@ def _require_nonnegative(**values: int) -> None:
 
 def _within_budget(values: int, held: int) -> bool:
     return values <= MAX_VALUES and held <= MAX_HELD
+
+
+def _deepest(l_val: int, cost) -> int:
+    """``l_val``, or the deepest depth below it whose ``cost(depth)``, a pair
+    of values and held entries, fits the budget."""
+    depth = 0
+    while depth < l_val and _within_budget(*cost(depth + 1)):
+        depth += 1
+    return depth
 
 
 def _budget(what: str, values: int, held: int) -> None:
@@ -382,9 +380,7 @@ def validate_oom(
     ``-neg_tol``. A pass certifies nonnegativity only up to that depth.
     """
     _require_nonnegative(l_val=l_val)
-    depth = 0
-    while depth < l_val and _within_budget(*_scan_cost(len(m.alphabet), m.dim, depth + 1)):
-        depth += 1
+    depth = _deepest(l_val, lambda n: _scan_cost(len(m.alphabet), m.dim, n))
     c1 = abs(float(m.eval @ m.init) - 1.0)
     c2 = float(np.max(np.abs(m.eval @ m.operator_sum - m.eval)))
     most_negative = _split_scan(m.operator_stack, m.init, m.eval, depth)[0]

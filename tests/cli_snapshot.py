@@ -14,8 +14,11 @@ sampler and the clustering at more than toy size, ``dim --max-level 8`` on a
 operator-algebra model, and ``validate`` and ``nc-dim`` on a signed mixture
 of two qubit product states that is positive on one site and not on two, so
 that both exit 1, and ``validate`` on a model file with a ``NaN`` entry and
-``eval`` on one with a 400-digit integer entry, which are schema errors. It
-writes one file per case into an output directory:
+``eval`` on one with a 400-digit integer entry, which are schema errors,
+``validate`` on an operator-algebra mixture of two ``qubit_product`` parts and
+``nc-eval --require-positive`` on ``bernoulli05``; together the cases reach
+every operation that ``test_cli.py`` lists as reachable from the command line.
+It writes one file per case into an output directory:
 the exit code, standard output and standard error, with the wall-clock
 ``runtime:`` line dropped, and for ``experiment run`` the ``points.csv`` it
 wrote (its ``report.json`` equals its standard output). Two checkouts can
@@ -146,6 +149,16 @@ def cases(scratch: str) -> list:
             fh.write('{"type": "oom", "alphabet": ["0", "1"], "dim": 1, "operators": '
                      '{"0": [[%s]], "1": [[0.5]]}, "init": [1.0], "eval": [1.0]}' % literal)
         out.append((f"{kind}__{stem}", [*argv, "--model", path]))
+    qubit = os.path.join(FIXTURES, "qubit_product.json")
+    nc_mixture = os.path.join(scratch, "qubit_mixture.json")
+    with open(nc_mixture, "w", encoding="utf-8") as fh:
+        json.dump({"type": "mixture", "parts": [{"weight": 0.5, "path": qubit}] * 2}, fh)
+    out += [
+        ("validate__qubit_mixture", ["validate", "--model", nc_mixture]),
+        ("nc-eval-positive__bernoulli05",
+         ["nc-eval", "--model", os.path.join(FIXTURES, "bernoulli05.json"),
+          "--word", "1", "--require-positive"]),
+    ]
     return out
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oomlab import ValidationError
 from oomlab.algebra import (
     AlgebraElement,
+    CStarAlgebra,
     basis_elements,
     construct_algebra,
     is_positive,
@@ -33,10 +34,20 @@ def test_construct_mixed_blocks():
     assert construct_algebra([2, 1]).total_dim == 5
 
 
-@pytest.mark.parametrize("bad", [[], [0], [2, -1], [1.5]])
+@pytest.mark.parametrize(
+    "bad", [[], [0], [2, -1], [1.5], [2.5, True], [True], [np.float64(2.0)], ["2"]]
+)
 def test_construct_rejects_bad_dims(bad):
     with pytest.raises(ValidationError):
         construct_algebra(bad)
+    with pytest.raises(ValidationError):
+        CStarAlgebra(tuple(bad))
+
+
+def test_block_sizes_become_python_ints():
+    a = CStarAlgebra((np.int64(2), 1))
+    assert a.block_dims == (2, 1) and {type(d) for d in a.block_dims} == {int}
+    assert a == construct_algebra([2, 1])
 
 
 def test_unit_element_commutative():

@@ -1,12 +1,16 @@
+import importlib
+import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import oomlab as ol
-from oomlab.cli import COMMANDS, OPERATION_COVERAGE, build_parser, main
+from oomlab.cli import build_parser, main
 from oomlab.model_io import save_model, serialize_model
 
+import cli_snapshot
 from conftest import fixture_path
 from curated import signed_qubit_mixture
 
@@ -596,11 +600,13 @@ def test_subcommand_set_is_exactly_the_interface():
     sub = next(
         a for a in parser._actions if isinstance(a, type(parser._subparsers._group_actions[0]))
     )
-    assert set(sub.choices) == set(COMMANDS)
-    assert set(OPERATION_COVERAGE) == set(COMMANDS)
+    assert set(sub.choices) == {
+        "validate", "eval", "dim", "minimize", "causal", "nc-eval", "nc-dim", "experiment",
+        "sample",
+    }
 
 
-def test_every_public_operation_reachable_from_cli():
+def test_every_public_operation_reachable_from_cli(monkeypatch, tmp_path):
     operations = {
         # algebra
         "construct_algebra", "unit_element", "is_positive", "basis_elements",
@@ -608,8 +614,7 @@ def test_every_public_operation_reachable_from_cli():
         "validate_oom", "word_probability", "hmm_to_oom", "mixture_direct_sum",
         "stationarity_check", "sample_trajectory",
         # dimension
-        "apply_tau", "build_hankel", "numerical_rank", "process_dimension",
-        "minimize_oom", "equivalent",
+        "build_hankel", "numerical_rank", "process_dimension", "minimize_oom", "equivalent",
         # causal states
         "predictive_distribution", "enumerate_causal_states",
         "statistical_complexity", "topological_complexity", "causal_span_rank",
@@ -621,8 +626,30 @@ def test_every_public_operation_reachable_from_cli():
         # persistence and dispatch
         "parse_model_file", "dispatch",
     }
-    covered = set()
-    for ops in OPERATION_COVERAGE.values():
-        covered.update(ops)
-    missing = operations - covered
+    # wrap each public function wherever an oomlab module binds it, as the
+    # benchmark's tracer does, and record which ones the snapshot cases call
+    called = set()
+    public = {}
+    for layer in ("oom", "dimension", "causal", "algebra", "ncoom", "experiments",
+                  "model_io", "cli"):
+        mod = importlib.import_module(f"oomlab.{layer}")
+        for name, fn in vars(mod).items():
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and name[0] != "_":
+                public[id(fn)] = name, fn
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for mod_name, holder in list(sys.modules.items()):
+        if mod_name == "oomlab" or mod_name.startswith("oomlab."):
+            for attr, obj in list(vars(holder).items()):
+                if id(obj) in public:
+                    monkeypatch.setattr(holder, attr, recording(*public[id(obj)]))
+    for _, argv in cli_snapshot.cases(str(tmp_path)):
+        cli_snapshot.run_case(argv)
+    missing = operations - called
     assert not missing, f"operations not reachable from any subcommand: {sorted(missing)}"

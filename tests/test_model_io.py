@@ -199,6 +199,103 @@ def test_bad_shape_messages(tmp_path, matrix, message):
     assert str(err.value) == message
 
 
+_I2 = [[0.5, 0.0], [0.0, 0.5]]
+_BASES = {
+    "oom": _BASE,
+    "hmm": {"type": "hmm", "alphabet": ["0", "1"], "n_states": 2,
+            "transition_emission": {"0": _I2, "1": _I2}, "init": [1.0, 0.0]},
+    "ncoom": {"type": "ncoom", "algebra": {"blocks": [2]}, "dim": 1,
+              "op_per_basis": [[[[0.8, 0.0]]], [[[0.0, 0.0]]], [[[0.0, 0.0]]], [[[0.2, 0.0]]]],
+              "init": [[1.0, 0.0]], "eval": [[1.0, 0.0]]},
+}
+_MISSING = object()
+_BLOCKS = 'field "algebra.blocks" must be a non-empty list of positive integers'
+_OPS_COUNT = 'field "op_per_basis" must list {} matrices (one per basis element)'
+
+
+def _missing(kind, *fields):
+    return [(kind, f, _MISSING, f'missing field "{f}" in model file m.json') for f in fields]
+
+
+# every structural schema message of each model file type, with its field
+@pytest.mark.parametrize(
+    "kind, field, value, message",
+    [
+        *_missing("oom", "type", "alphabet", "dim", "operators", "init", "eval"),
+        ("oom", "alphabet", [], 'field "alphabet" must be a non-empty list of strings'),
+        ("oom", "alphabet", ["0", 1], 'field "alphabet" must be a non-empty list of strings'),
+        ("oom", "dim", 2.0, 'field "dim" must be an integer'),
+        ("oom", "dim", True, 'field "dim" must be an integer'),
+        ("oom", "dim", 0, 'field "dim" must be a positive integer'),
+        ("oom", "operators", [_I2, _I2],
+         'field "operators" must have exactly one matrix per alphabet symbol'),
+        ("oom", "operators", {"0": _I2},
+         'field "operators" must have exactly one matrix per alphabet symbol'),
+        ("oom", "operators", {"0": _I2, "1": _I2, "2": _I2},
+         'field "operators" must have exactly one matrix per alphabet symbol'),
+        ("oom", "operators", {"0": [[0.5]], "1": _I2},
+         """field "operators['0']" must be a 2x2 row-major matrix"""),
+        ("oom", "init", [1.0], 'field "init" must be a list of 2 numbers'),
+        ("oom", "eval", 1.0, 'field "eval" must be a list of 2 numbers'),
+        ("oom", "name", 3, 'field "name" must be a string'),
+        ("oom", "description", ["x"], 'field "description" must be a string'),
+        ("oom", "n_states", 2, "unknown field(s) 'n_states' in model file m.json"),
+        *_missing("hmm", "alphabet", "n_states", "transition_emission", "init"),
+        ("hmm", "alphabet", "01", 'field "alphabet" must be a non-empty list of strings'),
+        ("hmm", "n_states", "2", 'field "n_states" must be an integer'),
+        ("hmm", "n_states", -1, 'field "n_states" must be a positive integer'),
+        ("hmm", "transition_emission", [_I2, _I2],
+         'field "transition_emission" must have exactly one matrix per alphabet symbol'),
+        ("hmm", "transition_emission", {"0": _I2},
+         'field "transition_emission" must have exactly one matrix per alphabet symbol'),
+        ("hmm", "transition_emission", {"0": _I2, "1": [[0.5, 0.0]]},
+         """field "transition_emission['1']" must be a 2x2 row-major matrix"""),
+        ("hmm", "init", [1.0, 0.0, 0.0], 'field "init" must be a list of 2 numbers'),
+        ("hmm", "eval", [1.0, 1.0], "unknown field(s) 'eval' in model file m.json"),
+        *_missing("ncoom", "algebra", "dim", "op_per_basis", "init", "eval"),
+        ("ncoom", "algebra", [2], 'field "algebra" must be an object like {"blocks": [2, 1]}'),
+        ("ncoom", "algebra", {"blocks": [2], "x": 1},
+         "unknown field(s) 'x' in model file m.json, field \"algebra\""),
+        ("ncoom", "algebra", {}, _BLOCKS),
+        ("ncoom", "algebra", {"blocks": []}, _BLOCKS),
+        ("ncoom", "algebra", {"blocks": 2}, _BLOCKS),
+        ("ncoom", "algebra", {"blocks": [0]}, _BLOCKS),
+        ("ncoom", "algebra", {"blocks": [True]}, _BLOCKS),
+        ("ncoom", "algebra", {"blocks": [1.5]}, _BLOCKS),
+        ("ncoom", "algebra", {"blocks": [1, 1]}, _OPS_COUNT.format(2)),
+        ("ncoom", "dim", 0, 'field "dim" must be a positive integer'),
+        ("ncoom", "op_per_basis", [[[[0.8, 0.0]]]] * 3, _OPS_COUNT.format(4)),
+        ("ncoom", "op_per_basis", {"0": [[[0.8, 0.0]]]}, _OPS_COUNT.format(4)),
+        ("ncoom", "op_per_basis", [[[[0.8, 0.0]]]] * 3 + [[[0.2, 0.0]]],
+         'field "op_per_basis[3]" must be a 1x1 matrix of [re, im] pairs'),
+        ("ncoom", "init", [[1.0, 0.0], [0.0, 0.0]],
+         'field "init" must be a list of 1 [re, im] pairs'),
+        ("ncoom", "eval", [1.0], 'field "eval" must hold complex numbers as [re, im] pairs'),
+        ("ncoom", "alphabet", ["0"], "unknown field(s) 'alphabet' in model file m.json"),
+    ],
+)
+def test_structural_schema_messages(tmp_path, kind, field, value, message):
+    data = json.loads(json.dumps(_BASES[kind]))
+    if value is _MISSING:
+        del data[field]
+    else:
+        data[field] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    for validate in (True, False):
+        with pytest.raises(SchemaError) as err:
+            parse_model_file(path, validate=validate)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", _BASES)
+def test_structural_schema_bases_round_trip(tmp_path, kind):
+    # each case above differs from a valid file in its one field
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_BASES[kind]))
+    assert serialize_model(parse_model_file(path)) == _BASES[kind]
+
+
 # the literals json reads as NaN or +-inf, and an integer beyond the float range
 _LITERALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "1e400": "1e400",
              "-1e400": "-1e400", "int400": "1" + "0" * 400}

@@ -210,6 +210,42 @@ def test_mixture_weights_nan_or_inf_rejected(weights):
         ol.mixture_direct_sum(parts)
 
 
+_HALF = 0.5 * np.eye(2)
+
+
+def _with(x):
+    return [[0.5, 0.0], [x, 0.5]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda x: ol.OomModel(("0", "1"), {"0": _HALF, "1": _HALF}, [0.5, 0.5], [1.0, x]),
+         "eval"),
+        (lambda x: ol.OomModel(("0", "1"), {"0": _HALF, "1": _HALF}, [x, 0.5], [1.0, 1.0]),
+         "init"),
+        (lambda x: ol.OomModel(("0", "1"), {"0": _HALF, "1": _with(x)}, [0.5, 0.5], [1.0, 1.0]),
+         "operator for '1'"),
+        (lambda x: ol.HmmModel(("0", "1"), {"0": _HALF, "1": _with(x)}, [0.5, 0.5]),
+         "matrix for '1'"),
+        (lambda x: ol.HmmModel(("0",), {"0": np.eye(2)}, [x, 1.0]), "init"),
+        (lambda x: ol.NcOomModel(ol.construct_algebra([1]), [[[x]]], [1.0], [1.0]),
+         "op_per_basis"),
+        (lambda x: ol.NcOomModel(ol.construct_algebra([1]), [[[1.0]]], [1.0], [complex(1, x)]),
+         "eval"),
+    ],
+)
+def test_non_finite_entries_refused_by_the_constructors(build, field, bad):
+    with pytest.raises(ValidationError, match=rf"^{field} has a non-finite entry$"):
+        build(bad)
+
+
+def test_nan_probability_refused_by_iid():
+    with pytest.raises(ValidationError, match="non-finite"):
+        ol.iid({"a": np.nan, "b": 1.0})
+
+
 def test_mixture_alphabet_mismatch():
     with pytest.raises(ValidationError, match="alphabet"):
         ol.mixture_direct_sum(
