@@ -124,7 +124,10 @@ def apply_tau(m: OomModel, word) -> np.ndarray:
 
 
 def _block_budget(what: str, k: int, d: int, l_past: int, l_future: int) -> None:
-    """Budget a block: its entries, held with the ``d``-wide pasts and futures."""
+    """Budget a block: its entries, held with the ``d``-wide pasts and futures.
+    A negative depth raises ``ValueError``."""
+    if l_past < 0 or l_future < 0:
+        raise ValueError("l_past and l_future must be nonnegative")
     rows, cols = word_count_up_to(k, l_past), word_count_up_to(k, l_future)
     what = f"{what} to depths {l_past} and {l_future}"
     _budget(what, rows * cols, rows * cols + (rows + cols) * d)
@@ -159,8 +162,6 @@ def build_hankel(
     an HMM induces), and its singular values come from the factors unless an
     entry had to be clamped.
     """
-    if l_past < 0 or l_future < 0:
-        raise ValueError("l_past and l_future must be nonnegative")
     m = _classical_model(p)
     _block_budget("Hankel block", len(m.alphabet), m.dim, l_past, l_future)
     h, sv = _model_block(m.operator_stack, m.init, m.eval, l_past, l_future)

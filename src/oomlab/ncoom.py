@@ -291,8 +291,6 @@ def nc_hankel(
     singular values come from the factors of the block, as in
     :func:`~oomlab.dimension.build_hankel`.
     """
-    if l_past < 0 or l_future < 0:
-        raise ValueError("l_past and l_future must be nonnegative")
     td = m.algebra.total_dim
     _block_budget("block", td, m.dim, l_past, l_future)
     h, sv = _model_block(m.op_per_basis, m.init, m.eval, l_past, l_future)

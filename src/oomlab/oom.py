@@ -8,10 +8,15 @@ When the defining conditions hold (unit mass ``l(v) = 1``, mass preservation
 ``l o sum_d T_d = l``, nonnegativity of all word values) these numbers are the
 cylinder probabilities of a stochastic process on one-sided sequences.
 
-Nonnegativity cannot be certified by any finite check; :func:`validate_oom`
-scans all words up to a depth, as do the consistency and stationarity checks,
-in one block of two half-depth stacks (:func:`_split_scan`). A pass is
-therefore necessary, not sufficient. Values in ``[-neg_tol, 0)`` are treated
+Nonnegativity cannot in general be certified by any finite check;
+:func:`validate_oom` scans all words up to a depth, as do the consistency and
+stationarity checks, in one block of two half-depth stacks
+(:func:`_split_scan`). A pass is therefore necessary, not sufficient. Entrywise
+nonnegative parameters are a sufficient certificate: every word value is then
+a sum of products of nonnegative numbers, at every depth. Validation on load
+and the semicontinuity harness accept such a model on its signs and its two
+condition residuals (:func:`_certified`) without the scan; ``oomlab validate``
+still scans. Values in ``[-neg_tol, 0)`` are treated
 as numerical noise and clamped to zero where probabilities are consumed;
 anything below ``-neg_tol`` signals an invalid model and raises. Every word
 enumeration, in every module, states its cost to :func:`_budget` before it
@@ -94,6 +99,12 @@ class OomModel:
     @cached_property
     def operator_sum(self) -> np.ndarray:
         return self.operator_stack.sum(axis=0)
+
+    @cached_property
+    def _nonnegative(self) -> bool:
+        """No negative entry in the operators, ``init`` or ``eval``: then no
+        word value ``l T_w v`` is negative, in floating point too."""
+        return not any((a < 0.0).any() for a in (self.operator_stack, self.init, self.eval))
 
     def __repr__(self):
         return f"OomModel(alphabet={list(self.alphabet)}, dim={self.dim})"
@@ -306,7 +317,8 @@ def _split_scan(ops: np.ndarray, vector, covector, depth: int) -> tuple[float, f
     """Lowest real part and largest magnitude of ``covector T_w vector`` over
     all words with ``|w| <= depth``: the entries of ``S F^T`` for the images
     ``T_u vector``, ``|u| <= ceil(depth / 2)``, and the functionals
-    ``covector T_s``, ``|s| <= floor(depth / 2)``, taken in row chunks."""
+    ``covector T_s``, ``|s| <= floor(depth / 2)``, taken in row chunks. Both
+    are NaN when a value is, as ``0 * inf`` makes it where images overflow."""
     _budget(f"scanning to depth {depth}", *_scan_cost(ops.shape[0], ops.shape[1], depth))
     states = np.vstack(_state_levels(ops, vector, (depth + 1) // 2))
     functionals = np.vstack(_functional_levels(ops, covector, depth // 2)).T
@@ -319,6 +331,8 @@ def _split_scan(ops: np.ndarray, vector, covector, depth: int) -> tuple[float, f
             high = float(np.abs(block).max())
         else:  # the largest magnitude without an abs temporary
             high = max(float(block.max()), -low)
+        if np.isnan(low) or np.isnan(high):  # Python's min and max would drop it
+            return np.nan, np.nan
         lowest, largest = min(lowest, low), max(largest, high)
     return lowest, largest
 
@@ -364,6 +378,21 @@ def _difference(m1: OomModel, m2: OomModel) -> tuple:
 # Operations
 
 
+def _condition_residuals(m: OomModel) -> tuple[float, float]:
+    """``|l(v) - 1|`` and ``max |l sum_d T_d - l|``: how far ``m`` is from
+    unit mass and from mass preservation."""
+    c1 = abs(float(m.eval @ m.init) - 1.0)
+    c2 = float(np.max(np.abs(m.eval @ m.operator_sum - m.eval)))
+    return c1, c2
+
+
+def _certified(m: OomModel) -> bool:
+    """Whether the signs of ``m`` prove it valid at every depth: no negative
+    parameter, and both condition residuals within ``DEFAULT_CONDITION_TOL``.
+    A model that is not certified may still be valid; only a scan can tell."""
+    return m._nonnegative and all(c <= DEFAULT_CONDITION_TOL for c in _condition_residuals(m))
+
+
 def validate_oom(
     m: OomModel,
     l_val: int = 8,
@@ -381,8 +410,7 @@ def validate_oom(
     """
     _require_nonnegative(l_val=l_val)
     depth = _deepest(l_val, lambda n: _scan_cost(len(m.alphabet), m.dim, n))
-    c1 = abs(float(m.eval @ m.init) - 1.0)
-    c2 = float(np.max(np.abs(m.eval @ m.operator_sum - m.eval)))
+    c1, c2 = _condition_residuals(m)
     most_negative = _split_scan(m.operator_stack, m.init, m.eval, depth)[0]
     passed = c1 <= condition_tol and c2 <= condition_tol and most_negative >= -neg_tol
     return ValidationReport(
@@ -419,7 +447,8 @@ def word_probability(p, word, neg_tol: float = DEFAULT_NEG_TOL) -> float:
 
     This is ``l(T_wn ... T_w1 v)`` for a model, or for the model an HMM
     induces; the empty word gives ``l(v)``, which is one for a valid model.
-    Values below ``-neg_tol`` raise :class:`ValidationError`; values in
+    Values below ``-neg_tol``, and non-finite values of a word whose state
+    image overflows, raise :class:`ValidationError`; values in
     ``[-neg_tol, 0)`` are clamped to zero.
 
     Examples
@@ -433,6 +462,10 @@ def word_probability(p, word, neg_tol: float = DEFAULT_NEG_TOL) -> float:
     m = _classical_model(p)
     w = normalize_word(word, m.alphabet)
     raw = float(m.eval @ _propagate(m, w))
+    if not np.isfinite(raw):
+        raise ValidationError(
+            f"word {w!r} has probability {raw}: its state image overflows the float range"
+        )
     if raw < -neg_tol:
         raise ValidationError(
             f"word {w!r} has probability {raw}, below -neg_tol={-neg_tol}; "
@@ -554,7 +587,7 @@ def sample_trajectory(
     rows = np.vstack([covectors, np.cumsum(covectors, axis=0)])
     fused = [np.vstack([t, rows @ t]) for t in ops]
     # a model without negative entries has no negative conditional
-    signed = any((a < 0.0).any() for a in (ops, m.init, l))
+    signed = not m._nonnegative
     nxt = np.concatenate([m.init, rows @ m.init])
     state, vals = nxt[:d], nxt.tolist()
     # the first k - 1 running sums are bisected; a uniform past them picks the last symbol

@@ -48,6 +48,14 @@ def signed_coin_mixture(q=0.96) -> ol.OomModel:
     return ol.OomModel(("0", "1"), ops, init=[1.2, -0.2], eval=[1.0, 1.0])
 
 
+def overflowing_model() -> ol.OomModel:
+    """A valid model whose second state coordinate overflows: ``l = [1, 0]``
+    reads only the first, exactly ``2^-n`` after n symbols, but ``0 * inf``
+    makes the floating-point value of ``"00"`` NaN."""
+    ops = {"0": [[0.5, 0.0], [1e308, 1e308]], "1": 0.5 * np.eye(2)}
+    return ol.OomModel(("0", "1"), ops, [1.0, 0.0], [1.0, 0.0])
+
+
 def signed_qubit_mixture() -> ol.NcOomModel:
     """``1.5 qp(0.5, 0.5) - 0.5 qp(1, 0)``, with ``qp(a, b)`` the product state
     of ``diag(a, b)``: its value on ``E_00`` tensored n times is

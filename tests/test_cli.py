@@ -12,7 +12,7 @@ from oomlab.model_io import save_model, serialize_model
 
 import cli_snapshot
 from conftest import fixture_path
-from curated import signed_qubit_mixture
+from curated import overflowing_model, signed_qubit_mixture
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +82,18 @@ def test_validate_bad_model_exits_one(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "validate", "--model", str(path))
     assert code == 1
     assert json.loads(out)["validation"]["passed"] is False
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_eval_of_an_overflowing_word_is_a_validation_error(capsys, tmp_path):
+    path = tmp_path / "overflow.json"
+    save_model(overflowing_model(), path)
+    code, out, err = run_cli(capsys, "eval", "--model", str(path), "--word", "00")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: word ('0', '0') has probability nan: "
+        "its state image overflows the float range\n"
+    )
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--seed"])

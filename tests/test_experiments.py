@@ -195,6 +195,23 @@ def test_invalid_family_member_is_refused():
     with pytest.raises(PreconditionError, match="validation"):
         ol.run_semicontinuity(fam, 2)
 
+    # a signed member that meets both conditions but has negative word values
+    signed = signed_coin_mixture()
+    rep = ol.validate_oom(signed)
+    fam = ol.FamilySpec(
+        description="signed",
+        grid=(0.2, 0.1),
+        generator=lambda t: signed if t == 0.1 else ol.bernoulli(0.5),
+    )
+    with pytest.raises(PreconditionError) as err:
+        ol.run_semicontinuity(fam, 2)
+    assert str(err.value) == (
+        "family member at t=0.1 fails validation "
+        f"(c1={rep.condition1_residual:.3e}, c2={rep.condition2_residual:.3e}, "
+        f"min P={rep.most_negative_probability:.3e})"
+    )
+    assert rep.most_negative_probability < 0.0
+
 
 # ---------------------------------------------------------------------------
 # upper bound

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oomlab as ol
 from oomlab import SchemaError, ValidationError, model_io
 from oomlab.model_io import dumps_canonical, parse_model_file, save_model, serialize_model
+from oomlab.oom import _certified, _direct_sum
 
 from conftest import FIXTURES, fixture_path
 from curated import markov2
@@ -74,10 +75,30 @@ def test_float_bits_survive_roundtrip(tmp_path):
     assert back.operators["1"][0, 0] == 1.0 / 3.0  # exact bits via 17 digits
 
 
+def _coin(n_symbols: int) -> ol.OomModel:
+    return ol.iid({str(i): 1 / n_symbols for i in range(n_symbols)})
+
+
+def _signed_coin_mixture(n_symbols: int) -> ol.OomModel:
+    """An even mixture of two different coins, conjugated by a rotation: a
+    valid model with negative operator entries, so its signs certify nothing."""
+    total = n_symbols * (n_symbols + 1) / 2
+    skewed = ol.iid({str(i): (i + 1) / total for i in range(n_symbols)})
+    mix = ol.mixture_direct_sum([(0.5, _coin(n_symbols)), (0.5, skewed)])
+    a = np.array([[1.0, -1.0], [1.0, 1.0]])
+    inv = np.linalg.inv(a)
+    ops = {s: a @ t @ inv for s, t in mix.operators.items()}
+    return ol.OomModel(mix.alphabet, ops, a @ mix.init, mix.eval @ inv)
+
+
 @pytest.mark.parametrize(
     "n_symbols, depth", [(2, 8), (6, 8), (7, 8), (10, 8), (11, 7), (16, 6), (26, 5)]
 )
 def test_checked_depth_on_load(tmp_path, monkeypatch, n_symbols, depth):
+    coin, signed = _coin(n_symbols), _signed_coin_mixture(n_symbols)
+    rep = ol.validate_oom(coin)
+    assert (rep.passed, rep.checked_depth) == (True, depth)
+    assert not _certified(signed)
     reports = []
 
     def recording(model):
@@ -85,11 +106,57 @@ def test_checked_depth_on_load(tmp_path, monkeypatch, n_symbols, depth):
         return reports[-1]
 
     monkeypatch.setattr(model_io, "validate_oom", recording)
-    coin = ol.iid({str(i): 1 / n_symbols for i in range(n_symbols)})
-    path = tmp_path / "coin.json"
-    save_model(coin, path)
-    _assert_oom_equal(parse_model_file(path), coin)
+    for m in (coin, signed):
+        path = tmp_path / "m.json"
+        save_model(m, path)
+        _assert_oom_equal(parse_model_file(path), m)
+    # the nonnegative coin loads on its signs; the signed model is scanned
     assert [(r.passed, r.checked_depth) for r in reports] == [(True, depth)]
+
+
+def _mixed_hmm_models(rng, count: int):
+    """``count`` seeded pairs ``(a, b)`` of induced models of random HMMs over
+    one alphabet, each of one to five states; ``b`` is a mixture every third time."""
+    for i in range(count):
+        alphabet = ("01", "abc", "abcdef")[i % 3]
+        a, b, c = (
+            ol.hmm_to_oom(ol.random_hmm(int(rng.integers(1, 6)), alphabet, rng=rng))
+            for _ in range(3)
+        )
+        if i % 3 == 0:
+            w = float(rng.uniform(0.1, 0.9))
+            b = ol.mixture_direct_sum([(w, b), (1.0 - w, c)])
+        yield a, b
+
+
+def test_sign_certificate_on_seeded_models(tmp_path):
+    rng = np.random.default_rng(1500)
+    refused = 0
+    for i, (a, b) in enumerate(_mixed_hmm_models(rng, 100)):
+        for m in (a, b):
+            assert _certified(m) and ol.validate_oom(m).passed, i
+        # 1.2 P_a - 0.2 P_b: unit mass and mass preservation hold, signs do not
+        parts = [(m.operator_stack, m.init, m.eval) for m in (a, b)]
+        ops, init, evalv = _direct_sum((1.2, -0.2), parts, float)
+        signed = ol.OomModel(a.alphabet, dict(zip(a.alphabet, ops)), init, evalv)
+        assert not _certified(signed), i
+        path = tmp_path / "signed.json"
+        save_model(signed, path)
+        rep = ol.validate_oom(signed)
+        if rep.passed:
+            parse_model_file(path)
+            continue
+        refused += 1
+        with pytest.raises(ValidationError) as err:
+            parse_model_file(path)
+        assert str(err.value) == (
+            "model failed validation: "
+            f"condition-1 residual {rep.condition1_residual:.6e}, "
+            f"condition-2 residual {rep.condition2_residual:.6e}, "
+            f"most negative probability {rep.most_negative_probability:.6e} "
+            f"at depth {rep.checked_depth}"
+        ), i
+    assert refused >= 50, refused  # 88 of the 100
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from oomlab import ResourceLimitError, ValidationError, oom
 from oomlab.oom import _SAMPLE_BLOCK, DEFAULT_NEG_TOL, _classical_model, _split_scan
 from oomlab.processes import stationary_distribution
 
-from curated import markov2
+from curated import markov2, overflowing_model
 from oracles import forward_probability, level_scan
 
 
@@ -661,6 +661,7 @@ def test_validate_scans_to_the_asked_depth_within_the_guard():
         (lambda m: ol.kolmogorov_residual(m, -1), "depth"),
         (lambda m: ol.sample_trajectory(m, -1, 0), "length"),
         (lambda m: ol.build_hankel(m, 2, -1), "l_past and l_future"),
+        (lambda m: ol.nc_hankel(ol.embed_classical(m), -1, 2), "l_past and l_future"),
         (lambda m: ol.equivalent(ol.bernoulli(0.3), ol.bernoulli(0.4), -1), "l"),
         (lambda m: ol.predictive_distribution(m, "0", -1), "horizon"),
         (lambda m: ol.enumerate_causal_states(m, 2, -1), "horizon"),
@@ -669,10 +670,31 @@ def test_validate_scans_to_the_asked_depth_within_the_guard():
         (lambda m: ol.empirical_causal_states(m, 2, -1), "horizon"),
         (lambda m: ol.cylinder_distance(m, ol.bernoulli(0.4), -1), "l"),
     ],
-    ids=["validate", "stationarity", "kolmogorov-model", "sample", "hankel", "equivalent",
-         "predictive", "causal-horizon", "causal-past", "empirical-past", "empirical-horizon",
-         "cylinder"],
+    ids=["validate", "stationarity", "kolmogorov-model", "sample", "hankel", "nc-hankel",
+         "equivalent", "predictive", "causal-horizon", "causal-past", "empirical-past",
+         "empirical-horizon", "cylinder"],
 )
 def test_negative_depths_rejected(check, name):
     with pytest.raises(ValueError, match=rf"^{name} must be nonnegative$"):
         check(ol.bernoulli(0.5))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_overflowing_word_values_are_not_dropped(tmp_path):
+    m = overflowing_model()
+    rep = ol.validate_oom(m)
+    assert not rep.passed and np.isnan(rep.most_negative_probability)
+    assert (rep.condition1_residual, rep.condition2_residual) == (0.0, 0.0)
+    stationarity = ol.stationarity_check(m, 6)
+    assert np.isnan(stationarity.residual) and not stationarity.stationary
+    assert np.isnan(ol.kolmogorov_residual(m, 6))
+    assert ol.word_probability(m, "0") == 0.5
+    with pytest.raises(
+        ValidationError,
+        match=r"^word \('0', '0'\) has probability nan: its state image overflows the float range$",
+    ):
+        ol.word_probability(m, "00")
+    # its signs certify it, so it loads without the scan
+    path = tmp_path / "overflow.json"
+    ol.save_model(m, path)
+    assert ol.parse_model_file(path).operators["0"][1, 0] == 1e308
