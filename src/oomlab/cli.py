@@ -16,6 +16,8 @@ import io
 import os
 import sys
 
+import numpy as np
+
 from .causal import (
     causal_span_rank,
     enumerate_causal_states,
@@ -53,6 +55,7 @@ from .oom import (
     HmmModel,
     OomModel,
     _classical_model,
+    _overflow,
     sample_trajectory,
     stationarity_check,
     validate_hmm,
@@ -103,7 +106,11 @@ def _cmd_validate(args) -> int:
             ).to_dict()
     else:
         nc = isinstance(model, NcOomModel)
-        rep = (validate_ncoom if nc else validate_oom)(model, **depth)
+        with np.errstate(invalid="ignore"):  # a NaN word value is refused below
+            rep = (validate_ncoom if nc else validate_oom)(model, **depth)
+        lowest = rep.most_negative_eigenvalue if nc else rep.most_negative_probability
+        if np.isnan(lowest):  # no report can carry it
+            raise _overflow(f"a word up to length {rep.checked_depth} has a non-finite value")
         report["validation"] = rep.to_dict()
         if args.check_stationarity:
             check = nc_stationarity_check if nc else stationarity_check

@@ -12,13 +12,16 @@ proof.
 For a model the block factors as ``H = S F^T``. The rows of the state stack
 ``S`` are the images ``T_u v`` of the pasts, the rows of the functional stack
 ``F`` are the covectors ``l T_w`` of the futures, and both have only ``d``
-columns. :func:`build_hankel` still forms the block, which is one matrix
-product, and checks its entries for negativity, but takes its singular values
-from the core ``R_S R_F^T`` built from the QR factors of ``S`` and ``F``. The
-core is at most ``d x d`` and has the block's nonzero singular values (Golub &
-Van Loan, *Matrix Computations*, section 5.4); the remaining ones are exact
-zeros. A block with entries in ``[-neg_tol, 0)`` is clamped, no longer equals
-``S F^T``, and is decomposed densely.
+columns. :func:`build_hankel` takes the block's singular values from the core
+``R_S R_F^T`` built from the QR factors of ``S`` and ``F``. The core is at
+most ``d x d`` and has the block's nonzero singular values (Golub & Van Loan,
+*Matrix Computations*, section 5.4); the remaining ones are exact zeros. The
+block itself, one matrix product, is formed only when its entries are read
+or its signs need checking: a model with no negative parameter has no
+negative word value, so its block is formed only when read. A model with one
+has its block formed and checked for negativity; a block with entries in
+``[-neg_tol, 0)`` is clamped, no longer equals ``S F^T``, and is decomposed
+densely. A word value that overflows the float range is refused.
 
 Each level also records its rank-decision margin: the smallest kept and the
 largest dropped singular value, both relative to the largest. When the kept
@@ -39,7 +42,8 @@ words, and the tolerance bounds those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +57,7 @@ from .oom import (
     _classical_model,
     _difference,
     _functional_levels,
+    _overflow,
     _propagate,
     _require_nonnegative,
     _state_levels,
@@ -71,16 +76,39 @@ class HankelBlock:
     ``matrix[i, j]`` is the probability (or state value, in the operator-
     algebra setting, where entries are complex and index tuples enumerate
     basis elements) of the concatenation ``pasts[i] + futures[j]``.
+
+    The block keeps its factors: ``states`` holds the images of the pasts,
+    ``functionals`` the covectors of the futures, over ``symbols`` to depths
+    ``l_past`` and ``l_future``. ``matrix`` is ``states @ functionals.T``,
+    formed when first read unless the block was formed when built, and the
+    word lists are likewise listed when first read; ``shape`` forms neither.
     """
 
-    pasts: list
-    futures: list
-    matrix: np.ndarray
+    states: np.ndarray
+    functionals: np.ndarray
+    symbols: tuple
+    l_past: int
+    l_future: int
     singular_values: np.ndarray
+    formed: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self.formed is None:
+            self.formed = self.states @ self.functionals.T
+        return self.formed
+
+    @cached_property
+    def pasts(self) -> list:
+        return words_up_to(self.symbols, self.l_past)
+
+    @cached_property
+    def futures(self) -> list:
+        return words_up_to(self.symbols, self.l_future)
 
     @property
     def shape(self) -> tuple:
-        return self.matrix.shape
+        return self.states.shape[0], self.functionals.shape[0]
 
 
 @dataclass
@@ -133,18 +161,25 @@ def _block_budget(what: str, k: int, d: int, l_past: int, l_future: int) -> None
     _budget(what, rows * cols, rows * cols + (rows + cols) * d)
 
 
-def _model_block(ops, init, eval, l_past: int, l_future: int) -> tuple:
-    """Block ``S F^T`` of the state images of all words up to ``l_past``
-    against the functionals of all words up to ``l_future``, both over
-    ``ops``, with its singular values. These come from the core
-    ``R_S R_F^T`` and are padded with exact zeros to the block's size."""
+def _model_block(ops, init, eval, symbols, l_past: int, l_future: int) -> HankelBlock:
+    """Block of the state images of all words over ``symbols`` up to
+    ``l_past`` against the functionals of all words up to ``l_future``, both
+    over ``ops``, unformed. Its singular values come from the core
+    ``R_S R_F^T`` and are padded with exact zeros to the block's size. A
+    factor or core that is not finite raises :class:`ValidationError`."""
     states = np.vstack(_state_levels(ops, init, l_past))
     functionals = np.vstack(_functional_levels(ops, eval, l_future))
-    h = states @ functionals.T
-    core = np.linalg.qr(states, mode="r") @ np.linalg.qr(functionals, mode="r").T
-    sv = np.zeros(min(h.shape))
+    if not (
+        np.isfinite(states).all()
+        and np.isfinite(functionals).all()
+        and np.isfinite(
+            core := np.linalg.qr(states, mode="r") @ np.linalg.qr(functionals, mode="r").T
+        ).all()
+    ):
+        raise _overflow(f"a word up to length {l_past + l_future} has a non-finite value")
+    sv = np.zeros(min(states.shape[0], functionals.shape[0]))
     sv[: min(core.shape)] = np.linalg.svd(core, compute_uv=False)
-    return h, sv
+    return HankelBlock(states, functionals, tuple(symbols), l_past, l_future, sv)
 
 
 def build_hankel(
@@ -157,19 +192,23 @@ def build_hankel(
     length <= l_future, in length-then-lexicographic order, with its
     singular values.
 
-    The block is one matrix product between the state images of the pasts
-    and the linear functionals of the futures of the model (or of the model
-    an HMM induces), and its singular values come from the factors unless an
-    entry had to be clamped.
+    The block factors into the state images of the pasts and the linear
+    functionals of the futures of the model (or of the model an HMM induces),
+    and its singular values come from the factors. The block is formed here,
+    one matrix product, only when the model has a negative parameter, since
+    only then can an entry be negative; an entry in ``[-neg_tol, 0)`` is
+    clamped and the clamped block decomposed densely. Otherwise it is formed
+    when its ``matrix`` is first read.
     """
     m = _classical_model(p)
     _block_budget("Hankel block", len(m.alphabet), m.dim, l_past, l_future)
-    h, sv = _model_block(m.operator_stack, m.init, m.eval, l_past, l_future)
-    clamped = _clamp_probabilities(h, neg_tol, "Hankel entry")
-    if clamped is not h:  # a clamped block no longer factors
-        sv = np.linalg.svd(clamped, compute_uv=False)
-    pasts, futures = words_up_to(m.alphabet, l_past), words_up_to(m.alphabet, l_future)
-    return HankelBlock(pasts=pasts, futures=futures, matrix=clamped, singular_values=sv)
+    block = _model_block(m.operator_stack, m.init, m.eval, m.alphabet, l_past, l_future)
+    if not m._nonnegative:
+        clamped = _clamp_probabilities(block.matrix, neg_tol, "Hankel entry")
+        if clamped is not block.matrix:  # a clamped block no longer factors
+            block.formed = clamped
+            block.singular_values = np.linalg.svd(clamped, compute_uv=False)
+    return block
 
 
 def numerical_rank(singular_values, tol_rel: float = DEFAULT_RANK_TOL) -> int:

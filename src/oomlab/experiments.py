@@ -12,6 +12,7 @@ mutual singularity its formula needs (see :func:`run_additivity`).
 
 from __future__ import annotations
 
+import math
 import time
 from itertools import combinations
 from dataclasses import asdict, dataclass
@@ -31,6 +32,7 @@ from .oom import (
     _certified,
     _classical_model,
     _difference,
+    _overflow,
     _require_nonnegative,
     _split_scan,
     hmm_to_oom,
@@ -92,8 +94,8 @@ def cylinder_distance(p, q, l: int) -> float:
     the chosen depth, the sense of convergence in which dimension is lower
     semi-continuous. It is the largest magnitude of the split scan of the
     difference model of ``p`` and ``q``, the direct sum with the second eval
-    negated. A word value of either below ``-neg_tol`` raises
-    :class:`ValidationError`.
+    negated. A word value of either below ``-neg_tol``, or a non-finite value
+    where a state image overflows, raises :class:`ValidationError`.
     """
     _require_nonnegative(l=l)
     models = [_classical_model(p), _classical_model(q)]
@@ -101,11 +103,16 @@ def cylinder_distance(p, q, l: int) -> float:
         raise ValidationError("alphabet mismatch")
     for m in models:
         lowest = _split_scan(m.operator_stack, m.init, m.eval, l)[0]
+        if math.isnan(lowest):  # the comparison below is false for NaN
+            raise _overflow(f"a word up to length {l} has probability nan")
         if lowest < -DEFAULT_NEG_TOL:
             raise ValidationError(
                 f"a word up to length {l} has probability {lowest}, below -neg_tol"
             )
-    return _split_scan(*_difference(*models), l)[1]
+    largest = _split_scan(*_difference(*models), l)[1]
+    if not math.isfinite(largest):
+        raise _overflow(f"a word up to length {l} has a difference of {largest}")
+    return largest
 
 
 def _require_stationary(m: OomModel, level: int, tol: float, what: str):

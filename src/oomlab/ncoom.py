@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Sequence
 
 import numpy as np
@@ -67,7 +67,7 @@ from .errors import ValidationError
 from .oom import DEFAULT_CONDITION_TOL, DEFAULT_NEG_TOL, OomModel, _direct_sum
 from .oom import _deepest, _frozen, _frozen_vectors, _functional_levels, _mixture_weights
 from .oom import _require_nonnegative, _split_scan, _state_levels
-from .words import word_count_up_to, words_up_to
+from .words import word_count_up_to
 
 DEFAULT_IMAG_TOL = 1e-9
 
@@ -209,7 +209,8 @@ def validate_ncoom(
     depth below it whose values and eigenvalue work fit the budget. Reported
     are the largest entry of ``|rho_n - rho_n^*|`` over all densities and the
     lowest eigenvalue of their Hermitian parts, for a commutative algebra the
-    lowest word value. The verdict passes iff the conditions are within
+    lowest word value; both are NaN when a value is not finite, as where state
+    images overflow. The verdict passes iff the conditions are within
     ``condition_tol``, the defect within ``imag_tol`` and no eigenvalue is
     below ``-neg_tol``; a pass certifies positivity up to ``checked_depth``.
     """
@@ -218,12 +219,14 @@ def validate_ncoom(
     c1 = abs(complex(m.eval @ m.init) - 1.0)
     c2 = float(np.max(np.abs(m.eval @ m.unit_operator - m.eval)))
     lowest, defect = np.inf, 0.0
-    for n in range(depth + 1):
-        for phi in _densities(m, n):
-            adjoint = phi.conj().swapaxes(1, 2)
-            defect = max(defect, float(np.abs(phi - adjoint).max()))
-            # phi's Hermitian part is rho's conjugated, with the same spectrum
-            lowest = min(lowest, float(np.linalg.eigvalsh(0.5 * (phi + adjoint))[:, 0].min()))
+    for phi in chain.from_iterable(_densities(m, n) for n in range(depth + 1)):
+        if not np.isfinite(phi).all():  # Python's min and max would drop a NaN
+            lowest = defect = np.nan
+            break
+        adjoint = phi.conj().swapaxes(1, 2)
+        defect = max(defect, float(np.abs(phi - adjoint).max()))
+        # phi's Hermitian part is rho's conjugated, with the same spectrum
+        lowest = min(lowest, float(np.linalg.eigvalsh(0.5 * (phi + adjoint))[:, 0].min()))
     passed = max(c1, c2) <= condition_tol and lowest >= -neg_tol and defect <= imag_tol
     return NcValidationReport(
         condition1_residual=float(c1),
@@ -289,18 +292,12 @@ def nc_hankel(
     evaluated on the concatenated tensor, row factors first. For an embedded
     classical model this is entrywise the classical probability block. The
     singular values come from the factors of the block, as in
-    :func:`~oomlab.dimension.build_hankel`.
+    :func:`~oomlab.dimension.build_hankel`. No entry is clamped, so the block
+    is formed only when its ``matrix`` is first read.
     """
     td = m.algebra.total_dim
     _block_budget("block", td, m.dim, l_past, l_future)
-    h, sv = _model_block(m.op_per_basis, m.init, m.eval, l_past, l_future)
-    basis = tuple(range(td))
-    return HankelBlock(
-        pasts=words_up_to(basis, l_past),
-        futures=words_up_to(basis, l_future),
-        matrix=h,
-        singular_values=sv,
-    )
+    return _model_block(m.op_per_basis, m.init, m.eval, range(td), l_past, l_future)
 
 
 def nc_process_dimension(

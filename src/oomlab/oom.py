@@ -261,10 +261,18 @@ def _budget(what: str, values: int, held: int) -> None:
         )
 
 
+def _overflow(what: str) -> ValidationError:
+    """The refusal of a non-finite word value, which ``what`` names: floating
+    point evaluation overflowed, whatever the process's values are."""
+    return ValidationError(f"{what}: its state image overflows the float range")
+
+
 def _clamp_probabilities(h: np.ndarray, neg_tol: float, what: str) -> np.ndarray:
     """``h`` with its entries in ``[-neg_tol, 0)`` set to zero: ``h`` itself
-    when it has none. An entry below ``-neg_tol`` raises."""
+    when it has none. An entry below ``-neg_tol``, or NaN, raises."""
     worst = float(h.min()) if h.size else 0.0
+    if np.isnan(worst):  # the comparison below is false for NaN
+        raise _overflow(f"a {what} is nan")
     if worst < -neg_tol:
         raise ValidationError(
             f"{what} {worst} below -neg_tol={-neg_tol}; "
@@ -463,9 +471,7 @@ def word_probability(p, word, neg_tol: float = DEFAULT_NEG_TOL) -> float:
     w = normalize_word(word, m.alphabet)
     raw = float(m.eval @ _propagate(m, w))
     if not np.isfinite(raw):
-        raise ValidationError(
-            f"word {w!r} has probability {raw}: its state image overflows the float range"
-        )
+        raise _overflow(f"word {w!r} has probability {raw}")
     if raw < -neg_tol:
         raise ValidationError(
             f"word {w!r} has probability {raw}, below -neg_tol={-neg_tol}; "

@@ -13,7 +13,9 @@ sampler and the clustering at more than toy size, ``dim --max-level 8`` on a
 --check-stationarity`` on a phase-locked 2-cycle embedded as an
 operator-algebra model, and ``validate`` and ``nc-dim`` on a signed mixture
 of two qubit product states that is positive on one site and not on two, so
-that both exit 1, and ``validate`` on a model file with a ``NaN`` entry and
+that both exit 1, ``dim --max-level 3`` and ``validate`` on a valid model
+whose state images overflow, which both refuse its NaN word values, and
+``validate`` on a model file with a ``NaN`` entry and
 ``eval`` on one with a 400-digit integer entry, which are schema errors,
 ``validate`` on an operator-algebra mixture of two ``qubit_product`` parts and
 ``nc-eval --require-positive`` on ``bernoulli05``; together the cases reach
@@ -42,6 +44,7 @@ import tempfile
 
 from oomlab import (
     NcOomModel,
+    OomModel,
     construct_algebra,
     embed_classical,
     hmm_to_oom,
@@ -125,6 +128,10 @@ def cases(scratch: str) -> list:
     signed = NcOomModel(construct_algebra([2]), [[[0.5, 0.0], [0.0, 1.0]], zero, zero,
                                                  [[0.5, 0.0], [0.0, 0.0]]],
                         init=[1.5, -0.5], eval=[1.0, 1.0])
+    # a fair coin whose second state coordinate overflows, so that the float
+    # value of "00" is 0 * inf
+    overflow = OomModel(("0", "1"), {"0": [[0.5, 0.0], [1e308, 1e308]],
+                                     "1": [[0.5, 0.0], [0.0, 0.5]]}, [1.0, 0.0], [1.0, 0.0])
     for kind, stem, model, argv in (
         ("dim", "hmm20_rng1", hmm20, ["dim", "--max-level", "8"]),
         ("minimize", "hmm12_rng0", hmm_to_oom(random_hmm(12, "01", rng=0)), ["minimize"]),
@@ -135,6 +142,8 @@ def cases(scratch: str) -> list:
          ["validate", "--check-stationarity"]),
         ("validate", "signed_qubit_mix", signed, ["validate"]),
         ("nc-dim", "signed_qubit_mix", signed, ["nc-dim", "--max-level", "2"]),
+        ("dim", "overflow", overflow, ["dim", "--max-level", "3"]),
+        ("validate", "overflow", overflow, ["validate"]),
     ):
         path = os.path.join(scratch, stem + ".json")
         save_model(model, path)

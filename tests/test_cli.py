@@ -96,6 +96,27 @@ def test_eval_of_an_overflowing_word_is_a_validation_error(capsys, tmp_path):
     )
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "argv, embed, message",
+    [
+        (["dim", "--max-level", "3"], False, "a word up to length 4 has a non-finite value"),
+        (["validate"], False, "a word up to length 8 has a non-finite value"),
+        (["validate", "--check-stationarity"], False,
+         "a word up to length 8 has a non-finite value"),
+        (["validate"], True, "a word up to length 4 has a non-finite value"),
+    ],
+    ids=["dim", "validate", "validate-stationarity", "validate-embedded"],
+)
+def test_overflowing_model_is_refused_by_name(capsys, tmp_path, argv, embed, message):
+    path = tmp_path / "overflow.json"
+    model = overflowing_model()
+    save_model(ol.embed_classical(model) if embed else model, path)
+    code, out, err = run_cli(capsys, *argv, "--model", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}: its state image overflows the float range\n"
+
+
 @pytest.mark.parametrize("flag", ["--samples", "--seed"])
 def test_validate_has_no_sampling_flags(capsys, flag):
     code, out, err = run_cli(

@@ -1,14 +1,18 @@
 from fractions import Fraction
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oomlab as ol
 from oomlab import ResourceLimitError, ValidationError
 from oomlab.dimension import MIN_RANK_MARGIN
+from oomlab.oom import _clamp_probabilities, _functional_levels, _state_levels
 
 from conftest import fixture_path
-from curated import curated_suite, markov2, markov3, mixture_2bern, signed_coin_mixture
+from curated import curated_suite, markov2, markov3, mixture_2bern, overflowing_model
+from curated import signed_coin_mixture
 from oracles import (
     RationalBernoulli,
     RationalMarkovChain,
@@ -465,6 +469,7 @@ def test_negative_noise_levels_are_clamped_like_the_dense_block():
 _NEGATIVE = "Hankel entry {} below -neg_tol={}; the model does not generate a probability distribution"
 _BUDGET = ("{} would take {} values and hold {} entries; "
            "the budget is 134217728 values and 4194304 entries")
+_OVERFLOW = "a word up to length {} has a non-finite value: its state image overflows the float range"
 
 
 @pytest.mark.parametrize(
@@ -481,9 +486,13 @@ _BUDGET = ("{} would take {} values and hold {} entries; "
          _BUDGET.format("Hankel block to depths 11 and 11", 16769025, 16777215)),
         (ol.hmm_to_oom(markov3()), {}, 7, ResourceLimitError,
          _BUDGET.format("Hankel block to depths 7 and 7", 10758400, 10778080)),
+        # certified, so its block is never formed: its factors are refused
+        (overflowing_model(), {}, 2, ValidationError, _OVERFLOW.format(4)),
     ],
-    ids=["negative", "guard-before-negative", "negative-late", "guard", "guard-3-symbols"],
+    ids=["negative", "guard-before-negative", "negative-late", "guard", "guard-3-symbols",
+         "overflow"],
 )
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_ladder_errors_fire_at_their_level(model, kw, level, kind, message):
     with pytest.raises(kind) as err:
         ol.process_dimension(model, level, **kw)
@@ -497,6 +506,106 @@ def test_operator_algebra_guard_fires_at_its_level():
         ol.nc_process_dimension(m, 11)
     assert str(err.value) == _BUDGET.format("block to depths 11 and 11", 16769025, 16777215)
     ol.nc_process_dimension(m, 10)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_operator_algebra_overflow_fires_at_its_level():
+    m = ol.embed_classical(overflowing_model())
+    with pytest.raises(ValidationError) as err:
+        ol.nc_process_dimension(m, 2)
+    assert str(err.value) == _OVERFLOW.format(4)
+    ol.nc_process_dimension(m, 1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_finite_factors_whose_product_overflows_are_refused():
+    m = ol.OomModel(("0", "1"), {"0": [[1e200]], "1": [[0.5]]}, [1.0], [1.0])
+    assert ol.build_hankel(m, 1, 0).matrix[1, 0] == 1e200
+    with pytest.raises(ValidationError) as err:
+        ol.build_hankel(m, 1, 1)  # P("00") is 1e400
+    assert str(err.value) == _OVERFLOW.format(2)
+
+
+def test_clamp_refuses_nan():
+    h = np.array([[1.0, 0.5], [np.nan, -1e-12]])
+    with pytest.raises(ValidationError) as err:
+        _clamp_probabilities(h, 1e-10, "Hankel entry")
+    assert str(err.value) == "a Hankel entry is nan: its state image overflows the float range"
+
+
+# ---------------------------------------------------------------------------
+# blocks formed when read
+
+
+def _factors(ops, init, evalv, l_past: int, l_future: int) -> tuple:
+    return (np.vstack(_state_levels(ops, init, l_past)),
+            np.vstack(_functional_levels(ops, evalv, l_future)))
+
+
+def _assert_block_equals_dense(block, symbols, s, f, dense):
+    """The block reads exactly as the dense block ``dense`` of factors ``s``
+    and ``f`` over ``symbols``."""
+    assert block.shape == dense.shape
+    assert np.array_equal(block.states, s) and np.array_equal(block.functionals, f)
+    assert np.array_equal(block.matrix, dense)
+    assert block.matrix is block.matrix  # formed once
+    assert block.pasts == ol.words_up_to(symbols, block.l_past)
+    assert block.futures == ol.words_up_to(symbols, block.l_future)
+
+
+@pytest.mark.parametrize("l_past, l_future", [(0, 0), (3, 2), (4, 4)])
+def test_certified_block_is_formed_only_when_read(l_past, l_future):
+    m = ol.hmm_to_oom(ol.random_hmm(5, "01", rng=3))
+    block = ol.build_hankel(m, l_past, l_future)
+    assert block.shape == (2 ** (l_past + 1) - 1, 2 ** (l_future + 1) - 1)
+    assert block.formed is None and "pasts" not in vars(block)  # shape forms neither
+    s, f = _factors(m.operator_stack, m.init, m.eval, l_past, l_future)
+    _assert_block_equals_dense(block, m.alphabet, s, f, s @ f.T)
+
+
+def test_signed_block_is_formed_when_built_and_not_clamped():
+    m = ol.minimize_oom(ol.hmm_to_oom(markov2()))
+    assert not m._nonnegative
+    block = ol.build_hankel(m, 3, 3)
+    assert block.formed is not None  # formed to check its signs
+    s, f = _factors(m.operator_stack, m.init, m.eval, 3, 3)
+    assert (s @ f.T).min() > 0.0
+    _assert_block_equals_dense(block, m.alphabet, s, f, s @ f.T)
+
+
+def test_clamped_block_keeps_its_clamped_matrix():
+    m = ol.minimize_oom(ol.hmm_to_oom(ol.periodic(["0", "1", "2"])))
+    block = ol.build_hankel(m, 2, 2)
+    s, f = _factors(m.operator_stack, m.init, m.eval, 2, 2)
+    raw = s @ f.T
+    assert raw.min() < 0.0
+    clamped = np.where(raw < 0.0, 0.0, raw)
+    _assert_block_equals_dense(block, m.alphabet, s, f, clamped)
+    assert np.array_equal(block.singular_values, np.linalg.svd(clamped, compute_uv=False))
+
+
+@pytest.mark.parametrize("name", ["embedded", "qubit"])
+def test_operator_algebra_block_is_formed_only_when_read(name):
+    if name == "embedded":
+        m = ol.embed_classical(ol.hmm_to_oom(markov3()))
+    else:
+        m = ol.parse_model_file(fixture_path("qubit_product.json"))
+    block = ol.nc_hankel(m, 2, 1)
+    assert block.formed is None
+    s, f = _factors(m.op_per_basis, m.init, m.eval, 2, 1)
+    _assert_block_equals_dense(block, tuple(range(m.algebra.total_dim)), s, f, s @ f.T)
+
+
+def test_certified_ladder_holds_no_dense_block():
+    m = ol.hmm_to_oom(ol.random_hmm(16, "01", rng=0))
+    dense_top = 1023 * 1023 * 8  # the depth-9 block, 8.4 MB
+    tracemalloc.start()
+    try:
+        ol.process_dimension(m, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_top / 8
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import oomlab as ol
 from oomlab import PreconditionError
 from oomlab.processes import stationary_distribution
 
-from curated import curated_suite, markov2, mixture_2bern, signed_coin_mixture
+from curated import curated_suite, markov2, mixture_2bern, overflowing_model, signed_coin_mixture
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +55,40 @@ def test_negative_word_values_raise(first):
     pair = (signed_coin_mixture(), ol.bernoulli(0.5))
     with pytest.raises(ol.ValidationError, match=r"^a word up to length 3 has probability "):
         ol.cylinder_distance(*(pair if first else pair[::-1]), 3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("first", [True, False])
+def test_overflowing_word_values_raise(first):
+    pair = (overflowing_model(), ol.bernoulli(0.5))
+    with pytest.raises(
+        ol.ValidationError,
+        match=r"^a word up to length 4 has probability nan: its state image overflows the float range$",
+    ):
+        ol.cylinder_distance(*(pair if first else pair[::-1]), 4)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_distance_raises():
+    huge = ol.OomModel(("0", "1"), {"0": [[1e200]], "1": [[0.5]]}, [1.0], [1.0])
+    with pytest.raises(
+        ol.ValidationError,
+        match=r"^a word up to length 2 has a difference of inf: its state image overflows",
+    ):
+        ol.cylinder_distance(huge, ol.bernoulli(0.5), 2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("limit", [True, False])
+def test_overflowing_family_member_is_refused(limit):
+    """Certified by its signs, the member reaches the distance scan."""
+    family = ol.FamilySpec(
+        "coin, and one member whose state images overflow",
+        (1.0, 0.5),
+        lambda t: overflowing_model() if t == (0.0 if limit else 0.5) else ol.bernoulli(0.5),
+    )
+    with pytest.raises(ol.ValidationError, match=r"overflows the float range$"):
+        ol.run_semicontinuity(family, 3)
 
 
 def test_distance_alphabet_mismatch():
