@@ -11,12 +11,12 @@ OOMLAB_SEED overrides the default seed 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import math
 import os
 import sys
-
-import numpy as np
 
 from .causal import (
     causal_span_rank,
@@ -55,7 +55,6 @@ from .oom import (
     HmmModel,
     OomModel,
     _classical_model,
-    _overflow,
     sample_trajectory,
     stationarity_check,
     validate_hmm,
@@ -64,6 +63,15 @@ from .oom import (
 )
 from .algebra import is_positive
 from .words import normalize_word
+
+
+def _tolerance(text: str) -> float:
+    """Type of the tolerance options: a finite nonnegative number."""
+    with contextlib.suppress(ValueError):
+        if 0.0 <= (value := float(text)) < math.inf:
+            return value
+    raise argparse.ArgumentTypeError(f"must be a finite nonnegative number, got {text!r}")
+
 
 def _emit(obj) -> None:
     sys.stdout.write(dumps_canonical(obj))
@@ -106,11 +114,7 @@ def _cmd_validate(args) -> int:
             ).to_dict()
     else:
         nc = isinstance(model, NcOomModel)
-        with np.errstate(invalid="ignore"):  # a NaN word value is refused below
-            rep = (validate_ncoom if nc else validate_oom)(model, **depth)
-        lowest = rep.most_negative_eigenvalue if nc else rep.most_negative_probability
-        if np.isnan(lowest):  # no report can carry it
-            raise _overflow(f"a word up to length {rep.checked_depth} has a non-finite value")
+        rep = (validate_ncoom if nc else validate_oom)(model, **depth)
         report["validation"] = rep.to_dict()
         if args.check_stationarity:
             check = nc_stationarity_check if nc else stationarity_check
@@ -268,18 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="probability of a word")
     add_model(p)
     p.add_argument("--word", required=True, help='e.g. 101 or "a,b,a" (empty for the empty word)')
-    p.add_argument("--neg-tol", type=float, default=1e-10, dest="neg_tol")
+    p.add_argument("--neg-tol", type=_tolerance, default=1e-10, dest="neg_tol")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("dim", help="process dimension via the Hankel rank ladder")
     add_model(p)
     p.add_argument("--max-level", type=int, required=True, dest="max_level")
-    p.add_argument("--tol-rel", type=float, default=DEFAULT_RANK_TOL, dest="tol_rel")
+    p.add_argument("--tol-rel", type=_tolerance, default=DEFAULT_RANK_TOL, dest="tol_rel")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("minimize", help="equivalent model of minimal dimension")
     add_model(p)
-    p.add_argument("--tol-rel", type=float, default=DEFAULT_RANK_TOL, dest="tol_rel")
+    p.add_argument("--tol-rel", type=_tolerance, default=DEFAULT_RANK_TOL, dest="tol_rel")
     p.add_argument("--output", default=None, help="write the reduced model here")
     p.set_defaults(func=_cmd_minimize)
 
@@ -287,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(p)
     p.add_argument("--past-len", type=int, required=True, dest="past_len")
     p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--cluster-tol", type=float, default=1e-8, dest="cluster_tol")
-    p.add_argument("--tol-rel", type=float, default=DEFAULT_RANK_TOL, dest="tol_rel")
+    p.add_argument("--cluster-tol", type=_tolerance, default=1e-8, dest="cluster_tol")
+    p.add_argument("--tol-rel", type=_tolerance, default=DEFAULT_RANK_TOL, dest="tol_rel")
     p.add_argument("--stationarity-level", type=int, default=4)
     p.set_defaults(func=_cmd_causal)
 
@@ -302,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nc-dim", help="process dimension of an operator-algebra model")
     add_model(p)
     p.add_argument("--max-level", type=int, required=True, dest="max_level")
-    p.add_argument("--tol-rel", type=float, default=DEFAULT_RANK_TOL, dest="tol_rel")
+    p.add_argument("--tol-rel", type=_tolerance, default=DEFAULT_RANK_TOL, dest="tol_rel")
     p.set_defaults(func=_cmd_nc_dim)
 
     p = sub.add_parser("experiment", help="run a verification harness from a spec file")

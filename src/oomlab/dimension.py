@@ -57,7 +57,7 @@ from .oom import (
     _classical_model,
     _difference,
     _functional_levels,
-    _overflow,
+    _overflow_to,
     _propagate,
     _require_nonnegative,
     _state_levels,
@@ -169,14 +169,11 @@ def _model_block(ops, init, eval, symbols, l_past: int, l_future: int) -> Hankel
     factor or core that is not finite raises :class:`ValidationError`."""
     states = np.vstack(_state_levels(ops, init, l_past))
     functionals = np.vstack(_functional_levels(ops, eval, l_future))
-    if not (
-        np.isfinite(states).all()
-        and np.isfinite(functionals).all()
-        and np.isfinite(
-            core := np.linalg.qr(states, mode="r") @ np.linalg.qr(functionals, mode="r").T
-        ).all()
-    ):
-        raise _overflow(f"a word up to length {l_past + l_future} has a non-finite value")
+    if not (np.isfinite(states).all() and np.isfinite(functionals).all()):
+        raise _overflow_to(l_past + l_future)
+    core = np.linalg.qr(states, mode="r") @ np.linalg.qr(functionals, mode="r").T
+    if not np.isfinite(core).all():
+        raise _overflow_to(l_past + l_future)
     sv = np.zeros(min(states.shape[0], functionals.shape[0]))
     sv[: min(core.shape)] = np.linalg.svd(core, compute_uv=False)
     return HankelBlock(states, functionals, tuple(symbols), l_past, l_future, sv)
@@ -285,6 +282,7 @@ def process_dimension(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite norm is refused
 def _closure_basis(seeds, operators, tol_rel: float, depth: int) -> tuple:
     """Orthonormal basis of the span of the seeds' images under every word of
     length at most ``depth``, and the raw images it admitted.
@@ -297,7 +295,7 @@ def _closure_basis(seeds, operators, tol_rel: float, depth: int) -> tuple:
     earlier ones, and span every image up to ``depth``. At most ``d``
     vectors are admitted in ``d`` dimensions, even at a tolerance that admits
     round-off, so the span is invariant once ``depth`` reaches ``d`` and no
-    more than ``d`` levels are run.
+    more than ``d`` levels are run. A non-finite candidate norm raises.
     """
     dim = seeds[0].shape[0]
     basis: list[np.ndarray] = []
@@ -306,7 +304,9 @@ def _closure_basis(seeds, operators, tol_rel: float, depth: int) -> tuple:
 
     def try_add(vec: np.ndarray) -> bool:
         nonlocal scale
-        scale = max(scale, float(np.linalg.norm(vec)))
+        if not np.isfinite(norm := float(np.linalg.norm(vec))):  # the threshold would be inf
+            raise _overflow_to(depth)
+        scale = max(scale, norm)
         r = vec.astype(float, copy=True)
         for _ in range(2):  # two-pass Gram-Schmidt for numerical safety
             for b in basis:

@@ -12,10 +12,9 @@ mutual singularity its formula needs (see :func:`run_additivity`).
 
 from __future__ import annotations
 
-import math
 import time
 from itertools import combinations
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
 from .causal import (
@@ -29,10 +28,10 @@ from .errors import PreconditionError, ValidationError
 from .oom import (
     DEFAULT_NEG_TOL,
     OomModel,
+    _Report,
     _certified,
     _classical_model,
     _difference,
-    _overflow,
     _require_nonnegative,
     _split_scan,
     hmm_to_oom,
@@ -69,7 +68,7 @@ class FamilySpec:
 
 
 @dataclass
-class ExperimentReport:
+class ExperimentReport(_Report):
     """Outcome of one harness run.
 
     Serialization (:meth:`to_dict`) is deterministic given the inputs; the
@@ -83,8 +82,6 @@ class ExperimentReport:
     points: list
     tolerances: dict
     runtime_seconds: ClassVar[float | None] = None
-
-    to_dict = asdict
 
 
 def cylinder_distance(p, q, l: int) -> float:
@@ -103,16 +100,11 @@ def cylinder_distance(p, q, l: int) -> float:
         raise ValidationError("alphabet mismatch")
     for m in models:
         lowest = _split_scan(m.operator_stack, m.init, m.eval, l)[0]
-        if math.isnan(lowest):  # the comparison below is false for NaN
-            raise _overflow(f"a word up to length {l} has probability nan")
         if lowest < -DEFAULT_NEG_TOL:
             raise ValidationError(
                 f"a word up to length {l} has probability {lowest}, below -neg_tol"
             )
-    largest = _split_scan(*_difference(*models), l)[1]
-    if not math.isfinite(largest):
-        raise _overflow(f"a word up to length {l} has a difference of {largest}")
-    return largest
+    return _split_scan(*_difference(*models), l)[1]
 
 
 def _require_stationary(m: OomModel, level: int, tol: float, what: str):
@@ -215,13 +207,10 @@ def run_semicontinuity(
     for t, m in [(0.0, limit)] + list(zip(f.grid, grid_models)):
         if _certified(m):
             continue
-        rep = validate_oom(m)
-        if not rep.passed:
-            raise PreconditionError(
-                f"family member at t={t} fails validation "
-                f"(c1={rep.condition1_residual:.3e}, c2={rep.condition2_residual:.3e}, "
-                f"min P={rep.most_negative_probability:.3e})"
-            )
+        try:
+            validate_oom(m).require()
+        except ValidationError as e:
+            raise PreconditionError(f"family member at t={t}: {e}") from e
     distances = [cylinder_distance(m, limit, distance_level) for m in grid_models]
     for a, b in zip(distances, distances[1:]):
         if b > a + 1e-12:

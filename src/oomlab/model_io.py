@@ -5,11 +5,12 @@ Files carry a ``type`` tag (``oom``, ``hmm``, ``ncoom`` or ``mixture``). Each
 model type's fields are listed once, in file order, each with a reader and a
 writer (``_TYPES``); parsing and serialization both follow that list. Unknown
 fields are rejected rather than ignored so fixtures cannot drift, and schema
-errors name the offending field. Models are validated on load by
-default; a model whose parameters are all nonnegative and whose two condition
-residuals are within tolerance is valid at every depth and skips the word
-scan. Loading can be deferred with ``validate=False`` when the point is to
-inspect an invalid model.
+errors name the offending field. Models are validated on load by default: a
+model whose parameters are all nonnegative and whose two condition residuals
+are within tolerance is valid at every depth and skips the word scan; any
+other is refused with its report's failure text, or with the overflow text
+where the scan meets a non-finite value. Loading can be deferred with
+``validate=False`` when the point is to inspect an invalid model.
 
 Mixture files reference other model files by path (relative to the mixture
 file) and resolve recursively into a single direct-sum model. Complex numbers
@@ -107,9 +108,12 @@ def _pop(data: dict, key: str, context: str):
     return data.pop(key)
 
 
-def _pop_number(data: dict, key: str, default: float) -> float:
+def _pop_tolerance(data: dict, key: str, default: float) -> float:
     raw = data.pop(key, None)
-    return default if raw is None else _as_number(raw, key)
+    v = default if raw is None else _as_number(raw, key)
+    if v < 0.0:
+        raise SchemaError(f'field "{key}" must be nonnegative')
+    return v
 
 
 def _no_leftovers(data: dict, context: str):
@@ -401,28 +405,8 @@ def _validate_loaded(model):
         return  # its signs prove what the word scan would check, at every depth
     # the table is built per call so that wrappers installed on the
     # validator names later see every call
-    for kind, validate, label, fields in (
-        (OomModel, validate_oom, "model",
-         "condition-1 residual {condition1_residual:.6e}, "
-         "condition-2 residual {condition2_residual:.6e}, "
-         "most negative probability {most_negative_probability:.6e} at depth {checked_depth}"),
-        (HmmModel, validate_hmm, "HMM",
-         "row-sum residual {row_sum_residual:.6e}, "
-         "init-sum residual {init_sum_residual:.6e}, "
-         "min entry {min_entry:.6e}"),
-        (NcOomModel, validate_ncoom, "model",
-         "condition-1 residual {condition1_residual:.6e}, "
-         "condition-2 residual {condition2_residual:.6e}, "
-         "most negative eigenvalue {most_negative_eigenvalue:.6e} at depth {checked_depth}, "
-         "hermitian defect {hermitian_defect:.6e}"),
-    ):
-        if isinstance(model, kind):
-            rep = validate(model)
-            if not rep.passed:
-                detail = fields.format_map(vars(rep))
-                raise ValidationError(f"{label} failed validation: {detail}")
-            return
-    raise TypeError(f"cannot validate {type(model).__name__}")
+    validate = {OomModel: validate_oom, HmmModel: validate_hmm, NcOomModel: validate_ncoom}
+    validate[type(model)](model).require()
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +555,11 @@ def parse_experiment_file(path):
         l_p = _as_int(_pop(data, "past_length", context), "past_length")
         horizon = _as_int(_pop(data, "horizon", context), "horizon")
         harness, args = xp.run_upperbound, [model, l_p, horizon]
-        extra["cluster_tol"] = _pop_number(data, "cluster_tol", 1e-8)
+        extra["cluster_tol"] = _pop_tolerance(data, "cluster_tol", 1e-8)
     else:
         raise SchemaError(f"unknown experiment kind {kind!r} in {context}")
     l_max = _as_int(_pop(data, "max_level", context), "max_level")
-    tol_rel = _pop_number(data, "tol_rel", DEFAULT_RANK_TOL)
+    tol_rel = _pop_tolerance(data, "tol_rel", DEFAULT_RANK_TOL)
     _no_leftovers(data, context)
     return name, lambda: harness(*args, l_max, tol_rel, name=name, **extra)
 

@@ -42,7 +42,7 @@ finite they coincide and nothing further is implemented for the alternative.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 from typing import Sequence
@@ -65,8 +65,8 @@ from .dimension import (
 )
 from .errors import ValidationError
 from .oom import DEFAULT_CONDITION_TOL, DEFAULT_NEG_TOL, OomModel, _direct_sum
-from .oom import _deepest, _frozen, _frozen_vectors, _functional_levels, _mixture_weights
-from .oom import _require_nonnegative, _split_scan, _state_levels
+from .oom import _Report, _deepest, _frozen, _frozen_vectors, _functional_levels
+from .oom import _mixture_weights, _overflow_to, _require_nonnegative, _split_scan, _state_levels
 from .words import word_count_up_to
 
 DEFAULT_IMAG_TOL = 1e-9
@@ -120,7 +120,7 @@ class NcOomModel:
 
 
 @dataclass
-class NcValidationReport:
+class NcValidationReport(_Report):
     condition1_residual: float
     condition2_residual: float
     most_negative_eigenvalue: float
@@ -131,18 +131,21 @@ class NcValidationReport:
     condition_tol: float
     passed: bool
 
-    to_dict = asdict
+    _failure = (
+        "model failed validation: condition-1 residual {condition1_residual:.6e}, "
+        "condition-2 residual {condition2_residual:.6e}, most negative eigenvalue "
+        "{most_negative_eigenvalue:.6e} at depth {checked_depth}, "
+        "hermitian defect {hermitian_defect:.6e}"
+    )
 
 
 @dataclass
-class NcStationarityReport:
+class NcStationarityReport(_Report):
     residual: float
     level: int
     tol: float
     reverse_order: bool
     stationary: bool
-
-    to_dict = asdict
 
 
 def nc_evaluate(
@@ -195,6 +198,7 @@ def _densities(m: NcOomModel, n: int):
         yield values[index]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite density is refused
 def validate_ncoom(
     m: NcOomModel,
     l_val: int = 4,
@@ -209,10 +213,10 @@ def validate_ncoom(
     depth below it whose values and eigenvalue work fit the budget. Reported
     are the largest entry of ``|rho_n - rho_n^*|`` over all densities and the
     lowest eigenvalue of their Hermitian parts, for a commutative algebra the
-    lowest word value; both are NaN when a value is not finite, as where state
-    images overflow. The verdict passes iff the conditions are within
-    ``condition_tol``, the defect within ``imag_tol`` and no eigenvalue is
-    below ``-neg_tol``; a pass certifies positivity up to ``checked_depth``.
+    lowest word value. A non-finite value, as where state images overflow,
+    raises :class:`ValidationError`. The verdict passes iff the conditions are
+    within ``condition_tol``, the defect within ``imag_tol`` and no eigenvalue
+    is below ``-neg_tol``; a pass certifies positivity up to ``checked_depth``.
     """
     _require_nonnegative(l_val=l_val)
     depth = _deepest(l_val, lambda n: _density_cost(m.algebra, m.dim, n))
@@ -221,8 +225,7 @@ def validate_ncoom(
     lowest, defect = np.inf, 0.0
     for phi in chain.from_iterable(_densities(m, n) for n in range(depth + 1)):
         if not np.isfinite(phi).all():  # Python's min and max would drop a NaN
-            lowest = defect = np.nan
-            break
+            raise _overflow_to(depth)
         adjoint = phi.conj().swapaxes(1, 2)
         defect = max(defect, float(np.abs(phi - adjoint).max()))
         # phi's Hermitian part is rho's conjugated, with the same spectrum

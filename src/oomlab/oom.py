@@ -16,11 +16,12 @@ nonnegative parameters are a sufficient certificate: every word value is then
 a sum of products of nonnegative numbers, at every depth. Validation on load
 and the semicontinuity harness accept such a model on its signs and its two
 condition residuals (:func:`_certified`) without the scan; ``oomlab validate``
-still scans. Values in ``[-neg_tol, 0)`` are treated
-as numerical noise and clamped to zero where probabilities are consumed;
-anything below ``-neg_tol`` signals an invalid model and raises. Every word
-enumeration, in every module, states its cost to :func:`_budget` before it
-allocates: the word values it computes or compares and the entries it holds.
+still scans. Values in ``[-neg_tol, 0)`` are treated as numerical noise and
+clamped to zero where probabilities are consumed; anything below ``-neg_tol``
+signals an invalid model and raises, and so does a non-finite value, which
+every scan, closure and density check refuses where it computes it. Every
+word enumeration, in every module, states its cost to :func:`_budget` before
+it allocates: the word values it computes or compares and the entries it holds.
 
 Hidden Markov models induce OOMs of the same size (:func:`hmm_to_oom`), and
 convex mixtures of processes are realized structurally as direct sums
@@ -33,7 +34,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import accumulate
-from math import frexp, ldexp
+from math import frexp, isfinite, ldexp
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -146,8 +147,20 @@ class HmmModel:
         return f"HmmModel(alphabet={list(self.alphabet)}, n_states={self.n_states})"
 
 
+class _Report:
+    """Base of the report dataclasses. A validation report also sets
+    ``_failure``, the text over its fields with which :meth:`require` fails."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    def require(self) -> None:
+        if not self.passed:
+            raise ValidationError(self._failure.format_map(vars(self)))
+
+
 @dataclass
-class ValidationReport:
+class ValidationReport(_Report):
     """Residuals of the three defining conditions plus the verdict."""
 
     condition1_residual: float
@@ -158,30 +171,35 @@ class ValidationReport:
     condition_tol: float
     passed: bool
 
-    to_dict = asdict
+    _failure = (
+        "model failed validation: condition-1 residual {condition1_residual:.6e}, "
+        "condition-2 residual {condition2_residual:.6e}, most negative probability "
+        "{most_negative_probability:.6e} at depth {checked_depth}"
+    )
 
 
 @dataclass
-class HmmValidationReport:
+class HmmValidationReport(_Report):
     row_sum_residual: float
     init_sum_residual: float
     min_entry: float
     tol: float
     passed: bool
 
-    to_dict = asdict
+    _failure = (
+        "HMM failed validation: row-sum residual {row_sum_residual:.6e}, "
+        "init-sum residual {init_sum_residual:.6e}, min entry {min_entry:.6e}"
+    )
 
 
 @dataclass
-class StationarityReport:
+class StationarityReport(_Report):
     """Max residual of ``|P(w) - sum_d P(dw)|`` over words up to a length."""
 
     residual: float
     level: int
     tol: float
     stationary: bool
-
-    to_dict = asdict
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +285,11 @@ def _overflow(what: str) -> ValidationError:
     return ValidationError(f"{what}: its state image overflows the float range")
 
 
+def _overflow_to(depth: int) -> ValidationError:
+    """How every scan, closure and density check refuses a non-finite value."""
+    return _overflow(f"a word up to length {depth} has a non-finite value")
+
+
 def _clamp_probabilities(h: np.ndarray, neg_tol: float, what: str) -> np.ndarray:
     """``h`` with its entries in ``[-neg_tol, 0)`` set to zero: ``h`` itself
     when it has none. An entry below ``-neg_tol``, or NaN, raises."""
@@ -321,12 +344,14 @@ def _scan_cost(k: int, d: int, depth: int) -> tuple[int, int]:
     return rows * cols, (rows + cols) * d + max(_SCAN_CHUNK, cols)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value is refused
 def _split_scan(ops: np.ndarray, vector, covector, depth: int) -> tuple[float, float]:
     """Lowest real part and largest magnitude of ``covector T_w vector`` over
     all words with ``|w| <= depth``: the entries of ``S F^T`` for the images
     ``T_u vector``, ``|u| <= ceil(depth / 2)``, and the functionals
-    ``covector T_s``, ``|s| <= floor(depth / 2)``, taken in row chunks. Both
-    are NaN when a value is, as ``0 * inf`` makes it where images overflow."""
+    ``covector T_s``, ``|s| <= floor(depth / 2)``, taken in row chunks. A
+    value that is not finite, as ``0 * inf`` makes it where images overflow,
+    raises :class:`ValidationError`."""
     _budget(f"scanning to depth {depth}", *_scan_cost(ops.shape[0], ops.shape[1], depth))
     states = np.vstack(_state_levels(ops, vector, (depth + 1) // 2))
     functionals = np.vstack(_functional_levels(ops, covector, depth // 2)).T
@@ -339,8 +364,8 @@ def _split_scan(ops: np.ndarray, vector, covector, depth: int) -> tuple[float, f
             high = float(np.abs(block).max())
         else:  # the largest magnitude without an abs temporary
             high = max(float(block.max()), -low)
-        if np.isnan(low) or np.isnan(high):  # Python's min and max would drop it
-            return np.nan, np.nan
+        if not (isfinite(low) and isfinite(high)):  # Python's min and max would drop a NaN
+            raise _overflow_to(depth)
         lowest, largest = min(lowest, low), max(largest, high)
     return lowest, largest
 
@@ -499,13 +524,7 @@ def hmm_to_oom(h: HmmModel) -> OomModel:
     The induced model generates exactly the HMM's word probabilities and has
     dimension equal to the number of hidden states.
     """
-    report = validate_hmm(h)
-    if not report.passed:
-        raise ValidationError(
-            "invalid HMM: row-sum residual "
-            f"{report.row_sum_residual:.3e}, init-sum residual "
-            f"{report.init_sum_residual:.3e}, min entry {report.min_entry:.3e}"
-        )
+    validate_hmm(h).require()
     ops = {s: h.transition_emission[s].T.copy() for s in h.alphabet}
     return OomModel(
         alphabet=h.alphabet,

@@ -13,9 +13,10 @@ sampler and the clustering at more than toy size, ``dim --max-level 8`` on a
 --check-stationarity`` on a phase-locked 2-cycle embedded as an
 operator-algebra model, and ``validate`` and ``nc-dim`` on a signed mixture
 of two qubit product states that is positive on one site and not on two, so
-that both exit 1, ``dim --max-level 3`` and ``validate`` on a valid model
-whose state images overflow, which both refuse its NaN word values, and
-``validate`` on a model file with a ``NaN`` entry and
+that both exit 1, ``dim --max-level 3``, ``validate``, ``causal --past-len
+2 --horizon 2`` and ``minimize`` on a valid model whose state images
+overflow, which all refuse its non-finite word values with one message and
+no numpy warning, and ``validate`` on a model file with a ``NaN`` entry and
 ``eval`` on one with a 400-digit integer entry, which are schema errors,
 ``validate`` on an operator-algebra mixture of two ``qubit_product`` parts and
 ``nc-eval --require-positive`` on ``bernoulli05``; together the cases reach
@@ -144,6 +145,8 @@ def cases(scratch: str) -> list:
         ("nc-dim", "signed_qubit_mix", signed, ["nc-dim", "--max-level", "2"]),
         ("dim", "overflow", overflow, ["dim", "--max-level", "3"]),
         ("validate", "overflow", overflow, ["validate"]),
+        ("causal", "overflow", overflow, ["causal", "--past-len", "2", "--horizon", "2"]),
+        ("minimize", "overflow", overflow, ["minimize"]),
     ):
         path = os.path.join(scratch, stem + ".json")
         save_model(model, path)

@@ -48,6 +48,10 @@ def signed_coin_mixture(q=0.96) -> ol.OomModel:
     return ol.OomModel(("0", "1"), ops, init=[1.2, -0.2], eval=[1.0, 1.0])
 
 
+#: How every scan, closure and density check refuses a non-finite word value.
+OVERFLOW = "a word up to length {} has a non-finite value: its state image overflows the float range"
+
+
 def overflowing_model() -> ol.OomModel:
     """A valid model whose second state coordinate overflows: ``l = [1, 0]``
     reads only the first, exactly ``2^-n`` after n symbols, but ``0 * inf``

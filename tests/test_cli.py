@@ -117,6 +117,28 @@ def test_overflowing_model_is_refused_by_name(capsys, tmp_path, argv, embed, mes
     assert err == f"error: {message}: its state image overflows the float range\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["eval", "--word", "0"], "--neg-tol"),
+        (["dim", "--max-level", "3"], "--tol-rel"),
+        (["minimize"], "--tol-rel"),
+        (["causal", "--past-len", "2", "--horizon", "2"], "--cluster-tol"),
+        (["causal", "--past-len", "2", "--horizon", "2"], "--tol-rel"),
+        (["nc-dim", "--max-level", "2"], "--tol-rel"),
+    ],
+)
+def test_tolerances_must_be_finite_and_nonnegative(capsys, argv, option, value):
+    code, out, err = run_cli(
+        capsys, *argv, "--model", fixture_path("markov2.json"), f"{option}={value}"
+    )
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"error: argument {option}: must be a finite nonnegative number, got {value!r}\n"
+    )
+
+
 @pytest.mark.parametrize("flag", ["--samples", "--seed"])
 def test_validate_has_no_sampling_flags(capsys, flag):
     code, out, err = run_cli(

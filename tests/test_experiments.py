@@ -5,7 +5,8 @@ import oomlab as ol
 from oomlab import PreconditionError
 from oomlab.processes import stationary_distribution
 
-from curated import curated_suite, markov2, mixture_2bern, overflowing_model, signed_coin_mixture
+from curated import OVERFLOW, curated_suite, markov2, mixture_2bern, overflowing_model
+from curated import signed_coin_mixture
 
 
 # ---------------------------------------------------------------------------
@@ -57,25 +58,19 @@ def test_negative_word_values_raise(first):
         ol.cylinder_distance(*(pair if first else pair[::-1]), 3)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("first", [True, False])
 def test_overflowing_word_values_raise(first):
     pair = (overflowing_model(), ol.bernoulli(0.5))
-    with pytest.raises(
-        ol.ValidationError,
-        match=r"^a word up to length 4 has probability nan: its state image overflows the float range$",
-    ):
+    with pytest.raises(ol.ValidationError) as err:
         ol.cylinder_distance(*(pair if first else pair[::-1]), 4)
+    assert str(err.value) == OVERFLOW.format(4)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_distance_raises():
     huge = ol.OomModel(("0", "1"), {"0": [[1e200]], "1": [[0.5]]}, [1.0], [1.0])
-    with pytest.raises(
-        ol.ValidationError,
-        match=r"^a word up to length 2 has a difference of inf: its state image overflows",
-    ):
+    with pytest.raises(ol.ValidationError) as err:
         ol.cylinder_distance(huge, ol.bernoulli(0.5), 2)
+    assert str(err.value) == OVERFLOW.format(2)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -240,9 +235,10 @@ def test_invalid_family_member_is_refused():
     with pytest.raises(PreconditionError) as err:
         ol.run_semicontinuity(fam, 2)
     assert str(err.value) == (
-        "family member at t=0.1 fails validation "
-        f"(c1={rep.condition1_residual:.3e}, c2={rep.condition2_residual:.3e}, "
-        f"min P={rep.most_negative_probability:.3e})"
+        "family member at t=0.1: model failed validation: "
+        f"condition-1 residual {rep.condition1_residual:.6e}, "
+        f"condition-2 residual {rep.condition2_residual:.6e}, "
+        f"most negative probability {rep.most_negative_probability:.6e} at depth 8"
     )
     assert rep.most_negative_probability < 0.0
 

@@ -9,7 +9,7 @@ from oomlab import ValidationError
 from oomlab.ncoom import _densities
 from oomlab.oom import _direct_sum
 
-from curated import curated_suite, markov2, overflowing_model, random_element
+from curated import OVERFLOW, curated_suite, markov2, overflowing_model, random_element
 from curated import signed_qubit_mixture
 from oracles import RationalProductStateMixture, rational_rank
 
@@ -48,11 +48,10 @@ def test_perturbed_operator_breaks_condition_two_by_known_amount():
     assert rep.condition2_residual == pytest.approx(delta, abs=1e-15)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_overflowing_values_fail_validation():
-    rep = ol.validate_ncoom(ol.embed_classical(overflowing_model()))
-    assert np.isnan(rep.most_negative_eigenvalue) and np.isnan(rep.hermitian_defect)
-    assert not rep.passed
+    with pytest.raises(ValidationError) as err:
+        ol.validate_ncoom(ol.embed_classical(overflowing_model()))
+    assert str(err.value) == OVERFLOW.format(4)
 
 
 def test_qubit_product_state_validates():

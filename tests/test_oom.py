@@ -10,7 +10,7 @@ from oomlab import ResourceLimitError, ValidationError, oom
 from oomlab.oom import _SAMPLE_BLOCK, DEFAULT_NEG_TOL, _classical_model, _split_scan
 from oomlab.processes import stationary_distribution
 
-from curated import markov2, overflowing_model
+from curated import OVERFLOW, markov2, overflowing_model
 from oracles import forward_probability, level_scan
 
 
@@ -137,15 +137,19 @@ def test_two_cycle_determinism_and_operator_order():
     assert float(m.eval @ state_rev) == 0.0
 
 
-def test_invalid_hmm_rejected():
-    with pytest.raises(ValidationError):
-        ol.hmm_to_oom(
-            ol.HmmModel(
-                alphabet=("0", "1"),
-                transition_emission={"0": [[0.8]], "1": [[0.7]]},
-                init=[1.0],
-            )
-        )
+def test_invalid_hmm_rejected(tmp_path):
+    hmm = ol.HmmModel(("0", "1"), {"0": [[0.8]], "1": [[0.7]]}, init=[1.0])
+    text = (
+        "HMM failed validation: row-sum residual 5.000000e-01, "
+        "init-sum residual 0.000000e+00, min entry 7.000000e-01"
+    )
+    with pytest.raises(ValidationError) as err:
+        ol.hmm_to_oom(hmm)
+    assert str(err.value) == text
+    ol.save_model(hmm, tmp_path / "hmm.json")
+    with pytest.raises(ValidationError) as err:
+        ol.parse_model_file(tmp_path / "hmm.json")
+    assert str(err.value) == text
 
 
 def test_hmm_coercion_converts_once():
@@ -682,12 +686,14 @@ def test_negative_depths_rejected(check, name):
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_overflowing_word_values_are_not_dropped(tmp_path):
     m = overflowing_model()
-    rep = ol.validate_oom(m)
-    assert not rep.passed and np.isnan(rep.most_negative_probability)
-    assert (rep.condition1_residual, rep.condition2_residual) == (0.0, 0.0)
-    stationarity = ol.stationarity_check(m, 6)
-    assert np.isnan(stationarity.residual) and not stationarity.stationary
-    assert np.isnan(ol.kolmogorov_residual(m, 6))
+    for check, depth in (
+        (lambda: ol.validate_oom(m), 8),
+        (lambda: ol.stationarity_check(m, 6), 6),
+        (lambda: ol.kolmogorov_residual(m, 6), 5),
+    ):
+        with pytest.raises(ValidationError) as err:
+            check()
+        assert str(err.value) == OVERFLOW.format(depth)
     assert ol.word_probability(m, "0") == 0.5
     with pytest.raises(
         ValidationError,
@@ -698,3 +704,31 @@ def test_overflowing_word_values_are_not_dropped(tmp_path):
     path = tmp_path / "overflow.json"
     ol.save_model(m, path)
     assert ol.parse_model_file(path).operators["0"][1, 0] == 1e308
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "call, depth",
+    [
+        (lambda m: ol.stationarity_check(m), 6),
+        (lambda m: ol.kolmogorov_residual(m, 6), 5),
+        (lambda m: ol.nc_stationarity_check(ol.embed_classical(m)), 3),
+        (lambda m: ol.validate_ncoom(ol.embed_classical(m)), 4),
+        (lambda m: ol.validate_oom(m), 8),
+        (lambda m: ol.cylinder_distance(m, ol.bernoulli(0.5), 4), 4),
+        (lambda m: ol.equivalent(m, ol.bernoulli(0.3), 4), 4),
+        (lambda m: ol.equivalent(ol.bernoulli(0.3), m, 4), 4),
+        (lambda m: ol.minimize_oom(m), 2),
+        (lambda m: ol.run_additivity([(0.5, m), (0.5, ol.bernoulli(0.3))], 2), 4),
+        (lambda m: ol.run_upperbound(m, 2, 2, 3), 4),
+    ],
+    ids=["stationarity_check", "kolmogorov_residual", "nc_stationarity_check",
+         "validate_ncoom", "validate_oom", "cylinder_distance", "equivalent",
+         "equivalent-reversed", "minimize_oom", "run_additivity", "run_upperbound"],
+)
+def test_every_entry_point_refuses_an_overflow(call, depth):
+    """Each refuses through the scan, closure or density check it runs, with
+    no warning from the overflowed arithmetic."""
+    with pytest.raises(ValidationError) as err:
+        call(overflowing_model())
+    assert str(err.value) == OVERFLOW.format(depth)
