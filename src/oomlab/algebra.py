@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+POSITIVE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class CStarAlgebra:
@@ -149,18 +151,18 @@ def unit_element(algebra: CStarAlgebra) -> AlgebraElement:
     return AlgebraElement(algebra, [np.eye(d, dtype=complex) for d in algebra.block_dims])
 
 
-def is_positive(a: AlgebraElement, tol: float = 1e-10) -> bool:
+def is_positive(a: AlgebraElement) -> bool:
     """Membership test for the positive cone.
 
-    Returns True iff ``a`` is self-adjoint within ``tol`` (entrywise) and the
-    smallest eigenvalue of every block is at least ``-tol``. Non-self-adjoint
-    input yields False, not an error.
+    Returns True iff ``a`` is self-adjoint within ``POSITIVE_TOL``
+    (entrywise) and the smallest eigenvalue of every block is at least
+    ``-POSITIVE_TOL``. Non-self-adjoint input yields False, not an error.
     """
-    if a.selfadjoint_defect() > tol:
+    if a.selfadjoint_defect() > POSITIVE_TOL:
         return False
     for b in a.blocks:
         herm = 0.5 * (b + b.conj().T)
-        if float(np.linalg.eigvalsh(herm)[0]) < -tol:
+        if float(np.linalg.eigvalsh(herm)[0]) < -POSITIVE_TOL:
             return False
     return True
 

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimension import DEFAULT_RANK_TOL, numerical_rank
-from .oom import DEFAULT_NEG_TOL, OomModel, sample_trajectory, word_probability
+from .oom import OomModel, sample_trajectory, word_probability
 from .oom import _budget, _clamp_probabilities, _classical_model, _functional_levels
-from .oom import _propagate, _require_nonnegative, _state_levels
+from .oom import _overflow_to, _propagate, _require_nonnegative, _state_levels
 from .words import Word, normalize_word, words_of_length
 
+DEFAULT_CLUSTER_TOL = 1e-8
 #: Entries of the gathered row pairs :func:`_components` holds at once.
 _CLUSTER_CHUNK = 2**18
 
@@ -100,8 +101,10 @@ def total_variation(d1: np.ndarray, d2: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(d1) - np.asarray(d2)).sum())
 
 
-def _predictive_matrix(m: OomModel, past_length: int, horizon: int, neg_tol: float):
-    """Pasts of exact length, their probabilities, and P(past+future) rows."""
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value is refused
+def _predictive_matrix(m: OomModel, past_length: int, horizon: int):
+    """Pasts of exact length, their probabilities, and P(past+future) rows.
+    A value that is not finite, as where a state image overflows, raises."""
     k = len(m.alphabet)
     n_past, n_future = k**past_length, k**horizon
     held = n_past * n_future + (n_past + n_future) * m.dim
@@ -112,14 +115,14 @@ def _predictive_matrix(m: OomModel, past_length: int, horizon: int, neg_tol: flo
     functionals = _functional_levels(m.operator_stack, m.eval, horizon)[horizon]
     weights = states @ m.eval
     numerators = states @ functionals.T
-    weights = _clamp_probabilities(weights, neg_tol, "past probability")
-    numerators = _clamp_probabilities(numerators, neg_tol, "predictive entry")
+    if not (np.isfinite(weights).all() and np.isfinite(numerators).all()):
+        raise _overflow_to(past_length + horizon)
+    weights = _clamp_probabilities(weights, "past probability")
+    numerators = _clamp_probabilities(numerators, "predictive entry")
     return pasts, weights, numerators
 
 
-def predictive_distribution(
-    p, past, horizon: int, neg_tol: float = DEFAULT_NEG_TOL
-) -> PredictiveDistribution:
+def predictive_distribution(p, past, horizon: int) -> PredictiveDistribution:
     """Distribution of the next ``horizon`` symbols conditional on ``past``.
 
     Entries are ``P(past + future) / P(past)`` over all futures of exactly
@@ -131,11 +134,11 @@ def predictive_distribution(
     w = normalize_word(past, m.alphabet)
     k = len(m.alphabet)
     _budget(f"{k}^{horizon} futures", k**horizon, k**horizon * m.dim)
-    weight = word_probability(m, w, neg_tol)
+    weight = word_probability(m, w)
     if weight <= 0.0:
         return PredictiveDistribution(past=w, horizon=horizon, dist=None, weight=0.0)
     numer = _functional_levels(m.operator_stack, m.eval, horizon)[horizon] @ _propagate(m, w)
-    numer = _clamp_probabilities(numer, neg_tol, "predictive entry")
+    numer = _clamp_probabilities(numer, "predictive entry")
     return PredictiveDistribution(past=w, horizon=horizon, dist=numer / weight, weight=weight)
 
 
@@ -242,8 +245,7 @@ def enumerate_causal_states(
     p,
     past_length: int,
     horizon: int,
-    cluster_tol: float = 1e-8,
-    neg_tol: float = DEFAULT_NEG_TOL,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> CausalStatePartition:
     """Cluster all positive-probability pasts of length ``past_length`` by
     total-variation distance of their predictive distributions.
@@ -258,9 +260,7 @@ def enumerate_causal_states(
     ties).
     """
     _require_nonnegative(past_length=past_length, horizon=horizon)
-    pasts, weights, numerators = _predictive_matrix(
-        _classical_model(p), past_length, horizon, neg_tol
-    )
+    pasts, weights, numerators = _predictive_matrix(_classical_model(p), past_length, horizon)
     keep = np.flatnonzero(weights > 0.0)
     pasts = [pasts[i] for i in keep]
     weights = weights[keep]

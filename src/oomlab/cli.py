@@ -19,6 +19,7 @@ import os
 import sys
 
 from .causal import (
+    DEFAULT_CLUSTER_TOL,
     causal_span_rank,
     enumerate_causal_states,
     predictive_distribution,
@@ -33,6 +34,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
+from .experiments import STATIONARITY_LEVEL
 from .model_io import (
     dumps_canonical,
     experiment_points_rows,
@@ -52,6 +54,7 @@ from .ncoom import (
     validate_ncoom,
 )
 from .oom import (
+    DEFAULT_NEG_TOL,
     HmmModel,
     OomModel,
     _classical_model,
@@ -142,7 +145,7 @@ def _cmd_dim(args) -> int:
 def _cmd_minimize(args) -> int:
     model = _classical(parse_model_file(args.model), "minimize")
     reduced = minimize_oom(model, args.tol_rel)
-    same = equivalent(model, reduced, model.dim + reduced.dim, tol=1e-9)
+    same = equivalent(model, reduced, model.dim + reduced.dim)
     report = {
         "dim_before": model.dim,
         "dim_after": reduced.dim,
@@ -204,7 +207,7 @@ def _cmd_nc_eval(args) -> int:
         factors = indicator_factors(model, alphabet, word)
     if args.require_positive:
         for i, a in enumerate(factors):
-            if not is_positive(a, tol=1e-10):
+            if not is_positive(a):
                 print(f"error: factor {i} is not positive", file=sys.stderr)
                 return 1
     value = nc_evaluate(model, factors)
@@ -266,13 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(p)
     p.add_argument("--depth", type=int, default=None, help="word/tuple scan depth")
     p.add_argument("--check-stationarity", action="store_true")
-    p.add_argument("--stationarity-level", type=int, default=4)
+    p.add_argument("--stationarity-level", type=int, default=STATIONARITY_LEVEL)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("eval", help="probability of a word")
     add_model(p)
     p.add_argument("--word", required=True, help='e.g. 101 or "a,b,a" (empty for the empty word)')
-    p.add_argument("--neg-tol", type=_tolerance, default=1e-10, dest="neg_tol")
+    p.add_argument("--neg-tol", type=_tolerance, default=DEFAULT_NEG_TOL, dest="neg_tol")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("dim", help="process dimension via the Hankel rank ladder")
@@ -291,9 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(p)
     p.add_argument("--past-len", type=int, required=True, dest="past_len")
     p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--cluster-tol", type=_tolerance, default=1e-8, dest="cluster_tol")
+    p.add_argument("--cluster-tol", type=_tolerance, default=DEFAULT_CLUSTER_TOL,
+                   dest="cluster_tol")
     p.add_argument("--tol-rel", type=_tolerance, default=DEFAULT_RANK_TOL, dest="tol_rel")
-    p.add_argument("--stationarity-level", type=int, default=4)
+    p.add_argument("--stationarity-level", type=int, default=STATIONARITY_LEVEL)
     p.set_defaults(func=_cmd_causal)
 
     p = sub.add_parser("nc-eval", help="evaluate a state on an elementary tensor")

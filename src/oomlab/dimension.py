@@ -20,8 +20,8 @@ block itself, one matrix product, is formed only when its entries are read
 or its signs need checking: a model with no negative parameter has no
 negative word value, so its block is formed only when read. A model with one
 has its block formed and checked for negativity; a block with entries in
-``[-neg_tol, 0)`` is clamped, no longer equals ``S F^T``, and is decomposed
-densely. A word value that overflows the float range is refused.
+``[-DEFAULT_NEG_TOL, 0)`` is clamped, no longer equals ``S F^T``, and is
+decomposed densely. A word value that overflows the float range is refused.
 
 Each level also records its rank-decision margin: the smallest kept and the
 largest dropped singular value, both relative to the largest. When the kept
@@ -50,7 +50,6 @@ import numpy as np
 from .errors import ValidationError
 from .words import normalize_word, word_count_up_to, words_up_to
 from .oom import (
-    DEFAULT_NEG_TOL,
     OomModel,
     _budget,
     _clamp_probabilities,
@@ -64,6 +63,7 @@ from .oom import (
 )
 
 DEFAULT_RANK_TOL = 1e-9
+DEFAULT_EQUIV_TOL = 1e-9
 #: Least ratio of the smallest kept to the largest dropped singular value at
 #: which a rank cut counts as falling in a gap of the spectrum.
 MIN_RANK_MARGIN = 1e3
@@ -179,12 +179,7 @@ def _model_block(ops, init, eval, symbols, l_past: int, l_future: int) -> Hankel
     return HankelBlock(states, functionals, tuple(symbols), l_past, l_future, sv)
 
 
-def build_hankel(
-    p,
-    l_past: int,
-    l_future: int,
-    neg_tol: float = DEFAULT_NEG_TOL,
-) -> HankelBlock:
+def build_hankel(p, l_past: int, l_future: int) -> HankelBlock:
     """Probability block over all pasts of length <= l_past and futures of
     length <= l_future, in length-then-lexicographic order, with its
     singular values.
@@ -193,15 +188,15 @@ def build_hankel(
     functionals of the futures of the model (or of the model an HMM induces),
     and its singular values come from the factors. The block is formed here,
     one matrix product, only when the model has a negative parameter, since
-    only then can an entry be negative; an entry in ``[-neg_tol, 0)`` is
-    clamped and the clamped block decomposed densely. Otherwise it is formed
+    only then can an entry be negative; an entry in ``[-DEFAULT_NEG_TOL, 0)``
+    is clamped and the clamped block decomposed densely. Otherwise it is formed
     when its ``matrix`` is first read.
     """
     m = _classical_model(p)
     _block_budget("Hankel block", len(m.alphabet), m.dim, l_past, l_future)
     block = _model_block(m.operator_stack, m.init, m.eval, m.alphabet, l_past, l_future)
     if not m._nonnegative:
-        clamped = _clamp_probabilities(block.matrix, neg_tol, "Hankel entry")
+        clamped = _clamp_probabilities(block.matrix, "Hankel entry")
         if clamped is not block.matrix:  # a clamped block no longer factors
             block.formed = clamped
             block.singular_values = np.linalg.svd(clamped, compute_uv=False)
@@ -258,12 +253,7 @@ def _rank_ladder(block_at, l_max: int, tol_rel: float) -> DimensionReport:
     )
 
 
-def process_dimension(
-    p,
-    l_max: int,
-    tol_rel: float = DEFAULT_RANK_TOL,
-    neg_tol: float = DEFAULT_NEG_TOL,
-) -> DimensionReport:
+def process_dimension(p, l_max: int, tol_rel: float = DEFAULT_RANK_TOL) -> DimensionReport:
     """Rank ladder of square Hankel blocks at depths 1..l_max.
 
     The run is declared stabilized when the ranks at the last two depths
@@ -277,9 +267,7 @@ def process_dimension(
     >>> process_dimension(bernoulli(0.3), 2).dimension
     1
     """
-    return _rank_ladder(
-        lambda level: build_hankel(p, level, level, neg_tol=neg_tol), l_max, tol_rel
-    )
+    return _rank_ladder(lambda level: build_hankel(p, level, level), l_max, tol_rel)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite norm is refused
@@ -356,7 +344,7 @@ def minimize_oom(m: OomModel, tol_rel: float = DEFAULT_RANK_TOL) -> OomModel:
     )
 
 
-def equivalent(m1: OomModel, m2: OomModel, l: int, tol: float = 1e-9) -> bool:
+def equivalent(m1: OomModel, m2: OomModel, l: int, tol: float = DEFAULT_EQUIV_TOL) -> bool:
     """Whether two models agree on every word of length at most ``l``.
 
     For minimal models this finite test is complete once ``l`` reaches the

@@ -18,15 +18,17 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
 from .causal import (
+    DEFAULT_CLUSTER_TOL,
     causal_span_rank,
     enumerate_causal_states,
     statistical_complexity,
     topological_complexity,
 )
-from .dimension import DEFAULT_RANK_TOL, equivalent, process_dimension
+from .dimension import DEFAULT_EQUIV_TOL, DEFAULT_RANK_TOL, equivalent, process_dimension
 from .errors import PreconditionError, ValidationError
 from .oom import (
     DEFAULT_NEG_TOL,
+    STATIONARITY_TOL,
     OomModel,
     _Report,
     _certified,
@@ -44,6 +46,8 @@ from .processes import bernoulli, markov_chain
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
+#: Word length to which a harness checks that its processes are stationary.
+STATIONARITY_LEVEL = 4
 
 
 @dataclass
@@ -91,8 +95,9 @@ def cylinder_distance(p, q, l: int) -> float:
     the chosen depth, the sense of convergence in which dimension is lower
     semi-continuous. It is the largest magnitude of the split scan of the
     difference model of ``p`` and ``q``, the direct sum with the second eval
-    negated. A word value of either below ``-neg_tol``, or a non-finite value
-    where a state image overflows, raises :class:`ValidationError`.
+    negated. A word value of either below ``-DEFAULT_NEG_TOL``, or a
+    non-finite value where a state image overflows, raises
+    :class:`ValidationError`.
     """
     _require_nonnegative(l=l)
     models = [_classical_model(p), _classical_model(q)]
@@ -107,11 +112,11 @@ def cylinder_distance(p, q, l: int) -> float:
     return _split_scan(*_difference(*models), l)[1]
 
 
-def _require_stationary(m: OomModel, level: int, tol: float, what: str):
-    rep = stationarity_check(m, l=level, tol=tol)
+def _require_stationary(m: OomModel, what: str):
+    rep = stationarity_check(m, l=STATIONARITY_LEVEL)
     if not rep.stationary:
         raise PreconditionError(
-            f"{what} is not stationary (residual {rep.residual:.3e} > {tol})"
+            f"{what} is not stationary (residual {rep.residual:.3e} > {rep.tol})"
         )
 
 
@@ -132,18 +137,16 @@ def run_additivity(
     parts: Sequence[tuple],
     l_max: int,
     tol_rel: float = DEFAULT_RANK_TOL,
-    stationarity_level: int = 4,
-    stationarity_tol: float = 1e-10,
-    equiv_tol: float = 1e-9,
     name: str = "additivity",
 ) -> ExperimentReport:
     """Dimension of a mixture of pairwise distinct stationary parts versus
     the sum of the parts' dimensions.
 
-    Preconditions (refused on failure): every part stationary, and parts
-    pairwise non-equivalent up to the sum of their dimensions. Without
-    distinctness the equality genuinely fails (two identical parts collapse),
-    which is why the harness refuses rather than reporting FAIL. Distinct parts
+    Preconditions (refused on failure): every part stationary to word length
+    ``STATIONARITY_LEVEL``, and parts pairwise non-equivalent up to the sum of
+    their dimensions. Without distinctness the equality genuinely fails (two
+    identical parts collapse), which is why the harness refuses rather than
+    reporting FAIL. Distinct parts
     need not be mutually singular, though: ``1/2 bern(0.2) + 1/2 bern(0.5)`` and
     ``1/2 bern(0.2) + 1/2 bern(0.8)`` share an ergodic component, their even
     mixture has dimension 3 against parts of dimension 2 and 2, and the
@@ -152,9 +155,9 @@ def run_additivity(
     start = time.perf_counter()
     models = [m for _, m in parts]
     for i, m in enumerate(models):
-        _require_stationary(m, stationarity_level, stationarity_tol, f"part {i}")
+        _require_stationary(m, f"part {i}")
     for (i, a), (j, b) in combinations(enumerate(models), 2):
-        if equivalent(a, b, a.dim + b.dim, tol=equiv_tol):
+        if equivalent(a, b, a.dim + b.dim):
             raise PreconditionError(
                 f"parts {i} and {j} generate the same process; "
                 "mixture components must be pairwise distinct"
@@ -175,8 +178,8 @@ def run_additivity(
         points=points,
         tolerances={
             "tol_rel": tol_rel,
-            "stationarity_tol": stationarity_tol,
-            "equiv_tol": equiv_tol,
+            "stationarity_tol": STATIONARITY_TOL,
+            "equiv_tol": DEFAULT_EQUIV_TOL,
             "l_max": l_max,
         },
     )
@@ -186,32 +189,27 @@ def run_semicontinuity(
     f: FamilySpec,
     l_max: int,
     tol_rel: float = DEFAULT_RANK_TOL,
-    distance_level: int | None = None,
     name: str = "semicontinuity",
 ) -> ExperimentReport:
     """Dimension of the limit versus dimensions along a convergent family.
 
     Every model on the grid and the limit must validate (one with no
     negative parameter that meets both conditions does so on its signs, with
-    no word scan); the cylinder
-    distances to the limit must be nonincreasing along the grid (convergence
-    evidence). PASS means the limit's dimension does not exceed the minimum
-    over the grid; the dimension is allowed to drop in the limit, never to
-    jump up.
+    no word scan); the cylinder distances to the limit, over words up to
+    ``l_max``, must be nonincreasing along the grid (convergence evidence).
+    PASS means the limit's dimension does not exceed the minimum over the
+    grid; the dimension is allowed to drop in the limit, never to jump up.
     """
     start = time.perf_counter()
-    if distance_level is None:
-        distance_level = l_max
     limit = f.generator(0.0)
     grid_models = [f.generator(t) for t in f.grid]
     for t, m in [(0.0, limit)] + list(zip(f.grid, grid_models)):
-        if _certified(m):
-            continue
         try:
-            validate_oom(m).require()
+            if not _certified(m):
+                validate_oom(m).require()
         except ValidationError as e:
             raise PreconditionError(f"family member at t={t}: {e}") from e
-    distances = [cylinder_distance(m, limit, distance_level) for m in grid_models]
+    distances = [cylinder_distance(m, limit, l_max) for m in grid_models]
     for a, b in zip(distances, distances[1:]):
         if b > a + 1e-12:
             raise PreconditionError(
@@ -235,7 +233,7 @@ def run_semicontinuity(
         name=name,
         predicate="dim(limit) <= min over grid of dim(P_t), all ladders stabilized",
         points=points,
-        tolerances={"tol_rel": tol_rel, "l_max": l_max, "distance_level": distance_level},
+        tolerances={"tol_rel": tol_rel, "l_max": l_max, "distance_level": l_max},
     )
 
 
@@ -245,9 +243,7 @@ def run_upperbound(
     horizon: int,
     l_max: int,
     tol_rel: float = DEFAULT_RANK_TOL,
-    cluster_tol: float = 1e-8,
-    stationarity_level: int = 4,
-    stationarity_tol: float = 1e-10,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
     name: str = "upperbound",
 ) -> ExperimentReport:
     """Log of the dimension versus the topological statistical complexity.
@@ -259,7 +255,7 @@ def run_upperbound(
     """
     start = time.perf_counter()
     model = _classical_model(p)
-    _require_stationary(model, stationarity_level, stationarity_tol, "process")
+    _require_stationary(model, "process")
     ladders = [process_dimension(model, l_max, tol_rel)]
     partition = enumerate_causal_states(model, l_p, horizon, cluster_tol=cluster_tol)
     points = [
@@ -288,7 +284,7 @@ def run_upperbound(
             "tol_rel": tol_rel,
             "cluster_tol": cluster_tol,
             "l_max": l_max,
-            "stationarity_tol": stationarity_tol,
+            "stationarity_tol": STATIONARITY_TOL,
         },
     )
 

@@ -36,6 +36,7 @@ from typing import Mapping
 import numpy as np
 
 from .algebra import CStarAlgebra, construct_algebra
+from .causal import DEFAULT_CLUSTER_TOL
 from .dimension import DEFAULT_RANK_TOL
 from .errors import SchemaError, ValidationError
 from .ncoom import NcOomModel, nc_mixture_direct_sum, validate_ncoom
@@ -56,12 +57,12 @@ _MAX_MIXTURE_DEPTH = 10
 # Canonical JSON
 
 
-def dumps_canonical(obj, indent: int = 2) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
+def dumps_canonical(obj) -> str:
+    """Deterministic JSON, indented by two spaces, floats at 17 significant digits."""
 
     def fmt(x, level: int) -> str:
-        pad = " " * (indent * level)
-        pad_in = " " * (indent * (level + 1))
+        pad = "  " * level
+        pad_in = pad + "  "
         if x is None:
             return "null"
         if isinstance(x, bool):
@@ -555,7 +556,7 @@ def parse_experiment_file(path):
         l_p = _as_int(_pop(data, "past_length", context), "past_length")
         horizon = _as_int(_pop(data, "horizon", context), "horizon")
         harness, args = xp.run_upperbound, [model, l_p, horizon]
-        extra["cluster_tol"] = _pop_tolerance(data, "cluster_tol", 1e-8)
+        extra["cluster_tol"] = _pop_tolerance(data, "cluster_tol", DEFAULT_CLUSTER_TOL)
     else:
         raise SchemaError(f"unknown experiment kind {kind!r} in {context}")
     l_max = _as_int(_pop(data, "max_level", context), "max_level")

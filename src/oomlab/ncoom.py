@@ -42,7 +42,7 @@ finite they coincide and nothing further is implemented for the alternative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
 from typing import Sequence
@@ -65,11 +65,13 @@ from .dimension import (
 )
 from .errors import ValidationError
 from .oom import DEFAULT_CONDITION_TOL, DEFAULT_NEG_TOL, OomModel, _direct_sum
-from .oom import _Report, _deepest, _frozen, _frozen_vectors, _functional_levels
-from .oom import _mixture_weights, _overflow_to, _require_nonnegative, _split_scan, _state_levels
+from .oom import _Report, _condition_residuals, _deepest, _frozen, _frozen_vectors
+from .oom import _functional_levels, _mixture_weights, _overflow_to, _require_nonnegative
+from .oom import _split_scan, _state_levels
 from .words import word_count_up_to
 
 DEFAULT_IMAG_TOL = 1e-9
+NC_STATIONARITY_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -126,9 +128,9 @@ class NcValidationReport(_Report):
     most_negative_eigenvalue: float
     hermitian_defect: float
     checked_depth: int
-    neg_tol: float
-    imag_tol: float
-    condition_tol: float
+    neg_tol: float = field(default=DEFAULT_NEG_TOL, init=False)
+    imag_tol: float = field(default=DEFAULT_IMAG_TOL, init=False)
+    condition_tol: float = field(default=DEFAULT_CONDITION_TOL, init=False)
     passed: bool
 
     _failure = (
@@ -143,7 +145,7 @@ class NcValidationReport(_Report):
 class NcStationarityReport(_Report):
     residual: float
     level: int
-    tol: float
+    tol: float = field(default=NC_STATIONARITY_TOL, init=False)
     reverse_order: bool
     stationary: bool
 
@@ -199,13 +201,7 @@ def _densities(m: NcOomModel, n: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite density is refused
-def validate_ncoom(
-    m: NcOomModel,
-    l_val: int = 4,
-    neg_tol: float = DEFAULT_NEG_TOL,
-    imag_tol: float = DEFAULT_IMAG_TOL,
-    condition_tol: float = DEFAULT_CONDITION_TOL,
-) -> NcValidationReport:
+def validate_ncoom(m: NcOomModel, l_val: int = 4) -> NcValidationReport:
     """Check the defining conditions, and positivity exactly up to a depth.
 
     Conditions one and two are exact residuals. Positivity on ``A^(x)n`` is
@@ -213,15 +209,15 @@ def validate_ncoom(
     depth below it whose values and eigenvalue work fit the budget. Reported
     are the largest entry of ``|rho_n - rho_n^*|`` over all densities and the
     lowest eigenvalue of their Hermitian parts, for a commutative algebra the
-    lowest word value. A non-finite value, as where state images overflow,
-    raises :class:`ValidationError`. The verdict passes iff the conditions are
-    within ``condition_tol``, the defect within ``imag_tol`` and no eigenvalue
-    is below ``-neg_tol``; a pass certifies positivity up to ``checked_depth``.
+    lowest word value. A non-finite value or residual, as where state images
+    or sums of the operators overflow, raises :class:`ValidationError`. The
+    verdict passes iff the conditions are within ``DEFAULT_CONDITION_TOL``,
+    the defect within ``DEFAULT_IMAG_TOL`` and no eigenvalue is below
+    ``-DEFAULT_NEG_TOL``; a pass certifies positivity up to ``checked_depth``.
     """
     _require_nonnegative(l_val=l_val)
     depth = _deepest(l_val, lambda n: _density_cost(m.algebra, m.dim, n))
-    c1 = abs(complex(m.eval @ m.init) - 1.0)
-    c2 = float(np.max(np.abs(m.eval @ m.unit_operator - m.eval)))
+    c1, c2 = _condition_residuals(m.unit_operator, m.init, m.eval)
     lowest, defect = np.inf, 0.0
     for phi in chain.from_iterable(_densities(m, n) for n in range(depth + 1)):
         if not np.isfinite(phi).all():  # Python's min and max would drop a NaN
@@ -230,16 +226,14 @@ def validate_ncoom(
         defect = max(defect, float(np.abs(phi - adjoint).max()))
         # phi's Hermitian part is rho's conjugated, with the same spectrum
         lowest = min(lowest, float(np.linalg.eigvalsh(0.5 * (phi + adjoint))[:, 0].min()))
-    passed = max(c1, c2) <= condition_tol and lowest >= -neg_tol and defect <= imag_tol
+    positive = lowest >= -DEFAULT_NEG_TOL and defect <= DEFAULT_IMAG_TOL
+    passed = max(c1, c2) <= DEFAULT_CONDITION_TOL and positive
     return NcValidationReport(
-        condition1_residual=float(c1),
+        condition1_residual=c1,
         condition2_residual=c2,
         most_negative_eigenvalue=lowest,
         hermitian_defect=defect,
         checked_depth=depth,
-        neg_tol=neg_tol,
-        imag_tol=imag_tol,
-        condition_tol=condition_tol,
         passed=passed,
     )
 
@@ -331,17 +325,15 @@ def nc_mixture_direct_sum(parts: Sequence[tuple]) -> NcOomModel:
 
 
 def nc_stationarity_check(
-    m: NcOomModel,
-    l: int = 3,
-    tol: float = 1e-9,
-    reverse_order: bool = False,
+    m: NcOomModel, l: int = 3, reverse_order: bool = False
 ) -> NcStationarityReport:
     """Translation invariance, exact on basis-element tuples.
 
     Reports the max of ``|value(1 (x) a1 .. an) - value(a1 .. an)|`` over
     all tuples of matrix-unit basis elements of length up to ``l``, the
     split scan of ``T_1 v - v`` against ``eval`` (of ``v`` against
-    ``eval T_1 - eval`` under ``reverse_order``). By multilinearity a general tuple's gap is at
+    ``eval T_1 - eval`` under ``reverse_order``), stationary when it is within
+    ``NC_STATIONARITY_TOL``. By multilinearity a general tuple's gap is at
     most this residual times the product of its factors' coefficient
     1-norms. With ``reverse_order`` the residual vanishes for any model
     meeting condition two, the alternative convention's built-in invariance.
@@ -353,7 +345,6 @@ def nc_stationarity_check(
     return NcStationarityReport(
         residual=residual,
         level=l,
-        tol=tol,
         reverse_order=reverse_order,
-        stationary=residual <= tol,
+        stationary=residual <= NC_STATIONARITY_TOL,
     )

@@ -16,12 +16,13 @@ nonnegative parameters are a sufficient certificate: every word value is then
 a sum of products of nonnegative numbers, at every depth. Validation on load
 and the semicontinuity harness accept such a model on its signs and its two
 condition residuals (:func:`_certified`) without the scan; ``oomlab validate``
-still scans. Values in ``[-neg_tol, 0)`` are treated as numerical noise and
-clamped to zero where probabilities are consumed; anything below ``-neg_tol``
+still scans. Values in ``[-DEFAULT_NEG_TOL, 0)`` are treated as numerical
+noise and clamped to zero where probabilities are consumed; anything below
 signals an invalid model and raises, and so does a non-finite value, which
-every scan, closure and density check refuses where it computes it. Every
-word enumeration, in every module, states its cost to :func:`_budget` before
-it allocates: the word values it computes or compares and the entries it holds.
+every scan, closure, density check and sampling step refuses where it
+computes it. Every word enumeration, in every module, states its cost to
+:func:`_budget` before it allocates: the word values it computes or compares
+and the entries it holds.
 
 Hidden Markov models induce OOMs of the same size (:func:`hmm_to_oom`), and
 convex mixtures of processes are realized structurally as direct sums
@@ -31,7 +32,7 @@ convex mixtures of processes are realized structurally as direct sums
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from math import frexp, isfinite, ldexp
@@ -44,6 +45,7 @@ from .words import Word, normalize_word, word_count_up_to
 
 DEFAULT_NEG_TOL = 1e-10
 DEFAULT_CONDITION_TOL = 1e-12
+STATIONARITY_TOL = 1e-10
 #: Word values one request may compute or compare: word pairs, block entries.
 MAX_VALUES = 2**27
 #: Entries one request may hold at once: stacked vectors, blocks, listed words.
@@ -98,6 +100,7 @@ class OomModel:
         return np.stack([self.operators[s] for s in self.alphabet])
 
     @cached_property
+    @np.errstate(over="ignore")  # a sum past the float range is refused where it is read
     def operator_sum(self) -> np.ndarray:
         return self.operator_stack.sum(axis=0)
 
@@ -167,8 +170,8 @@ class ValidationReport(_Report):
     condition2_residual: float
     most_negative_probability: float
     checked_depth: int
-    neg_tol: float
-    condition_tol: float
+    neg_tol: float = field(default=DEFAULT_NEG_TOL, init=False)
+    condition_tol: float = field(default=DEFAULT_CONDITION_TOL, init=False)
     passed: bool
 
     _failure = (
@@ -183,7 +186,7 @@ class HmmValidationReport(_Report):
     row_sum_residual: float
     init_sum_residual: float
     min_entry: float
-    tol: float
+    tol: float = field(default=DEFAULT_CONDITION_TOL, init=False)
     passed: bool
 
     _failure = (
@@ -198,7 +201,7 @@ class StationarityReport(_Report):
 
     residual: float
     level: int
-    tol: float
+    tol: float = field(default=STATIONARITY_TOL, init=False)
     stationary: bool
 
 
@@ -290,15 +293,15 @@ def _overflow_to(depth: int) -> ValidationError:
     return _overflow(f"a word up to length {depth} has a non-finite value")
 
 
-def _clamp_probabilities(h: np.ndarray, neg_tol: float, what: str) -> np.ndarray:
-    """``h`` with its entries in ``[-neg_tol, 0)`` set to zero: ``h`` itself
-    when it has none. An entry below ``-neg_tol``, or NaN, raises."""
+def _clamp_probabilities(h: np.ndarray, what: str) -> np.ndarray:
+    """``h`` with its entries in ``[-DEFAULT_NEG_TOL, 0)`` set to zero: ``h``
+    itself when it has none. An entry below that, or NaN, raises."""
     worst = float(h.min()) if h.size else 0.0
     if np.isnan(worst):  # the comparison below is false for NaN
         raise _overflow(f"a {what} is nan")
-    if worst < -neg_tol:
+    if worst < -DEFAULT_NEG_TOL:
         raise ValidationError(
-            f"{what} {worst} below -neg_tol={-neg_tol}; "
+            f"{what} {worst} below -neg_tol={-DEFAULT_NEG_TOL}; "
             "the model does not generate a probability distribution"
         )
     return np.where(h < 0.0, 0.0, h) if worst < 0.0 else h
@@ -411,11 +414,19 @@ def _difference(m1: OomModel, m2: OomModel) -> tuple:
 # Operations
 
 
-def _condition_residuals(m: OomModel) -> tuple[float, float]:
-    """``|l(v) - 1|`` and ``max |l sum_d T_d - l|``: how far ``m`` is from
-    unit mass and from mass preservation."""
-    c1 = abs(float(m.eval @ m.init) - 1.0)
-    c2 = float(np.max(np.abs(m.eval @ m.operator_sum - m.eval)))
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite residual is refused
+def _condition_residuals(total: np.ndarray, init, eval) -> tuple[float, float]:
+    """``|l(v) - 1|`` and ``max |l T - l|`` for the sum ``T`` of a model's
+    operators: how far it is from unit mass and from mass preservation. A
+    residual that is not finite, where the parameters sum past the float
+    range, raises :class:`ValidationError`."""
+    c1 = abs(complex(eval @ init) - 1.0)
+    c2 = float(np.max(np.abs(eval @ total - eval)))
+    if not (isfinite(c1) and isfinite(c2)):
+        raise ValidationError(
+            f"condition-1 residual {c1:.6e}, condition-2 residual {c2:.6e}: "
+            "a sum of the model's parameters overflows the float range"
+        )
     return c1, c2
 
 
@@ -423,54 +434,50 @@ def _certified(m: OomModel) -> bool:
     """Whether the signs of ``m`` prove it valid at every depth: no negative
     parameter, and both condition residuals within ``DEFAULT_CONDITION_TOL``.
     A model that is not certified may still be valid; only a scan can tell."""
-    return m._nonnegative and all(c <= DEFAULT_CONDITION_TOL for c in _condition_residuals(m))
+    if not m._nonnegative:
+        return False
+    return max(_condition_residuals(m.operator_sum, m.init, m.eval)) <= DEFAULT_CONDITION_TOL
 
 
-def validate_oom(
-    m: OomModel,
-    l_val: int = 8,
-    neg_tol: float = DEFAULT_NEG_TOL,
-    condition_tol: float = DEFAULT_CONDITION_TOL,
-) -> ValidationReport:
+def validate_oom(m: OomModel, l_val: int = 8) -> ValidationReport:
     """Check the three defining conditions up to word length ``l_val``.
 
     Returns the residual ``|l(v) - 1|``, the residual ``max |l sum_d T_d - l|``
     and the most negative word value over all words up to ``checked_depth``:
     ``l_val``, or the deepest depth below it whose scan fits the budget (8 for
     up to 10 symbols, 5 for 26, up to 176 states). The verdict passes iff the
-    first two are within ``condition_tol`` and the scan found nothing below
-    ``-neg_tol``. A pass certifies nonnegativity only up to that depth.
+    first two are within ``DEFAULT_CONDITION_TOL`` and the scan found nothing
+    below ``-DEFAULT_NEG_TOL``. A pass certifies nonnegativity only up to that
+    depth.
     """
     _require_nonnegative(l_val=l_val)
     depth = _deepest(l_val, lambda n: _scan_cost(len(m.alphabet), m.dim, n))
-    c1, c2 = _condition_residuals(m)
+    c1, c2 = _condition_residuals(m.operator_sum, m.init, m.eval)
     most_negative = _split_scan(m.operator_stack, m.init, m.eval, depth)[0]
-    passed = c1 <= condition_tol and c2 <= condition_tol and most_negative >= -neg_tol
+    passed = max(c1, c2) <= DEFAULT_CONDITION_TOL and most_negative >= -DEFAULT_NEG_TOL
     return ValidationReport(
         condition1_residual=c1,
         condition2_residual=c2,
         most_negative_probability=most_negative,
         checked_depth=depth,
-        neg_tol=neg_tol,
-        condition_tol=condition_tol,
         passed=passed,
     )
 
 
-def validate_hmm(h: HmmModel, tol: float = DEFAULT_CONDITION_TOL) -> HmmValidationReport:
-    """Check row-stochasticity of the symbol sum and normalisation of init."""
+def validate_hmm(h: HmmModel) -> HmmValidationReport:
+    """Check row-stochasticity of the symbol sum and normalisation of init,
+    each within ``DEFAULT_CONDITION_TOL``."""
     total = sum(h.transition_emission[s] for s in h.alphabet)
     row_res = float(np.max(np.abs(total.sum(axis=1) - 1.0)))
     init_res = abs(float(h.init.sum()) - 1.0)
     min_entry = float(
         min(h.init.min(), *(h.transition_emission[s].min() for s in h.alphabet))
     )
-    passed = row_res <= tol and init_res <= tol and min_entry >= 0.0
+    passed = max(row_res, init_res) <= DEFAULT_CONDITION_TOL and min_entry >= 0.0
     return HmmValidationReport(
         row_sum_residual=row_res,
         init_sum_residual=init_res,
         min_entry=min_entry,
-        tol=tol,
         passed=passed,
     )
 
@@ -565,23 +572,23 @@ def mixture_direct_sum(parts: Sequence[tuple]) -> OomModel:
     return OomModel(alphabet=alphabet, operators=dict(zip(alphabet, ops)), init=init, eval=evalv)
 
 
-def stationarity_check(m: OomModel, l: int = 6, tol: float = 1e-10) -> StationarityReport:
+def stationarity_check(m: OomModel, l: int = 6) -> StationarityReport:
     """Test shift invariance of the generated process on observables.
 
     Reports ``max |P(w) - sum_d P(dw)|`` over all words of length at most
-    ``l``. The algebraic condition ``(sum_d T_d) v = v`` is sufficient but not
-    necessary; this observable criterion, the split scan of ``v - (sum_d T_d) v``
-    against ``l``, is the one actually tested.
+    ``l``, stationary when it is within ``STATIONARITY_TOL``. The algebraic
+    condition ``(sum_d T_d) v = v`` is sufficient but not necessary; this
+    observable criterion, the split scan of ``v - (sum_d T_d) v`` against
+    ``l``, is the one actually tested.
     """
     _require_nonnegative(l=l)
     shifted = m.init - m.operator_sum @ m.init
     residual = _split_scan(m.operator_stack, shifted, m.eval, l)[1]
-    return StationarityReport(residual=residual, level=l, tol=tol, stationary=residual <= tol)
+    return StationarityReport(residual=residual, level=l, stationary=residual <= STATIONARITY_TOL)
 
 
-def sample_trajectory(
-    m: OomModel, length: int, seed: int, neg_tol: float = DEFAULT_NEG_TOL
-) -> Word:
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite total is refused
+def sample_trajectory(m: OomModel, length: int, seed: int) -> Word:
     """Draw a word of the given length from the generated process.
 
     Sampling walks sequential conditionals ``P(d | w) = P(wd) / P(w)``. With
@@ -595,10 +602,12 @@ def sample_trajectory(
     round-off, so arbitrarily long trajectories do not underflow. Only a step
     with a negative raw conditional or no positive total divides the
     conditionals by the mass ``l x`` (1 at the initial state), clamps those
-    in ``[-neg_tol, 0)`` to zero and raises below that or when no mass is
-    left. Running sums taken as products round differently in the last bits
-    from sums of normalised conditionals, so a symbol can differ from such a
-    sampler only where a uniform lies within about ``1e-15`` of a boundary.
+    in ``[-DEFAULT_NEG_TOL, 0)`` to zero and raises below that or when no mass
+    is left. A total that is not finite, as where the state image overflows,
+    raises :class:`ValidationError` before a symbol is drawn from it. Running
+    sums taken as products round differently in the last bits from sums of
+    normalised conditionals, so a symbol can differ from such a sampler only
+    where a uniform lies within about ``1e-15`` of a boundary.
     Uniforms are drawn from the generator in fixed blocks, the same stream as
     one draw per step. Deterministic given ``seed``.
     """
@@ -615,6 +624,8 @@ def sample_trajectory(
     signed = not m._nonnegative
     nxt = np.concatenate([m.init, rows @ m.init])
     state, vals = nxt[:d], nxt.tolist()
+    if not isfinite(vals[-1]):
+        raise _overflow_to(1)
     # the first k - 1 running sums are bisected; a uniform past them picks the last symbol
     lo, hi = d + k, d + 2 * k - 1
     out = []
@@ -627,7 +638,7 @@ def sample_trajectory(
                 # the initial state's mass counts as 1
                 cond = (nxt[d:lo] / (l @ state) if out else nxt[d:lo]).tolist()
                 lowest = min(cond)
-                if lowest < -neg_tol:
+                if lowest < -DEFAULT_NEG_TOL:
                     raise ValidationError(
                         f"conditional mass {lowest} below -neg_tol while sampling; "
                         "the model does not generate a probability distribution"
@@ -640,6 +651,8 @@ def sample_trajectory(
             nxt = fused[idx].dot(state)
             vals = nxt.tolist()
             if not _SCALE_LOW < vals[-1] < _SCALE_HIGH:
+                if not isfinite(vals[-1]):
+                    raise _overflow_to(len(out) + 1)
                 nxt *= ldexp(1.0, -frexp(vals[-1])[1])
             state = nxt[:d]
     return tuple(m.alphabet[i] for i in out)

@@ -14,10 +14,14 @@ sampler and the clustering at more than toy size, ``dim --max-level 8`` on a
 operator-algebra model, and ``validate`` and ``nc-dim`` on a signed mixture
 of two qubit product states that is positive on one site and not on two, so
 that both exit 1, ``dim --max-level 3``, ``validate``, ``causal --past-len
-2 --horizon 2`` and ``minimize`` on a valid model whose state images
-overflow, which all refuse its non-finite word values with one message and
-no numpy warning, and ``validate`` on a model file with a ``NaN`` entry and
-``eval`` on one with a 400-digit integer entry, which are schema errors,
+2 --horizon 2``, ``minimize`` and ``sample --length 12`` on a valid model
+whose state images overflow, which all refuse its non-finite word values
+with one message and no numpy warning (the sampler before it draws a symbol
+from one), ``validate --depth 1`` on a model whose operators sum past the
+float range, as a classical and as an operator-algebra file, which refuse
+its non-finite condition residual, and ``validate`` on a model file with a
+``NaN`` entry and ``eval`` on one with a 400-digit integer entry, which are
+schema errors,
 ``validate`` on an operator-algebra mixture of two ``qubit_product`` parts and
 ``nc-eval --require-positive`` on ``bernoulli05``; together the cases reach
 every operation that ``test_cli.py`` lists as reachable from the command line.
@@ -133,6 +137,8 @@ def cases(scratch: str) -> list:
     # value of "00" is 0 * inf
     overflow = OomModel(("0", "1"), {"0": [[0.5, 0.0], [1e308, 1e308]],
                                      "1": [[0.5, 0.0], [0.0, 0.5]]}, [1.0, 0.0], [1.0, 0.0])
+    # finite operators whose sum, and every word value past length one, overflow
+    sum_overflow = OomModel(("0", "1"), {"0": [[1e308]], "1": [[1e308]]}, [1.0], [1.0])
     for kind, stem, model, argv in (
         ("dim", "hmm20_rng1", hmm20, ["dim", "--max-level", "8"]),
         ("minimize", "hmm12_rng0", hmm_to_oom(random_hmm(12, "01", rng=0)), ["minimize"]),
@@ -147,6 +153,10 @@ def cases(scratch: str) -> list:
         ("validate", "overflow", overflow, ["validate"]),
         ("causal", "overflow", overflow, ["causal", "--past-len", "2", "--horizon", "2"]),
         ("minimize", "overflow", overflow, ["minimize"]),
+        ("sample", "overflow", overflow, ["sample", "--length", "12"]),
+        ("validate-depth1", "sum_overflow", sum_overflow, ["validate", "--depth", "1"]),
+        ("validate-depth1", "sum_overflow_nc", embed_classical(sum_overflow),
+         ["validate", "--depth", "1"]),
     ):
         path = os.path.join(scratch, stem + ".json")
         save_model(model, path)

@@ -89,7 +89,7 @@ def test_b_star_b_is_positive(dims):
     rng = np.random.default_rng(7)
     for _ in range(100):
         b = random_element(a, rng, normalize=False)
-        assert is_positive(b.adjoint() * b, tol=1e-10)
+        assert is_positive(b.adjoint() * b)
 
 
 @pytest.mark.parametrize("dims", SHAPES)

@@ -5,7 +5,6 @@ import oomlab as ol
 from oomlab import ResourceLimitError
 from oomlab import causal
 from oomlab.causal import _components, _predictive_matrix
-from oomlab.oom import DEFAULT_NEG_TOL
 
 from curated import curated_suite, markov2, mixture_2bern, signed_coin_mixture
 
@@ -233,7 +232,7 @@ def test_exact_partitions_match_the_pairwise_loop(cluster_tol):
         cases.append((m, *((4, 2) if len(m.alphabet) == 2 else (2, 1 + seed % 2))))
     for m, past_length, horizon in cases:
         part = ol.enumerate_causal_states(m, past_length, horizon, cluster_tol=cluster_tol)
-        pasts, weights, numerators = _predictive_matrix(m, past_length, horizon, DEFAULT_NEG_TOL)
+        pasts, weights, numerators = _predictive_matrix(m, past_length, horizon)
         keep = weights > 0.0
         rows = numerators[keep] / weights[keep, None]
         live = [u for u, k in zip(pasts, keep) if k]
@@ -310,7 +309,7 @@ def test_components_match_the_pairwise_loop(cluster_tol, chunk, monkeypatch):
     for seed in range(100):
         m = seeded_model(seed)
         past_length = 5 if len(m.alphabet) == 2 else 3
-        _, weights, numerators = _predictive_matrix(m, past_length, 1, DEFAULT_NEG_TOL)
+        _, weights, numerators = _predictive_matrix(m, past_length, 1)
         keep = weights > 0.0
         rows = numerators[keep] / weights[keep, None]
         assert _components(rows, cluster_tol).tolist() == reference_labels(rows, cluster_tol)

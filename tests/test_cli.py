@@ -661,6 +661,47 @@ def test_subcommand_set_is_exactly_the_interface():
     }
 
 
+#: The defaulted parameters of the public functions. Each is set by a command-line
+#: option, a spec field or the benchmark, or selects documented behaviour; every
+#: other deciding value is a named constant of its module.
+DEFAULTED = {
+    "bernoulli": ["symbols"],
+    "causal_span_rank": ["tol_rel"],
+    "empirical_causal_states": ["n_windows", "seed", "cluster_tol"],
+    "enumerate_causal_states": ["cluster_tol"],
+    "equivalent": ["tol"],
+    "markov_chain": ["labels", "init"],
+    "minimize_oom": ["tol_rel"],
+    "nc_evaluate": ["reverse_order"],
+    "nc_process_dimension": ["tol_rel"],
+    "nc_stationarity_check": ["l", "reverse_order"],
+    "numerical_rank": ["tol_rel"],
+    "parse_model_file": ["validate", "_depth"],
+    "process_dimension": ["tol_rel"],
+    "random_hmm": ["rng"],
+    "run_additivity": ["tol_rel", "name"],
+    "run_semicontinuity": ["tol_rel", "name"],
+    "run_upperbound": ["tol_rel", "cluster_tol", "name"],
+    "stationarity_check": ["l"],
+    "validate_ncoom": ["l_val"],
+    "validate_oom": ["l_val"],
+    "word_probability": ["neg_tol"],
+}
+
+
+def test_defaulted_parameters_are_exactly_the_pinned_ones():
+    """A new defaulted parameter of a public function is a deliberate change here."""
+    found = {}
+    for name in ol.__all__:
+        fn = getattr(ol, name)
+        if inspect.isfunction(fn):
+            params = inspect.signature(fn).parameters.values()
+            if defaulted := [p.name for p in params if p.default is not p.empty]:
+                found[name] = defaulted
+    assert found == DEFAULTED
+    assert sum(map(len, found.values())) == 30
+
+
 def test_every_public_operation_reachable_from_cli(monkeypatch, tmp_path):
     operations = {
         # algebra

@@ -473,31 +473,28 @@ _OVERFLOW = "a word up to length {} has a non-finite value: its state image over
 
 
 @pytest.mark.parametrize(
-    "model, kw, level, kind, message",
+    "model, level, kind, message",
     [
-        (signed_coin_mixture(), {}, 2, ValidationError,
+        (signed_coin_mixture(), 2, ValidationError,
          _NEGATIVE.format(-0.09486931199999998, -1e-10)),
         # the depth-10 block holds P(1^19) < 0, but exceeds the budget first
-        (signed_coin_mixture(0.55), {}, 10, ResourceLimitError,
+        (signed_coin_mixture(0.55), 10, ResourceLimitError,
          _BUDGET.format("Hankel block to depths 10 and 10", 4190209, 4198397)),
-        (signed_coin_mixture(), {"neg_tol": 0.1}, 3, ValidationError,
-         _NEGATIVE.format(-0.13780155793919996, -0.1)),
-        (ol.bernoulli(0.5), {}, 11, ResourceLimitError,
+        (ol.bernoulli(0.5), 11, ResourceLimitError,
          _BUDGET.format("Hankel block to depths 11 and 11", 16769025, 16777215)),
-        (ol.hmm_to_oom(markov3()), {}, 7, ResourceLimitError,
+        (ol.hmm_to_oom(markov3()), 7, ResourceLimitError,
          _BUDGET.format("Hankel block to depths 7 and 7", 10758400, 10778080)),
         # certified, so its block is never formed: its factors are refused
-        (overflowing_model(), {}, 2, ValidationError, _OVERFLOW.format(4)),
+        (overflowing_model(), 2, ValidationError, _OVERFLOW.format(4)),
     ],
-    ids=["negative", "guard-before-negative", "negative-late", "guard", "guard-3-symbols",
-         "overflow"],
+    ids=["negative", "guard-before-negative", "guard", "guard-3-symbols", "overflow"],
 )
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_ladder_errors_fire_at_their_level(model, kw, level, kind, message):
+def test_ladder_errors_fire_at_their_level(model, level, kind, message):
     with pytest.raises(kind) as err:
-        ol.process_dimension(model, level, **kw)
+        ol.process_dimension(model, level)
     assert str(err.value) == message
-    ol.process_dimension(model, level - 1, **kw)  # the level below still passes
+    ol.process_dimension(model, level - 1)  # the level below still passes
 
 
 def test_operator_algebra_guard_fires_at_its_level():
@@ -529,7 +526,7 @@ def test_finite_factors_whose_product_overflows_are_refused():
 def test_clamp_refuses_nan():
     h = np.array([[1.0, 0.5], [np.nan, -1e-12]])
     with pytest.raises(ValidationError) as err:
-        _clamp_probabilities(h, 1e-10, "Hankel entry")
+        _clamp_probabilities(h, "Hankel entry")
     assert str(err.value) == "a Hankel entry is nan: its state image overflows the float range"
 
 

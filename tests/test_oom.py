@@ -411,17 +411,21 @@ def test_sampler_rescales_masses_beyond_double_range(m):
 
 
 def test_sampler_clamps_conditionals_within_tolerance():
-    # "n" takes eps of "a"'s operator with a minus sign: P(n | w) = -eps always
-    eps, h = 5e-11, ol.hmm_to_oom(ol.random_hmm(3, "ab", rng=6))
-    shift = eps * np.eye(3)
-    ops = {"a": h.operators["a"] + shift, "n": -shift, "b": h.operators["b"]}
-    m = ol.OomModel(("a", "n", "b"), ops, h.init, h.eval)
+    h = ol.hmm_to_oom(ol.random_hmm(3, "ab", rng=6))
+
+    def negative_symbol(eps):
+        # "n" takes eps of "a"'s operator with a minus sign: P(n | w) = -eps always
+        shift = eps * np.eye(3)
+        ops = {"a": h.operators["a"] + shift, "n": -shift, "b": h.operators["b"]}
+        return ol.OomModel(("a", "n", "b"), ops, h.init, h.eval)
+
+    m = negative_symbol(0.5 * DEFAULT_NEG_TOL)
     for seed in range(20):
         w = ol.sample_trajectory(m, 2000, seed)
         assert w == reference_sample(m, 2000, seed), seed
         assert "n" not in w
     with pytest.raises(ValidationError, match="below -neg_tol"):
-        ol.sample_trajectory(m, 10, 0, neg_tol=1e-11)
+        ol.sample_trajectory(negative_symbol(5 * DEFAULT_NEG_TOL), 10, 0)
 
 
 def test_sampler_errors_keep_their_messages():
@@ -721,14 +725,36 @@ def test_overflowing_word_values_are_not_dropped(tmp_path):
         (lambda m: ol.minimize_oom(m), 2),
         (lambda m: ol.run_additivity([(0.5, m), (0.5, ol.bernoulli(0.3))], 2), 4),
         (lambda m: ol.run_upperbound(m, 2, 2, 3), 4),
+        # "1", "0", "0" and "0" are drawn, and the image of "100" has overflowed
+        (lambda m: ol.sample_trajectory(m, 12, 0), 5),
+        (lambda m: ol.enumerate_causal_states(m, 2, 2), 4),
     ],
     ids=["stationarity_check", "kolmogorov_residual", "nc_stationarity_check",
          "validate_ncoom", "validate_oom", "cylinder_distance", "equivalent",
-         "equivalent-reversed", "minimize_oom", "run_additivity", "run_upperbound"],
+         "equivalent-reversed", "minimize_oom", "run_additivity", "run_upperbound",
+         "sample_trajectory", "enumerate_causal_states"],
 )
 def test_every_entry_point_refuses_an_overflow(call, depth):
-    """Each refuses through the scan, closure or density check it runs, with
-    no warning from the overflowed arithmetic."""
+    """Each refuses through the scan, closure, density check or sampling step
+    it runs, with no warning from the overflowed arithmetic."""
     with pytest.raises(ValidationError) as err:
         call(overflowing_model())
     assert str(err.value) == OVERFLOW.format(depth)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_parameters_summing_past_the_float_range_are_refused():
+    # every word of length one has value 1e308; their sum and longer words overflow
+    m = ol.OomModel(("0", "1"), {"0": [[1e308]], "1": [[1e308]]}, [1.0], [1.0])
+    residuals = (
+        "condition-1 residual 0.000000e+00, condition-2 residual inf: "
+        "a sum of the model's parameters overflows the float range"
+    )
+    for model, validate in ((m, ol.validate_oom), (ol.embed_classical(m), ol.validate_ncoom)):
+        with pytest.raises(ValidationError) as err:
+            validate(model, 1)
+        assert str(err.value) == residuals
+    # the first total is already infinite, so no symbol is drawn
+    with pytest.raises(ValidationError) as err:
+        ol.sample_trajectory(m, 3, 0)
+    assert str(err.value) == OVERFLOW.format(1)
