@@ -16,12 +16,10 @@ columns. :func:`build_hankel` takes the block's singular values from the core
 ``R_S R_F^T`` built from the QR factors of ``S`` and ``F``. The core is at
 most ``d x d`` and has the block's nonzero singular values (Golub & Van Loan,
 *Matrix Computations*, section 5.4); the remaining ones are exact zeros. The
-block itself, one matrix product, is formed only when its entries are read
-or its signs need checking: a model with no negative parameter has no
-negative word value, so its block is formed only when read. A model with one
-has its block formed and checked for negativity; a block with entries in
-``[-DEFAULT_NEG_TOL, 0)`` is clamped, no longer equals ``S F^T``, and is
-decomposed densely. A word value that overflows the float range is refused.
+block ``S F^T``, one matrix product, is formed only when its entries are
+read. A model with a negative parameter has the block's words scanned for a
+value below ``-DEFAULT_NEG_TOL`` first, by the chunked split scan; round-off
+above that is kept. A word value that overflows the float range is refused.
 
 Each level also records its rank-decision margin: the smallest kept and the
 largest dropped singular value, both relative to the largest. When the kept
@@ -42,7 +40,7 @@ words, and the tolerance bounds those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,13 +50,13 @@ from .words import normalize_word, word_count_up_to, words_up_to
 from .oom import (
     OomModel,
     _budget,
-    _clamp_probabilities,
     _classical_model,
     _difference,
     _functional_levels,
     _overflow_to,
     _propagate,
     _require_nonnegative,
+    _require_probabilities,
     _state_levels,
 )
 
@@ -77,11 +75,11 @@ class HankelBlock:
     algebra setting, where entries are complex and index tuples enumerate
     basis elements) of the concatenation ``pasts[i] + futures[j]``.
 
-    The block keeps its factors: ``states`` holds the images of the pasts,
-    ``functionals`` the covectors of the futures, over ``symbols`` to depths
-    ``l_past`` and ``l_future``. ``matrix`` is ``states @ functionals.T``,
-    formed when first read unless the block was formed when built, and the
-    word lists are likewise listed when first read; ``shape`` forms neither.
+    The block is its factors and their spectrum: ``states`` holds the images
+    of the pasts, ``functionals`` the covectors of the futures, over
+    ``symbols`` to depths ``l_past`` and ``l_future``. ``matrix`` is
+    ``states @ functionals.T``, formed within the budget when first read, and
+    the word lists are likewise listed when first read; ``shape`` forms neither.
     """
 
     states: np.ndarray
@@ -90,13 +88,12 @@ class HankelBlock:
     l_past: int
     l_future: int
     singular_values: np.ndarray
-    formed: np.ndarray | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        if self.formed is None:
-            self.formed = self.states @ self.functionals.T
-        return self.formed
+        n = self.shape[0] * self.shape[1]
+        _budget(f"forming the block to depths {self.l_past} and {self.l_future}", n, n)
+        return self.states @ self.functionals.T
 
     @cached_property
     def pasts(self) -> list:
@@ -141,6 +138,7 @@ class DimensionReport:
         }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed image is returned as it is
 def apply_tau(m: OomModel, word) -> np.ndarray:
     """State image of a word: ``T_wn ... T_w1 v``.
 
@@ -152,25 +150,23 @@ def apply_tau(m: OomModel, word) -> np.ndarray:
 
 
 def _block_budget(what: str, k: int, d: int, l_past: int, l_future: int) -> None:
-    """Budget a block: its entries, held with the ``d``-wide pasts and futures.
-    A negative depth raises ``ValueError``."""
+    """Budget a block: its entries as values, and as held only the ``d``-wide
+    stacks of its pasts and futures. A negative depth raises ``ValueError``."""
     if l_past < 0 or l_future < 0:
         raise ValueError("l_past and l_future must be nonnegative")
     rows, cols = word_count_up_to(k, l_past), word_count_up_to(k, l_future)
-    what = f"{what} to depths {l_past} and {l_future}"
-    _budget(what, rows * cols, rows * cols + (rows + cols) * d)
+    _budget(f"{what} to depths {l_past} and {l_future}", rows * cols, (rows + cols) * d)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite factor or core is refused
 def _model_block(ops, init, eval, symbols, l_past: int, l_future: int) -> HankelBlock:
     """Block of the state images of all words over ``symbols`` up to
     ``l_past`` against the functionals of all words up to ``l_future``, both
     over ``ops``, unformed. Its singular values come from the core
-    ``R_S R_F^T`` and are padded with exact zeros to the block's size. A
-    factor or core that is not finite raises :class:`ValidationError`."""
+    ``R_S R_F^T`` and are padded with exact zeros to the block's size. A core
+    that is not finite, as non-finite factors make it, raises an error."""
     states = np.vstack(_state_levels(ops, init, l_past))
     functionals = np.vstack(_functional_levels(ops, eval, l_future))
-    if not (np.isfinite(states).all() and np.isfinite(functionals).all()):
-        raise _overflow_to(l_past + l_future)
     core = np.linalg.qr(states, mode="r") @ np.linalg.qr(functionals, mode="r").T
     if not np.isfinite(core).all():
         raise _overflow_to(l_past + l_future)
@@ -186,21 +182,14 @@ def build_hankel(p, l_past: int, l_future: int) -> HankelBlock:
 
     The block factors into the state images of the pasts and the linear
     functionals of the futures of the model (or of the model an HMM induces),
-    and its singular values come from the factors. The block is formed here,
-    one matrix product, only when the model has a negative parameter, since
-    only then can an entry be negative; an entry in ``[-DEFAULT_NEG_TOL, 0)``
-    is clamped and the clamped block decomposed densely. Otherwise it is formed
-    when its ``matrix`` is first read.
+    and its singular values come from the factors; it is formed when its
+    ``matrix`` is first read. A model with a negative parameter first has its
+    block's words scanned: a value below ``-DEFAULT_NEG_TOL`` raises.
     """
     m = _classical_model(p)
     _block_budget("Hankel block", len(m.alphabet), m.dim, l_past, l_future)
-    block = _model_block(m.operator_stack, m.init, m.eval, m.alphabet, l_past, l_future)
-    if not m._nonnegative:
-        clamped = _clamp_probabilities(block.matrix, "Hankel entry")
-        if clamped is not block.matrix:  # a clamped block no longer factors
-            block.formed = clamped
-            block.singular_values = np.linalg.svd(clamped, compute_uv=False)
-    return block
+    _require_probabilities(m, l_past + l_future)
+    return _model_block(m.operator_stack, m.init, m.eval, m.alphabet, l_past, l_future)
 
 
 def numerical_rank(singular_values, tol_rel: float = DEFAULT_RANK_TOL) -> int:
@@ -210,12 +199,9 @@ def numerical_rank(singular_values, tol_rel: float = DEFAULT_RANK_TOL) -> int:
     own scale, which suits probability matrices whose entries are O(1).
     """
     sv = np.asarray(singular_values, dtype=float).reshape(-1)
-    if sv.size == 0:
+    if sv.size == 0 or sv[0] <= 0.0:
         return 0
-    smax = float(sv[0])
-    if smax <= 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol_rel * smax))
+    return int(np.count_nonzero(sv > tol_rel * sv[0]))
 
 
 def _rank_margin(singular_values, rank: int) -> list:

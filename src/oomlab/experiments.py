@@ -27,7 +27,6 @@ from .causal import (
 from .dimension import DEFAULT_EQUIV_TOL, DEFAULT_RANK_TOL, equivalent, process_dimension
 from .errors import PreconditionError, ValidationError
 from .oom import (
-    DEFAULT_NEG_TOL,
     STATIONARITY_TOL,
     OomModel,
     _Report,
@@ -35,6 +34,7 @@ from .oom import (
     _classical_model,
     _difference,
     _require_nonnegative,
+    _require_probabilities,
     _split_scan,
     hmm_to_oom,
     mixture_direct_sum,
@@ -95,20 +95,16 @@ def cylinder_distance(p, q, l: int) -> float:
     the chosen depth, the sense of convergence in which dimension is lower
     semi-continuous. It is the largest magnitude of the split scan of the
     difference model of ``p`` and ``q``, the direct sum with the second eval
-    negated. A word value of either below ``-DEFAULT_NEG_TOL``, or a
-    non-finite value where a state image overflows, raises
-    :class:`ValidationError`.
+    negated. A word value of either below ``-DEFAULT_NEG_TOL``, which only a
+    model with a negative parameter is scanned for, or a non-finite value
+    where a state image overflows, raises :class:`ValidationError`.
     """
     _require_nonnegative(l=l)
     models = [_classical_model(p), _classical_model(q)]
     if models[0].alphabet != models[1].alphabet:
         raise ValidationError("alphabet mismatch")
     for m in models:
-        lowest = _split_scan(m.operator_stack, m.init, m.eval, l)[0]
-        if lowest < -DEFAULT_NEG_TOL:
-            raise ValidationError(
-                f"a word up to length {l} has probability {lowest}, below -neg_tol"
-            )
+        _require_probabilities(m, l)
     return _split_scan(*_difference(*models), l)[1]
 
 

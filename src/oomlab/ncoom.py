@@ -66,8 +66,8 @@ from .dimension import (
 from .errors import ValidationError
 from .oom import DEFAULT_CONDITION_TOL, DEFAULT_NEG_TOL, OomModel, _direct_sum
 from .oom import _Report, _condition_residuals, _deepest, _frozen, _frozen_vectors
-from .oom import _functional_levels, _mixture_weights, _overflow_to, _require_nonnegative
-from .oom import _split_scan, _state_levels
+from .oom import _functional_levels, _mixture_weights, _overflow, _overflow_to
+from .oom import _require_nonnegative, _split_scan, _state_levels
 from .words import word_count_up_to
 
 DEFAULT_IMAG_TOL = 1e-9
@@ -157,13 +157,16 @@ def nc_evaluate(
 
     The first factor's operator is applied first; ``reverse_order`` flips
     this (the alternative composition convention). The empty tensor gives
-    ``l(v)``, one for a valid model.
+    ``l(v)``, one for a valid model; a non-finite value is refused.
     """
     state = m.init
-    ordered = reversed(factors) if reverse_order else factors
-    for a in ordered:
-        state = m.operator_for(a) @ state
-    return complex(m.eval @ state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in reversed(factors) if reverse_order else factors:
+            state = m.operator_for(a) @ state
+        value = complex(m.eval @ state)
+    if not np.isfinite(value):
+        raise _overflow(f"the value on {len(factors)} factors is {value}")
+    return value
 
 
 def _density_cost(algebra: CStarAlgebra, d: int, depth: int) -> tuple[int, int]:
@@ -287,10 +290,10 @@ def nc_hankel(
     Rows are tuples of basis indices of length <= l_past, columns tuples of
     length <= l_future (length-then-lexicographic); the entry is the state
     evaluated on the concatenated tensor, row factors first. For an embedded
-    classical model this is entrywise the classical probability block. The
-    singular values come from the factors of the block, as in
-    :func:`~oomlab.dimension.build_hankel`. No entry is clamped, so the block
-    is formed only when its ``matrix`` is first read.
+    classical model this is entrywise the classical probability block. As
+    in :func:`~oomlab.dimension.build_hankel`, the singular values come from
+    the factors of the block, and the block is formed only when its
+    ``matrix`` is first read.
     """
     td = m.algebra.total_dim
     _block_budget("block", td, m.dim, l_past, l_future)

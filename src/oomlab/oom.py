@@ -370,7 +370,20 @@ def _split_scan(ops: np.ndarray, vector, covector, depth: int) -> tuple[float, f
         if not (isfinite(low) and isfinite(high)):  # Python's min and max would drop a NaN
             raise _overflow_to(depth)
         lowest, largest = min(lowest, low), max(largest, high)
+        del block  # so that the next chunk does not share the peak with it
     return lowest, largest
+
+
+def _require_probabilities(m: OomModel, depth: int) -> None:
+    """Refuse a word value up to ``depth`` below ``-DEFAULT_NEG_TOL``, or not
+    finite, by the split scan; a model with no negative parameter has none."""
+    if m._nonnegative:
+        return
+    lowest = _split_scan(m.operator_stack, m.init, m.eval, depth)[0]
+    if lowest < -DEFAULT_NEG_TOL:
+        raise ValidationError(
+            f"a word up to length {depth} has probability {lowest}, below -neg_tol"
+        )
 
 
 def _mixture_weights(parts: Sequence[tuple]) -> np.ndarray:
@@ -482,6 +495,7 @@ def validate_hmm(h: HmmModel) -> HmmValidationReport:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value is refused
 def word_probability(p, word, neg_tol: float = DEFAULT_NEG_TOL) -> float:
     """Probability of the cylinder of ``word`` under the process.
 
@@ -603,11 +617,11 @@ def sample_trajectory(m: OomModel, length: int, seed: int) -> Word:
     with a negative raw conditional or no positive total divides the
     conditionals by the mass ``l x`` (1 at the initial state), clamps those
     in ``[-DEFAULT_NEG_TOL, 0)`` to zero and raises below that or when no mass
-    is left. A total that is not finite, as where the state image overflows,
-    raises :class:`ValidationError` before a symbol is drawn from it. Running
-    sums taken as products round differently in the last bits from sums of
-    normalised conditionals, so a symbol can differ from such a sampler only
-    where a uniform lies within about ``1e-15`` of a boundary.
+    is left. A total that is not finite, where a state image or a parameter
+    sum overflows, raises :class:`ValidationError` before a symbol is drawn.
+    Running sums taken as products round differently in the last bits from
+    sums of normalised conditionals, so a symbol can differ from such a
+    sampler only where a uniform lies within about ``1e-15`` of a boundary.
     Uniforms are drawn from the generator in fixed blocks, the same stream as
     one draw per step. Deterministic given ``seed``.
     """
@@ -617,6 +631,7 @@ def sample_trajectory(m: OomModel, length: int, seed: int) -> Word:
     mass = float(l @ m.init)
     if abs(mass - 1.0) > 1e-6:
         raise ValidationError(f"initial mass is {mass}, expected 1")
+    _condition_residuals(m.operator_sum, m.init, m.eval)  # refuses sums past the float range
     covectors = l @ ops
     rows = np.vstack([covectors, np.cumsum(covectors, axis=0)])
     fused = [np.vstack([t, rows @ t]) for t in ops]

@@ -17,7 +17,8 @@ that both exit 1, ``dim --max-level 3``, ``validate``, ``causal --past-len
 2 --horizon 2``, ``minimize`` and ``sample --length 12`` on a valid model
 whose state images overflow, which all refuse its non-finite word values
 with one message and no numpy warning (the sampler before it draws a symbol
-from one), ``validate --depth 1`` on a model whose operators sum past the
+from one), ``nc-eval --word 0,0`` on that model, which names the overflow
+in the value, ``validate --depth 1`` on a model whose operators sum past the
 float range, as a classical and as an operator-algebra file, which refuse
 its non-finite condition residual, and ``validate`` on a model file with a
 ``NaN`` entry and ``eval`` on one with a 400-digit integer entry, which are
@@ -154,6 +155,7 @@ def cases(scratch: str) -> list:
         ("causal", "overflow", overflow, ["causal", "--past-len", "2", "--horizon", "2"]),
         ("minimize", "overflow", overflow, ["minimize"]),
         ("sample", "overflow", overflow, ["sample", "--length", "12"]),
+        ("nc-eval", "overflow", overflow, ["nc-eval", "--word", "0,0"]),
         ("validate-depth1", "sum_overflow", sum_overflow, ["validate", "--depth", "1"]),
         ("validate-depth1", "sum_overflow_nc", embed_classical(sum_overflow),
          ["validate", "--depth", "1"]),

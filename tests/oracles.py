@@ -107,6 +107,43 @@ def rational_rank(matrix) -> int:
     return rank
 
 
+def _exact_closure(seeds, maps):
+    """The vectors ``M_w s`` that a breadth-first closure of the seeds under
+    the maps keeps, each independent of those kept before it: a basis of the
+    span of every image. Independence is decided by exact elimination."""
+    echelon, kept, frontier = [], [], list(seeds)
+    while frontier:
+        found = []
+        for vec in frontier:
+            rest = list(vec)
+            for pivot, row in echelon:  # each row is zero at the earlier pivots
+                if rest[pivot]:
+                    factor = rest[pivot]
+                    rest = [a - factor * b for a, b in zip(rest, row)]
+            pivot = next((i for i, a in enumerate(rest) if a), None)
+            if pivot is not None:
+                echelon.append((pivot, [a / rest[pivot] for a in rest]))
+                kept.append(vec)
+                found += [[sum(a * b for a, b in zip(r, vec)) for r in m] for m in maps]
+        frontier = found
+    return kept
+
+
+def rational_model_dimension(ops, init, eval) -> int:
+    """Exact dimension of the process of the model ``(ops, init, eval)``: the
+    rank of its infinite Hankel matrix, which is the rank of the products of
+    a basis of its observable covectors ``eval T_w`` with a basis of its
+    reachable images ``T_u init``. Float entries are dyadic rationals, so
+    over fractions this is exact for the model as stored."""
+    def exact(a):
+        return [Fraction(float(x)) for x in np.asarray(a).reshape(-1)]
+
+    mats = [[exact(row) for row in np.asarray(op)] for op in ops]
+    reach = _exact_closure([exact(init)], mats)
+    observe = _exact_closure([exact(eval)], [[list(col) for col in zip(*m)] for m in mats])
+    return rational_rank([[sum(a * b for a, b in zip(f, r)) for r in reach] for f in observe])
+
+
 def enumerating_equivalent(m1, m2, l, tol=1e-9) -> bool:
     """Reference for ``equivalent``: the two models' values on every word up
     to length ``l``, enumerated level by level and compared word by word.

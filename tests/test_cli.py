@@ -12,7 +12,7 @@ from oomlab.model_io import save_model, serialize_model
 
 import cli_snapshot
 from conftest import fixture_path
-from curated import overflowing_model, signed_qubit_mixture
+from curated import overflowing_model, signed_coin_mixture, signed_qubit_mixture
 
 
 def run_cli(capsys, *argv):
@@ -84,7 +84,6 @@ def test_validate_bad_model_exits_one(capsys, tmp_path):
     assert json.loads(out)["validation"]["passed"] is False
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_eval_of_an_overflowing_word_is_a_validation_error(capsys, tmp_path):
     path = tmp_path / "overflow.json"
     save_model(overflowing_model(), path)
@@ -96,7 +95,17 @@ def test_eval_of_an_overflowing_word_is_a_validation_error(capsys, tmp_path):
     )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_nc_eval_of_an_overflowing_word_is_a_validation_error(capsys, tmp_path):
+    path = tmp_path / "overflow.json"
+    save_model(overflowing_model(), path)
+    code, out, err = run_cli(capsys, "nc-eval", "--model", str(path), "--word", "00")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the value on 2 factors is (nan+nanj): "
+        "its state image overflows the float range\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, embed, message",
     [
@@ -137,6 +146,38 @@ def test_tolerances_must_be_finite_and_nonnegative(capsys, argv, option, value):
     assert err.endswith(
         f"error: argument {option}: must be a finite nonnegative number, got {value!r}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, field, at_default, at_option",
+    [
+        (["dim", "--max-level", "2", "--tol-rel", "0.5"], "rank_by_level",
+         {"1": 2, "2": 2}, {"1": 1, "2": 1}),
+        (["minimize", "--tol-rel", "0.5"], "dim_after", 2, 1),
+        (["causal", "--past-len", "2", "--horizon", "2", "--cluster-tol", "1"], "n_states", 3, 1),
+        (["causal", "--past-len", "2", "--horizon", "2", "--tol-rel", "0.5"],
+         "causal_span_rank", 2, 1),
+        (["nc-dim", "--max-level", "2", "--tol-rel", "0.5"], "rank_by_level",
+         {"1": 2, "2": 2}, {"1": 1, "2": 1}),
+    ],
+    ids=["dim", "minimize", "causal-cluster-tol", "causal-tol-rel", "nc-dim"],
+)
+def test_valid_tolerances_reach_the_call(capsys, argv, field, at_default, at_option):
+    model = ["--model", fixture_path("mixture_2bern.json")]
+    _, out, _ = run_cli(capsys, *argv[:-2], *model)
+    assert json.loads(out)[field] == at_default
+    _, out, _ = run_cli(capsys, *argv, *model)
+    assert json.loads(out)[field] == at_option
+
+
+def test_a_valid_neg_tol_reaches_the_call(capsys, tmp_path):
+    path = tmp_path / "signed.json"
+    save_model(signed_coin_mixture(0.55), path)  # its first negative value is at length 19
+    argv = ["eval", "--model", str(path), "--word", "1" * 19]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and "below -neg_tol=-1e-10" in err
+    code, out, _ = run_cli(capsys, *argv, "--neg-tol", "1e-6")
+    assert code == 0 and json.loads(out)["probability"] == 0
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--seed"])

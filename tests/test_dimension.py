@@ -8,7 +8,7 @@ import pytest
 import oomlab as ol
 from oomlab import ResourceLimitError, ValidationError
 from oomlab.dimension import MIN_RANK_MARGIN
-from oomlab.oom import _clamp_probabilities, _functional_levels, _state_levels
+from oomlab.oom import _SCAN_CHUNK, _clamp_probabilities, _functional_levels, _state_levels
 
 from conftest import fixture_path
 from curated import curated_suite, markov2, markov3, mixture_2bern, overflowing_model
@@ -19,6 +19,7 @@ from oracles import (
     RationalMixture,
     enumerating_equivalent,
     rational_hankel,
+    rational_model_dimension,
     rational_periodic,
     rational_rank,
 )
@@ -97,7 +98,17 @@ def test_rectangular_blocks_for_diagnostics():
 
 def test_hankel_entry_guard():
     with pytest.raises(ResourceLimitError):
-        ol.build_hankel(ol.bernoulli(0.5), 11, 11)
+        ol.build_hankel(ol.bernoulli(0.5), 13, 13)
+
+
+def test_reading_a_block_past_the_budget_is_refused():
+    # building holds only the two stacks; reading the block would hold it all
+    block = ol.build_hankel(ol.bernoulli(0.5), 12, 12)
+    assert block.singular_values[0] > 0.0
+    with pytest.raises(ResourceLimitError) as err:
+        block.matrix
+    assert str(err.value) == _BUDGET.format(
+        "forming the block to depths 12 and 12", 67092481, 67092481)
 
 
 # ---------------------------------------------------------------------------
@@ -451,22 +462,25 @@ def test_factored_ranks_match_dense_on_operator_algebra_models():
             assert kept == pytest.approx(sv[rank - 1] / sv[0], rel=1e-8), (m, level)
 
 
-def test_negative_noise_levels_are_clamped_like_the_dense_block():
+def test_negative_noise_levels_keep_the_dense_spectrum():
     m = ol.minimize_oom(ol.hmm_to_oom(ol.periodic(["0", "1", "2"])))
     worst = min(float(m.eval @ ol.apply_tau(m, w)) for w in ol.words_up_to(m.alphabet, 2))
-    assert -1e-15 < worst < 0.0  # level 1 already has negative noise to clamp
+    assert -1e-15 < worst < 0.0  # level 1 already has negative round-off
     rep = ol.process_dimension(m, 5)
     for level in range(1, 6):
         block = ol.build_hankel(m, level, level)
-        sv = _dense_sv(block)
-        assert np.array_equal(block.singular_values, sv)  # clamped: decomposed densely
+        sv = _dense_sv(block)  # of the unclamped block
+        assert block.matrix.min() < 0.0
+        assert np.allclose(block.singular_values, sv, rtol=0, atol=1e-12 * sv[0])
         rank = ol.numerical_rank(sv)
         assert rep.rank_by_level[level] == rank
-        assert rep.margin_by_level[level] == [sv[rank - 1] / sv[0], sv[rank] / sv[0]]
+        kept, dropped = rep.margin_by_level[level]
+        assert kept == pytest.approx(sv[rank - 1] / sv[0], rel=1e-12)
+        assert dropped < 1e-13
     assert rep.stabilized and rep.dimension == 3
 
 
-_NEGATIVE = "Hankel entry {} below -neg_tol={}; the model does not generate a probability distribution"
+_NEGATIVE = "a word up to length {} has probability {}, below -neg_tol"
 _BUDGET = ("{} would take {} values and hold {} entries; "
            "the budget is 134217728 values and 4194304 entries")
 _OVERFLOW = "a word up to length {} has a non-finite value: its state image overflows the float range"
@@ -476,20 +490,20 @@ _OVERFLOW = "a word up to length {} has a non-finite value: its state image over
     "model, level, kind, message",
     [
         (signed_coin_mixture(), 2, ValidationError,
-         _NEGATIVE.format(-0.09486931199999998, -1e-10)),
-        # the depth-10 block holds P(1^19) < 0, but exceeds the budget first
-        (signed_coin_mixture(0.55), 10, ResourceLimitError,
-         _BUDGET.format("Hankel block to depths 10 and 10", 4190209, 4198397)),
-        (ol.bernoulli(0.5), 11, ResourceLimitError,
-         _BUDGET.format("Hankel block to depths 11 and 11", 16769025, 16777215)),
-        (ol.hmm_to_oom(markov3()), 7, ResourceLimitError,
-         _BUDGET.format("Hankel block to depths 7 and 7", 10758400, 10778080)),
-        # certified, so its block is never formed: its factors are refused
+         _NEGATIVE.format(4, -0.09486931199999998)),
+        # P(1^19) < 0 is the first negative value, among the depth-10 block's words
+        (signed_coin_mixture(0.55), 10, ValidationError,
+         _NEGATIVE.format(20, -1.3875960337173652e-07)),
+        # refused on the values computed; the stacks held are small
+        (ol.bernoulli(0.5), 13, ResourceLimitError,
+         _BUDGET.format("Hankel block to depths 13 and 13", 268402689, 32766)),
+        (ol.hmm_to_oom(markov3()), 9, ResourceLimitError,
+         _BUDGET.format("Hankel block to depths 9 and 9", 871666576, 177144)),
+        # certified, so it is not scanned: its factors are refused
         (overflowing_model(), 2, ValidationError, _OVERFLOW.format(4)),
     ],
-    ids=["negative", "guard-before-negative", "guard", "guard-3-symbols", "overflow"],
+    ids=["negative", "negative-at-depth-10", "guard", "guard-3-symbols", "overflow"],
 )
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_ladder_errors_fire_at_their_level(model, level, kind, message):
     with pytest.raises(kind) as err:
         ol.process_dimension(model, level)
@@ -500,12 +514,11 @@ def test_ladder_errors_fire_at_their_level(model, level, kind, message):
 def test_operator_algebra_guard_fires_at_its_level():
     m = ol.embed_classical(ol.bernoulli(0.5))
     with pytest.raises(ResourceLimitError) as err:
-        ol.nc_process_dimension(m, 11)
-    assert str(err.value) == _BUDGET.format("block to depths 11 and 11", 16769025, 16777215)
-    ol.nc_process_dimension(m, 10)
+        ol.nc_process_dimension(m, 13)
+    assert str(err.value) == _BUDGET.format("block to depths 13 and 13", 268402689, 32766)
+    ol.nc_process_dimension(m, 12)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_operator_algebra_overflow_fires_at_its_level():
     m = ol.embed_classical(overflowing_model())
     with pytest.raises(ValidationError) as err:
@@ -514,7 +527,6 @@ def test_operator_algebra_overflow_fires_at_its_level():
     ol.nc_process_dimension(m, 1)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_finite_factors_whose_product_overflows_are_refused():
     m = ol.OomModel(("0", "1"), {"0": [[1e200]], "1": [[0.5]]}, [1.0], [1.0])
     assert ol.build_hankel(m, 1, 0).matrix[1, 0] == 1e200
@@ -531,7 +543,7 @@ def test_clamp_refuses_nan():
 
 
 # ---------------------------------------------------------------------------
-# blocks formed when read
+# blocks formed when read, each exactly the product of its factors
 
 
 def _factors(ops, init, evalv, l_past: int, l_future: int) -> tuple:
@@ -545,7 +557,7 @@ def _assert_block_equals_dense(block, symbols, s, f, dense):
     assert block.shape == dense.shape
     assert np.array_equal(block.states, s) and np.array_equal(block.functionals, f)
     assert np.array_equal(block.matrix, dense)
-    assert block.matrix is block.matrix  # formed once
+    assert "matrix" in vars(block) and block.matrix is block.matrix  # formed once
     assert block.pasts == ol.words_up_to(symbols, block.l_past)
     assert block.futures == ol.words_up_to(symbols, block.l_future)
 
@@ -555,30 +567,31 @@ def test_certified_block_is_formed_only_when_read(l_past, l_future):
     m = ol.hmm_to_oom(ol.random_hmm(5, "01", rng=3))
     block = ol.build_hankel(m, l_past, l_future)
     assert block.shape == (2 ** (l_past + 1) - 1, 2 ** (l_future + 1) - 1)
-    assert block.formed is None and "pasts" not in vars(block)  # shape forms neither
+    assert "matrix" not in vars(block) and "pasts" not in vars(block)  # shape forms neither
     s, f = _factors(m.operator_stack, m.init, m.eval, l_past, l_future)
     _assert_block_equals_dense(block, m.alphabet, s, f, s @ f.T)
 
 
-def test_signed_block_is_formed_when_built_and_not_clamped():
+def test_signed_block_is_formed_only_when_read():
     m = ol.minimize_oom(ol.hmm_to_oom(markov2()))
     assert not m._nonnegative
     block = ol.build_hankel(m, 3, 3)
-    assert block.formed is not None  # formed to check its signs
+    assert "matrix" not in vars(block)  # its signs are checked by the scan
     s, f = _factors(m.operator_stack, m.init, m.eval, 3, 3)
     assert (s @ f.T).min() > 0.0
     _assert_block_equals_dense(block, m.alphabet, s, f, s @ f.T)
 
 
-def test_clamped_block_keeps_its_clamped_matrix():
+def test_signed_block_keeps_its_negative_round_off():
     m = ol.minimize_oom(ol.hmm_to_oom(ol.periodic(["0", "1", "2"])))
     block = ol.build_hankel(m, 2, 2)
     s, f = _factors(m.operator_stack, m.init, m.eval, 2, 2)
     raw = s @ f.T
-    assert raw.min() < 0.0
-    clamped = np.where(raw < 0.0, 0.0, raw)
-    _assert_block_equals_dense(block, m.alphabet, s, f, clamped)
-    assert np.array_equal(block.singular_values, np.linalg.svd(clamped, compute_uv=False))
+    assert -1e-15 < raw.min() < 0.0  # round-off within the tolerance, not clamped
+    _assert_block_equals_dense(block, m.alphabet, s, f, raw)
+    dense = np.linalg.svd(raw, compute_uv=False)
+    assert np.allclose(block.singular_values, dense, rtol=0, atol=1e-12 * dense[0])
+    assert ol.numerical_rank(block.singular_values) == ol.numerical_rank(dense) == 3
 
 
 @pytest.mark.parametrize("name", ["embedded", "qubit"])
@@ -588,7 +601,7 @@ def test_operator_algebra_block_is_formed_only_when_read(name):
     else:
         m = ol.parse_model_file(fixture_path("qubit_product.json"))
     block = ol.nc_hankel(m, 2, 1)
-    assert block.formed is None
+    assert "matrix" not in vars(block)
     s, f = _factors(m.op_per_basis, m.init, m.eval, 2, 1)
     _assert_block_equals_dense(block, tuple(range(m.algebra.total_dim)), s, f, s @ f.T)
 
@@ -603,6 +616,47 @@ def test_certified_ladder_holds_no_dense_block():
     finally:
         tracemalloc.stop()
     assert peak < dense_top / 8
+
+
+def test_signed_ladder_holds_no_dense_block():
+    m = ol.minimize_oom(ol.hmm_to_oom(ol.random_hmm(16, "01", rng=0)))
+    assert not m._nonnegative
+    dense_top = 1023 * 1023 * 8  # the depth-9 block, 8.4 MB
+    tracemalloc.start()
+    try:
+        rep = ol.process_dimension(m, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.dimension == 16
+    # the sign scan holds one chunk of its values at a time
+    assert peak < _SCAN_CHUNK * 8 + dense_top / 8
+
+
+# ---------------------------------------------------------------------------
+# the ladder against the exact dimension of the model
+
+
+def test_long_period_stabilizes_at_its_exact_dimension():
+    m = ol.hmm_to_oom(ol.periodic(list("000000000001")))
+    assert rational_model_dimension(m.operator_stack, m.init, m.eval) == 12
+    rep = ol.process_dimension(m, 12)
+    assert rep.rank_by_level[11] == rep.rank_by_level[12] == 12
+    assert rep.stabilized and rep.dimension == 12
+
+
+def test_ladder_and_minimization_match_the_exact_dimension():
+    for seed in range(20):
+        a = ol.hmm_to_oom(ol.random_hmm(1 + seed % 10, "01", rng=seed))
+        b = ol.hmm_to_oom(ol.random_hmm(1 + seed % 4, "01", rng=seed + 100))
+        doubled = ol.mixture_direct_sum([(0.5, a), (0.5, a)])
+        mixed = ol.mixture_direct_sum([(0.3, a), (0.7, b)])
+        for m in (a, doubled, mixed, ol.minimize_oom(a)):
+            exact = rational_model_dimension(m.operator_stack, m.init, m.eval)
+            assert exact <= m.dim, seed
+            assert ol.minimize_oom(m).dim == exact, seed
+            rep = ol.process_dimension(m, 8)
+            assert rep.stabilized and rep.dimension == exact, seed
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,6 @@ def test_overflowing_distance_raises():
     assert str(err.value) == OVERFLOW.format(2)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("limit", [True, False])
 def test_overflowing_family_member_is_refused(limit):
     """Certified by its signs, the member reaches the distance scan."""

@@ -630,8 +630,8 @@ _COIN = ol.bernoulli(0.5)
         pytest.param(lambda: ol.kolmogorov_residual(_COIN, 27), id="kolmogorov-model"),
         pytest.param(lambda: ol.nc_stationarity_check(ol.embed_classical(_COIN), 26),
                      id="nc-stationarity"),
-        pytest.param(lambda: ol.build_hankel(_COIN, 11, 11), id="hankel-model"),
-        pytest.param(lambda: ol.nc_hankel(ol.embed_classical(_COIN), 11, 11), id="nc-hankel"),
+        pytest.param(lambda: ol.build_hankel(_COIN, 13, 13), id="hankel-model"),
+        pytest.param(lambda: ol.nc_hankel(ol.embed_classical(_COIN), 13, 13), id="nc-hankel"),
         pytest.param(lambda: ol.enumerate_causal_states(_COIN, 12, 16), id="causal-model"),
         pytest.param(lambda: ol.predictive_distribution(_COIN, "0", 23), id="predictive-model"),
         pytest.param(lambda: ol.empirical_causal_states(_COIN, 40, 22, n_windows=2),
@@ -687,7 +687,6 @@ def test_negative_depths_rejected(check, name):
         check(ol.bernoulli(0.5))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_overflowing_word_values_are_not_dropped(tmp_path):
     m = overflowing_model()
     for check, depth in (
@@ -710,7 +709,6 @@ def test_overflowing_word_values_are_not_dropped(tmp_path):
     assert ol.parse_model_file(path).operators["0"][1, 0] == 1e308
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "call, depth",
     [
@@ -742,7 +740,6 @@ def test_every_entry_point_refuses_an_overflow(call, depth):
     assert str(err.value) == OVERFLOW.format(depth)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_parameters_summing_past_the_float_range_are_refused():
     # every word of length one has value 1e308; their sum and longer words overflow
     m = ol.OomModel(("0", "1"), {"0": [[1e308]], "1": [[1e308]]}, [1.0], [1.0])
@@ -754,7 +751,7 @@ def test_parameters_summing_past_the_float_range_are_refused():
         with pytest.raises(ValidationError) as err:
             validate(model, 1)
         assert str(err.value) == residuals
-    # the first total is already infinite, so no symbol is drawn
+    # each one-symbol value is finite; their sum is not, so no symbol is drawn
     with pytest.raises(ValidationError) as err:
         ol.sample_trajectory(m, 3, 0)
-    assert str(err.value) == OVERFLOW.format(1)
+    assert str(err.value) == residuals
