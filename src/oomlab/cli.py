@@ -76,6 +76,14 @@ def _tolerance(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a finite nonnegative number, got {text!r}")
 
 
+def _rank_tolerance(text: str) -> float:
+    """Type of the ``--tol-rel`` options: a tolerance below 1, since a cut at
+    the largest singular value keeps none of them."""
+    if (value := _tolerance(text)) < 1.0:
+        return value
+    raise argparse.ArgumentTypeError(f"must be below 1, got {text!r}")
+
+
 def _emit(obj) -> None:
     sys.stdout.write(dumps_canonical(obj))
 
@@ -281,12 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim", help="process dimension via the Hankel rank ladder")
     add_model(p)
     p.add_argument("--max-level", type=int, required=True, dest="max_level")
-    p.add_argument("--tol-rel", type=_tolerance, default=DEFAULT_RANK_TOL, dest="tol_rel")
+    p.add_argument("--tol-rel", type=_rank_tolerance, default=DEFAULT_RANK_TOL, dest="tol_rel")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("minimize", help="equivalent model of minimal dimension")
     add_model(p)
-    p.add_argument("--tol-rel", type=_tolerance, default=DEFAULT_RANK_TOL, dest="tol_rel")
+    p.add_argument("--tol-rel", type=_rank_tolerance, default=DEFAULT_RANK_TOL, dest="tol_rel")
     p.add_argument("--output", default=None, help="write the reduced model here")
     p.set_defaults(func=_cmd_minimize)
 
@@ -296,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--cluster-tol", type=_tolerance, default=DEFAULT_CLUSTER_TOL,
                    dest="cluster_tol")
-    p.add_argument("--tol-rel", type=_tolerance, default=DEFAULT_RANK_TOL, dest="tol_rel")
+    p.add_argument("--tol-rel", type=_rank_tolerance, default=DEFAULT_RANK_TOL, dest="tol_rel")
     p.add_argument("--stationarity-level", type=int, default=STATIONARITY_LEVEL)
     p.set_defaults(func=_cmd_causal)
 
@@ -310,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nc-dim", help="process dimension of an operator-algebra model")
     add_model(p)
     p.add_argument("--max-level", type=int, required=True, dest="max_level")
-    p.add_argument("--tol-rel", type=_tolerance, default=DEFAULT_RANK_TOL, dest="tol_rel")
+    p.add_argument("--tol-rel", type=_rank_tolerance, default=DEFAULT_RANK_TOL, dest="tol_rel")
     p.set_defaults(func=_cmd_nc_dim)
 
     p = sub.add_parser("experiment", help="run a verification harness from a spec file")

@@ -12,14 +12,24 @@ proof.
 For a model the block factors as ``H = S F^T``. The rows of the state stack
 ``S`` are the images ``T_u v`` of the pasts, the rows of the functional stack
 ``F`` are the covectors ``l T_w`` of the futures, and both have only ``d``
-columns. :func:`build_hankel` takes the block's singular values from the core
-``R_S R_F^T`` built from the QR factors of ``S`` and ``F``. The core is at
-most ``d x d`` and has the block's nonzero singular values (Golub & Van Loan,
-*Matrix Computations*, section 5.4); the remaining ones are exact zeros. The
-block ``S F^T``, one matrix product, is formed only when its entries are
-read. A model with a negative parameter has the block's words scanned for a
-value below ``-DEFAULT_NEG_TOL`` first, by the chunked split scan; round-off
-above that is kept. A word value that overflows the float range is refused.
+columns. The block's singular values are those of the core ``R_S R_F^T`` of
+the R factors of ``S`` and ``F``. The core is at most ``d x d`` and has the
+block's nonzero singular values (Golub & Van Loan, *Matrix Computations*,
+section 5.4); the remaining ones are exact zeros. Neither stack is listed for
+it: the rows of the depth-``j`` state stack other than ``v^T`` are those of
+the depth-``j-1`` stack times each ``T_s^T``, so ``R_S(j)`` is the R factor
+of ``[v^T; R_S(j-1) T_1^T; ...; R_S(j-1) T_k^T]`` up to row signs, and
+``R_F(j)`` likewise that of ``[l; R_F(j-1) T_1; ...; R_F(j-1) T_k]``. Each
+model, classical or operator-algebra, keeps the step of each chain it
+computed last and extends it when the next block is one level deeper, so a
+ladder to depth ``L`` factors ``2 (L + 1)`` matrices of at most ``1 + k d``
+rows, and the model holds at most two ``d x d`` factors. A depth's factor is
+always that step of its chain from step 0, so every spectrum is bitwise the
+same whichever blocks of the model were built before. The stacks, the block
+``S F^T`` and the word lists are formed only when read. A model with a
+negative parameter has the block's words scanned for a value below
+``-DEFAULT_NEG_TOL`` first, by the chunked split scan; round-off above that
+is kept. A word value that overflows the float range is refused.
 
 Each level also records its rank-decision margin: the smallest kept and the
 largest dropped singular value, both relative to the largest. When the kept
@@ -75,19 +85,30 @@ class HankelBlock:
     algebra setting, where entries are complex and index tuples enumerate
     basis elements) of the concatenation ``pasts[i] + futures[j]``.
 
-    The block is its factors and their spectrum: ``states`` holds the images
-    of the pasts, ``functionals`` the covectors of the futures, over
-    ``symbols`` to depths ``l_past`` and ``l_future``. ``matrix`` is
-    ``states @ functionals.T``, formed within the budget when first read, and
-    the word lists are likewise listed when first read; ``shape`` forms neither.
+    The block is its model's ``ops``, ``init`` and ``eval`` over ``symbols``
+    to depths ``l_past`` and ``l_future``, and its singular values, which
+    came from the model's stack factors without listing a word. Everything
+    else is enumerated when first read: ``states``, the images of the pasts,
+    ``functionals``, the covectors of the futures, ``matrix``, their product
+    ``states @ functionals.T`` formed within the budget, and the word lists.
+    ``shape`` comes from the word counts and forms none of them.
     """
 
-    states: np.ndarray
-    functionals: np.ndarray
+    ops: np.ndarray
+    init: np.ndarray
+    eval: np.ndarray
     symbols: tuple
     l_past: int
     l_future: int
     singular_values: np.ndarray
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        return np.vstack(_state_levels(self.ops, self.init, self.l_past))
+
+    @cached_property
+    def functionals(self) -> np.ndarray:
+        return np.vstack(_functional_levels(self.ops, self.eval, self.l_future))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -105,7 +126,8 @@ class HankelBlock:
 
     @property
     def shape(self) -> tuple:
-        return self.states.shape[0], self.functionals.shape[0]
+        k = len(self.symbols)
+        return word_count_up_to(k, self.l_past), word_count_up_to(k, self.l_future)
 
 
 @dataclass
@@ -158,21 +180,46 @@ def _block_budget(what: str, k: int, d: int, l_past: int, l_future: int) -> None
     _budget(f"{what} to depths {l_past} and {l_future}", rows * cols, (rows + cols) * d)
 
 
+def _stack_factor(m, ops: np.ndarray, depth: int, states: bool) -> np.ndarray:
+    """Step ``depth`` of the chain of R factors of ``m``'s state stack
+    (``states``) or functional stack over the operator stack ``ops``:
+    ``R(0) = R(seed)``, ``R(j) = R([seed; R(j-1) G_1; ...; R(j-1) G_k])``
+    with the seed ``init`` and the ``G_s`` the ``T_s^T``, or ``eval`` and the
+    ``T_s`` (see the module docstring). ``m`` keeps only the step computed
+    last, with its depth and ``ops``, as one private tuple replaced whole: a
+    ladder asks for the depths in turn and extends it by one step each, and
+    any other request starts over from step 0. So every step is computed the
+    same way, bitwise, whatever ran on ``m`` before, the model holds one
+    factor of at most ``d x d`` per stack, and concurrent callers can at
+    worst repeat work."""
+    name, seed, gens = (
+        ("_state_factor", m.init, ops.transpose(0, 2, 1)) if states
+        else ("_functional_factor", m.eval, ops)
+    )
+    held, j, r = vars(m).get(name, (None, -1, None))
+    if held is not ops or j > depth:
+        j, r = -1, None
+    while j < depth:
+        images = () if r is None else r @ gens
+        r, j = np.linalg.qr(np.vstack([seed, *images]), mode="r"), j + 1
+    vars(m)[name] = (ops, j, r)
+    return r
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite factor or core is refused
-def _model_block(ops, init, eval, symbols, l_past: int, l_future: int) -> HankelBlock:
-    """Block of the state images of all words over ``symbols`` up to
-    ``l_past`` against the functionals of all words up to ``l_future``, both
-    over ``ops``, unformed. Its singular values come from the core
-    ``R_S R_F^T`` and are padded with exact zeros to the block's size. A core
-    that is not finite, as non-finite factors make it, raises an error."""
-    states = np.vstack(_state_levels(ops, init, l_past))
-    functionals = np.vstack(_functional_levels(ops, eval, l_future))
-    core = np.linalg.qr(states, mode="r") @ np.linalg.qr(functionals, mode="r").T
+def _model_block(m, ops: np.ndarray, symbols, l_past: int, l_future: int) -> HankelBlock:
+    """Block of the words over ``symbols`` up to ``l_past`` against those up
+    to ``l_future`` of the model ``m`` (its ``init`` and ``eval``) with the
+    operator stack ``ops``, unformed. Its singular values are those of the
+    core ``R_S R_F^T`` of the stack factors (:func:`_stack_factor`) padded
+    with exact zeros to the block's size; no word is listed. A core that is
+    not finite, as non-finite factors make it, raises an error."""
+    core = _stack_factor(m, ops, l_past, True) @ _stack_factor(m, ops, l_future, False).T
     if not np.isfinite(core).all():
         raise _overflow_to(l_past + l_future)
-    sv = np.zeros(min(states.shape[0], functionals.shape[0]))
+    sv = np.zeros(word_count_up_to(len(ops), min(l_past, l_future)))  # min(rows, cols)
     sv[: min(core.shape)] = np.linalg.svd(core, compute_uv=False)
-    return HankelBlock(states, functionals, tuple(symbols), l_past, l_future, sv)
+    return HankelBlock(ops, m.init, m.eval, tuple(symbols), l_past, l_future, sv)
 
 
 def build_hankel(p, l_past: int, l_future: int) -> HankelBlock:
@@ -181,15 +228,17 @@ def build_hankel(p, l_past: int, l_future: int) -> HankelBlock:
     singular values.
 
     The block factors into the state images of the pasts and the linear
-    functionals of the futures of the model (or of the model an HMM induces),
-    and its singular values come from the factors; it is formed when its
-    ``matrix`` is first read. A model with a negative parameter first has its
-    block's words scanned: a value below ``-DEFAULT_NEG_TOL`` raises.
+    functionals of the futures of the model (or of the model an HMM induces).
+    Its singular values come from the R factors of those two stacks, each
+    one step of a recursion from the factors one level shallower, which the
+    model keeps for the next block (:func:`_stack_factor`), so no word is
+    listed for them; the stacks and the block are formed when first read. A model with a negative parameter first has its block's words
+    scanned: a value below ``-DEFAULT_NEG_TOL`` raises.
     """
     m = _classical_model(p)
     _block_budget("Hankel block", len(m.alphabet), m.dim, l_past, l_future)
     _require_probabilities(m, l_past + l_future)
-    return _model_block(m.operator_stack, m.init, m.eval, m.alphabet, l_past, l_future)
+    return _model_block(m, m.operator_stack, m.alphabet, l_past, l_future)
 
 
 def numerical_rank(singular_values, tol_rel: float = DEFAULT_RANK_TOL) -> int:

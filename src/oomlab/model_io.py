@@ -561,6 +561,8 @@ def parse_experiment_file(path):
         raise SchemaError(f"unknown experiment kind {kind!r} in {context}")
     l_max = _as_int(_pop(data, "max_level", context), "max_level")
     tol_rel = _pop_tolerance(data, "tol_rel", DEFAULT_RANK_TOL)
+    if tol_rel >= 1.0:  # a cut at the largest singular value keeps none of them
+        raise SchemaError('field "tol_rel" must be below 1')
     _no_leftovers(data, context)
     return name, lambda: harness(*args, l_max, tol_rel, name=name, **extra)
 

@@ -292,12 +292,13 @@ def nc_hankel(
     evaluated on the concatenated tensor, row factors first. For an embedded
     classical model this is entrywise the classical probability block. As
     in :func:`~oomlab.dimension.build_hankel`, the singular values come from
-    the factors of the block, and the block is formed only when its
-    ``matrix`` is first read.
+    the R factors of the two stacks, each one step of a recursion from the
+    factors one level shallower, which the model keeps for the next block,
+    and the stacks and the block are formed only when first read.
     """
     td = m.algebra.total_dim
     _block_budget("block", td, m.dim, l_past, l_future)
-    return _model_block(m.op_per_basis, m.init, m.eval, range(td), l_past, l_future)
+    return _model_block(m, m.op_per_basis, range(td), l_past, l_future)
 
 
 def nc_process_dimension(

@@ -30,11 +30,16 @@ It writes one file per case into an output directory:
 the exit code, standard output and standard error, with the wall-clock
 ``runtime:`` line dropped, and for ``experiment run`` the ``points.csv`` it
 wrote (its ``report.json`` equals its standard output). Two checkouts can
-then be compared with ``diff -r``:
+then be compared with ``diff -r``, or with ``compare``:
 
     PYTHONPATH=<checkout-a>/src python3 tests/cli_snapshot.py snap-a
     PYTHONPATH=<checkout-b>/src python3 tests/cli_snapshot.py snap-b
-    diff -r snap-a snap-b
+    PYTHONPATH=<checkout-b>/src python3 tests/cli_snapshot.py compare snap-a snap-b
+
+``compare`` lists each case that differs and says whether its two texts
+agree once every float literal is masked; where they do, it prints the
+largest absolute and relative change of the floats. It exits 1 when a case
+differs outside its float literals, or is missing from one side.
 
 It needs only oomlab and the standard library; pytest does not collect it.
 """
@@ -45,6 +50,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -215,7 +221,46 @@ def snapshot(out_dir: str) -> int:
     return len(all_cases)
 
 
+# a float literal as repr, json and csv write it: a fraction or an exponent,
+# not part of a name or of a longer number
+FLOAT = re.compile(r"(?<![\w.])-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)(?![\w.])")
+
+
+def _read(path: str):
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def compare(dir_a: str, dir_b: str) -> int:
+    """Print each case that differs between two snapshot directories; 1 if
+    any differs outside its float literals, else 0."""
+    outside = 0
+    for name in sorted(set(os.listdir(dir_a)) | set(os.listdir(dir_b))):
+        a, b = _read(os.path.join(dir_a, name)), _read(os.path.join(dir_b, name))
+        if a == b:
+            continue
+        case = name.removesuffix(".txt")
+        if a is None or b is None:
+            print(f"{case}: only in {dir_b if a is None else dir_a}")
+            outside += 1
+        elif FLOAT.sub("<float>", a) != FLOAT.sub("<float>", b):
+            print(f"{case}: differs outside float literals")
+            outside += 1
+        else:
+            pairs = [(float(x), float(y)) for x, y in zip(FLOAT.findall(a), FLOAT.findall(b))]
+            absolute = max(abs(x - y) for x, y in pairs)
+            moved = [(x, y) for x, y in pairs if x != y]
+            relative = max((abs(x - y) / max(abs(x), abs(y)) for x, y in moved), default=0.0)
+            print(f"{case}: floats only, largest change {absolute:.3g} absolute, "
+                  f"{relative:.3g} relative")
+    return 1 if outside else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
-        sys.exit("usage: cli_snapshot.py OUT_DIR")
+        sys.exit("usage: cli_snapshot.py OUT_DIR | cli_snapshot.py compare DIR_A DIR_B")
     print(f"{snapshot(sys.argv[1])} cases written to {sys.argv[1]}")

@@ -148,6 +148,25 @@ def test_tolerances_must_be_finite_and_nonnegative(capsys, argv, option, value):
     )
 
 
+@pytest.mark.parametrize("value", ["1", "2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--max-level", "3"],
+        ["minimize"],
+        ["causal", "--past-len", "2", "--horizon", "2"],
+        ["nc-dim", "--max-level", "2"],
+    ],
+    ids=["dim", "minimize", "causal", "nc-dim"],
+)
+def test_rank_tolerance_must_be_below_one(capsys, argv, value):
+    code, out, err = run_cli(
+        capsys, *argv, "--model", fixture_path("markov2.json"), f"--tol-rel={value}"
+    )
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --tol-rel: must be below 1, got {value!r}\n")
+
+
 @pytest.mark.parametrize(
     "argv, field, at_default, at_option",
     [
@@ -790,3 +809,23 @@ def test_every_public_operation_reachable_from_cli(monkeypatch, tmp_path):
         cli_snapshot.run_case(argv)
     missing = operations - called
     assert not missing, f"operations not reachable from any subcommand: {sorted(missing)}"
+
+
+def test_snapshot_compare_tells_float_changes_from_others(tmp_path, capsys):
+    text = 'exit: 0\n--- stdout\n{"margin": [1.0, 2.5e-17], "rank": 2, "path": "m2.json"}\n'
+    moved = text.replace("1.0", "0.9999999999999998").replace("2.5e-17", "5e-17")
+    cases = {"a": (text, text), "b": (text, moved), "c": (text, text.replace("2,", "3,"))}
+    for side, (same, case) in cases.items():
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "same.txt").write_text(same)
+        (tmp_path / side / "case.txt").write_text(case)
+    a, b, c = (str(tmp_path / side) for side in cases)
+    assert cli_snapshot.compare(a, b) == 0
+    assert capsys.readouterr().out == (
+        "case: floats only, largest change 2.22e-16 absolute, 0.5 relative\n"
+    )
+    assert cli_snapshot.compare(a, c) == 1
+    assert capsys.readouterr().out == "case: differs outside float literals\n"
+    (tmp_path / "b" / "extra.txt").write_text(text)
+    assert cli_snapshot.compare(a, b) == 1
+    assert capsys.readouterr().out.endswith(f"extra: only in {b}\n")

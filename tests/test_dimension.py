@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 import oomlab as ol
 from oomlab import ResourceLimitError, ValidationError
-from oomlab.dimension import MIN_RANK_MARGIN
+from oomlab.dimension import MIN_RANK_MARGIN, _model_block
 from oomlab.oom import _SCAN_CHUNK, _clamp_probabilities, _functional_levels, _state_levels
 
 from conftest import fixture_path
@@ -460,6 +462,120 @@ def test_factored_ranks_match_dense_on_operator_algebra_models():
             assert rep.rank_by_level[level] == rank, (m, level)
             kept = rep.margin_by_level[level][0]
             assert kept == pytest.approx(sv[rank - 1] / sv[0], rel=1e-8), (m, level)
+        for l_past, l_future in [(3, 1), (1, 4), (5, 2)]:
+            block = ol.nc_hankel(m, l_past, l_future)
+            dense = _dense_sv(block)
+            assert block.singular_values.shape == dense.shape
+            assert ol.numerical_rank(block.singular_values) == ol.numerical_rank(dense)
+            assert np.allclose(block.singular_values, dense, rtol=0, atol=1e-12 * dense[0])
+
+
+# ---------------------------------------------------------------------------
+# stack factors: computed once per model, the same whatever ran before
+
+
+def _history_cases() -> list:
+    """(model builder, ladder, depth): each builder makes a fresh model."""
+    return [
+        (lambda: ol.hmm_to_oom(ol.random_hmm(6, "01", rng=4)), ol.process_dimension, 5),
+        (lambda: ol.hmm_to_oom(ol.random_hmm(4, "abc", rng=5)), ol.process_dimension, 4),
+        (lambda: ol.minimize_oom(ol.hmm_to_oom(ol.random_hmm(6, "01", rng=6))),
+         ol.process_dimension, 5),
+        (lambda: ol.minimize_oom(ol.hmm_to_oom(markov3())), ol.process_dimension, 4),
+        (lambda: ol.embed_classical(ol.hmm_to_oom(ol.random_hmm(3, "01", rng=7))),
+         ol.nc_process_dimension, 4),
+        (lambda: _random_complex_model([2], 3, 0), ol.nc_process_dimension, 3),
+        (lambda: _random_complex_model([1, 2], 2, 1), ol.nc_process_dimension, 3),
+    ]
+
+
+@pytest.mark.parametrize(
+    "make, ladder, depth",
+    _history_cases(),
+    ids=["hmm6", "hmm4-abc", "signed-hmm6", "signed-markov3", "embedded-hmm3",
+         "complex-m2", "complex-c-m2"],
+)
+def test_ladder_is_bitwise_the_same_whatever_ran_before(make, ladder, depth):
+    block = ol.nc_hankel if ladder is ol.nc_process_dimension else ol.build_hankel
+    fresh = ladder(make(), depth).to_dict()
+    warmed = make()
+    deep = block(warmed, depth + 2, depth + 1).singular_values  # deeper factors first
+    assert ladder(warmed, depth).to_dict() == fresh
+    assert ladder(warmed, depth).to_dict() == fresh  # a repeat starts over from step 0
+    shallow_first = make()
+    ladder(shallow_first, depth)
+    for m in (warmed, shallow_first):
+        assert np.array_equal(block(m, depth + 2, depth + 1).singular_values, deep)
+
+
+def test_stack_factors_follow_the_operators_they_were_built_from():
+    def make():
+        return ol.hmm_to_oom(ol.random_hmm(4, "01", rng=2))
+
+    m = make()
+    halved = m.operator_stack / 2
+    ol.build_hankel(m, 3, 3)  # factors of m's own operators
+    got = _model_block(m, halved, m.alphabet, 3, 3).singular_values
+    assert np.array_equal(got, _model_block(make(), halved, m.alphabet, 3, 3).singular_values)
+
+
+def test_concurrent_ladders_share_one_model_safely():
+    def make():
+        return ol.hmm_to_oom(ol.random_hmm(8, "01", rng=9))
+
+    depths = (3, 5, 7) * 2  # more threads than cores
+    want = {depth: ol.process_dimension(make(), depth).to_dict() for depth in depths}
+    m, results = make(), []
+    threads = [
+        threading.Thread(target=lambda d=d: results.append((d, ol.process_dimension(m, d))))
+        for d in depths
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(d for d, _ in results) == sorted(depths)
+    assert all(rep.to_dict() == want[d] for d, rep in results)
+
+
+def test_ladder_factors_each_depth_once(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    m = ol.hmm_to_oom(ol.random_hmm(5, "01", rng=3))
+    ol.process_dimension(m, 8)
+    assert len(calls) == 2 * 9  # one factor per stack and depth 0..8
+    assert max(rows for rows, _ in calls) <= 1 + 2 * m.dim
+    ol.build_hankel(m, 8, 8)
+    assert len(calls) == 18  # the last factors are kept
+    ol.build_hankel(m, 9, 9)
+    assert len(calls) == 20  # one step deeper
+    ol.process_dimension(m, 8)
+    assert len(calls) == 38  # shallower depths start over from step 0
+
+
+def test_deep_single_symbol_block_holds_one_factor_per_stack():
+    m = ol.hmm_to_oom(ol.random_hmm(16, "0", rng=0))
+    tracemalloc.start()
+    try:
+        block = ol.build_hankel(m, 1000, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 1000 steps of each chain would hold 2 MB, the two stacks 0.26 MB
+    assert peak < 0.1e6
+    assert ol.numerical_rank(block.singular_values) == 1
 
 
 def test_negative_noise_levels_keep_the_dense_spectrum():
@@ -608,14 +724,14 @@ def test_operator_algebra_block_is_formed_only_when_read(name):
 
 def test_certified_ladder_holds_no_dense_block():
     m = ol.hmm_to_oom(ol.random_hmm(16, "01", rng=0))
-    dense_top = 1023 * 1023 * 8  # the depth-9 block, 8.4 MB
     tracemalloc.start()
     try:
         ol.process_dimension(m, 9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < dense_top / 8
+    # neither the depth-9 block (8.4 MB) nor its two stacks (0.26 MB)
+    assert peak < 0.2e6
 
 
 def test_signed_ladder_holds_no_dense_block():
@@ -640,7 +756,13 @@ def test_signed_ladder_holds_no_dense_block():
 def test_long_period_stabilizes_at_its_exact_dimension():
     m = ol.hmm_to_oom(ol.periodic(list("000000000001")))
     assert rational_model_dimension(m.operator_stack, m.init, m.eval) == 12
-    rep = ol.process_dimension(m, 12)
+    tracemalloc.start()
+    try:
+        rep = ol.process_dimension(m, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6  # the depth-12 stacks alone would hold 8191 x 12 x 8 bytes each
     assert rep.rank_by_level[11] == rep.rank_by_level[12] == 12
     assert rep.stabilized and rep.dimension == 12
 

@@ -431,6 +431,17 @@ def test_negative_spec_tolerance_is_a_schema_error(tmp_path, field):
     assert str(err.value) == f'field "{field}" must be nonnegative'
 
 
+def test_spec_rank_tolerance_of_one_is_a_schema_error(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "experiment": "upperbound", "model": fixture_path("markov2.json"),
+        "past_length": 2, "horizon": 2, "max_level": 3, "tol_rel": 1,
+    }))
+    with pytest.raises(SchemaError) as err:
+        model_io.parse_experiment_file(spec)
+    assert str(err.value) == 'field "tol_rel" must be below 1'
+
+
 def test_bulk_parse_matches_per_element_floats():
     ints = [0, -0, 1, -7, 2**53 + 1, -(2**53 + 1), 2**63 + 1, -(2**63 + 1), 2**64 + 3, 10**300]
     floats = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, 0.1]
