@@ -157,6 +157,7 @@ def _cmd_minimize(args) -> int:
     report = {
         "dim_before": model.dim,
         "dim_after": reduced.dim,
+        **reduced._reduction,
         "equivalent_up_to_depth": model.dim + reduced.dim,
         "equivalent": same,
     }

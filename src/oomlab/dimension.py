@@ -37,11 +37,11 @@ one is less than :data:`MIN_RANK_MARGIN` times the dropped one at either of
 the last two levels, the fixed cut ``tol_rel`` has landed inside the spectrum
 rather than in a gap, and the ladder is not stabilized.
 
-:func:`minimize_oom` produces an equivalent model of minimal dimension by
-restricting to the reachable span of state images and then quotienting by the
-joint kernel of the word functionals. :func:`equivalent` compares two models
-on every word up to a length through their difference model, the direct sum
-with the second eval covector negated. The same breadth-first span closure
+:func:`minimize_oom` reduces the core of the stack factors at a depth where
+both spans are complete and cuts its rank as the ladder does (the balanced
+realization). Only :func:`equivalent` runs a span closure. It compares two
+models on every word up to a length through their difference model, the direct
+sum with the second eval covector negated, whose breadth-first span closure
 picks basis words whose state images span those of every word up to that
 length, at most the sum of the two dimensions, in polynomial time; the
 difference on every word is a combination of the differences on the basis
@@ -247,21 +247,20 @@ def numerical_rank(singular_values, tol_rel: float = DEFAULT_RANK_TOL) -> int:
     A zero matrix has rank zero. The threshold is relative to the spectrum's
     own scale, which suits probability matrices whose entries are O(1).
     """
-    sv = np.asarray(singular_values, dtype=float).reshape(-1)
-    if sv.size == 0 or sv[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol_rel * sv[0]))
+    return _rank_cut(singular_values, tol_rel)[0]
 
 
-def _rank_margin(singular_values, rank: int) -> list:
-    """``[smallest kept, largest dropped]`` singular value relative to the
-    largest, each 0.0 where there is none."""
+def _rank_cut(singular_values, tol_rel: float) -> tuple:
+    """The rank decision: :func:`numerical_rank` and its margin, ``[smallest
+    kept, largest dropped]`` singular value relative to the largest, each 0.0
+    where there is none."""
     sv = np.asarray(singular_values, dtype=float).reshape(-1)
     if sv.size == 0 or sv[0] <= 0.0:
-        return [0.0, 0.0]
+        return 0, [0.0, 0.0]
+    rank = int(np.count_nonzero(sv > tol_rel * sv[0]))
     kept = float(sv[rank - 1] / sv[0]) if rank else 0.0
     dropped = float(sv[rank] / sv[0]) if rank < sv.size else 0.0
-    return [kept, dropped]
+    return rank, [kept, dropped]
 
 
 def _rank_ladder(block_at, l_max: int, tol_rel: float) -> DimensionReport:
@@ -271,9 +270,7 @@ def _rank_ladder(block_at, l_max: int, tol_rel: float) -> DimensionReport:
         raise ValueError("l_max must be at least 1")
     ranks, margins = {}, {}
     for level in range(l_max + 1):
-        sv = block_at(level).singular_values
-        ranks[level] = numerical_rank(sv, tol_rel)
-        margins[level] = _rank_margin(sv, ranks[level])
+        ranks[level], margins[level] = _rank_cut(block_at(level).singular_values, tol_rel)
     clear_cuts = all(
         kept >= MIN_RANK_MARGIN * dropped for kept, dropped in (margins[l_max - 1], margins[l_max])
     )
@@ -305,78 +302,80 @@ def process_dimension(p, l_max: int, tol_rel: float = DEFAULT_RANK_TOL) -> Dimen
     return _rank_ladder(lambda level: build_hankel(p, level, level), l_max, tol_rel)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite norm is refused
-def _closure_basis(seeds, operators, tol_rel: float, depth: int) -> tuple:
-    """Orthonormal basis of the span of the seeds' images under every word of
-    length at most ``depth``, and the raw images it admitted.
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite factor or core is refused
+def _reduced(m, ops: np.ndarray, tol_rel: float) -> tuple:
+    """Minimal model ``(ops, init, eval)`` of ``m`` with the operator stack
+    ``ops``, and the ``depth`` of the core it reduced with its ``margin``.
 
-    Breadth-first: each level applies every operator to the vectors added at
-    the previous level and keeps components orthogonal to the current span.
-    Admission threshold is tol_rel times the running max candidate norm
-    (floored at one, probabilities being O(1)). The admitted images are
-    ``T_w v`` for a prefix-closed set of words, each independent of the
-    earlier ones, and span every image up to ``depth``. At most ``d``
-    vectors are admitted in ``d`` dimensions, even at a tolerance that admits
-    round-off, so the span is invariant once ``depth`` reaches ``d`` and no
-    more than ``d`` levels are run. A non-finite candidate norm raises.
+    The factor chains (:func:`_stack_factor`) run to one step past the first
+    depth where neither factor's rank grows. With the core ``C = R_S R_F^T =
+    U S W^H`` there and ``r`` its rank, ``reduce = S_r^-1/2 conj(W^H)[:r]
+    R_F`` and ``lift = R_S^T conj(U_r) S_r^-1/2`` give ``reduce lift = I_r``
+    and the model ``(reduce T_s lift, reduce v, l lift)``, signed so that
+    ``reduce v >= 0``.
     """
-    dim = seeds[0].shape[0]
-    basis: list[np.ndarray] = []
-    images: list[np.ndarray] = []
-    scale = 1.0
-
-    def try_add(vec: np.ndarray) -> bool:
-        nonlocal scale
-        if not np.isfinite(norm := float(np.linalg.norm(vec))):  # the threshold would be inf
+    ranks = []
+    for depth in range(ops.shape[1] + 1):
+        r_s, r_f = pair = [_stack_factor(m, ops, depth, states) for states in (True, False)]
+        if not all(np.isfinite(r).all() for r in pair):
             raise _overflow_to(depth)
-        scale = max(scale, norm)
-        r = vec.astype(float, copy=True)
-        for _ in range(2):  # two-pass Gram-Schmidt for numerical safety
-            for b in basis:
-                r -= (b @ r) * b
-        nrm = float(np.linalg.norm(r))
-        if nrm > tol_rel * scale and len(basis) < dim:
-            basis.append(r / nrm)
-            images.append(vec)
-            return True
-        return False
-
-    frontier = [s for s in seeds if try_add(s)]
-    for _ in range(min(depth, dim)):
-        frontier = [cand for vec in frontier for op in operators if try_add(cand := op @ vec)]
-    if not basis:
-        return np.zeros((dim, 0)), np.zeros((0, dim))
-    return np.column_stack(basis), np.vstack(images)
+        ranks.append([numerical_rank(np.linalg.svd(r, compute_uv=False), tol_rel) for r in pair])
+        if len(ranks) > 2 and ranks[-3] == ranks[-2]:
+            break
+    if not np.isfinite(core := r_s @ r_f.T).all():
+        raise _overflow_to(2 * depth)
+    u, sv, wh = np.linalg.svd(core, full_matrices=False)
+    r, margin = _rank_cut(sv, tol_rel)
+    if not r:
+        raise ValidationError("every word value is 0")
+    w = wh[:r].conj() @ r_f
+    scale = np.where((w @ m.init).real < 0.0, -1.0, 1.0) / np.sqrt(sv[:r])
+    reduce, lift = scale[:, None] * w, r_s.T @ (u[:, :r].conj() * scale)
+    reduction = {"depth": depth, "margin": margin}
+    return (reduce @ ops @ lift, reduce @ m.init, m.eval @ lift), reduction
 
 
 def minimize_oom(m: OomModel, tol_rel: float = DEFAULT_RANK_TOL) -> OomModel:
-    """Equivalent model of minimal dimension.
-
-    First restricts to the span of the reachable state images (it is
-    invariant under every operator), then quotients by the joint kernel of
-    the word functionals. Both reductions preserve every word probability up
-    to floating-point error; the result's dimension equals the process
-    dimension of the generated process.
+    """Equivalent model of minimal dimension: the balanced realization of the
+    stack factors' core (Ho and Kalman 1966; for OOMs Jaeger, Neural
+    Computation 12(6), 2000), cut as :func:`process_dimension` cuts the block
+    of that depth. The result keeps the depth and margin as ``_reduction``.
     """
-    ops = [m.operators[s] for s in m.alphabet]
-    q, _ = _closure_basis([m.init], ops, tol_rel, m.dim)
-    restricted = [q.T @ op @ q for op in ops]
-    v1 = q.T @ m.init
-    l1 = m.eval @ q
-    w, _ = _closure_basis([l1], [op.T for op in restricted], tol_rel, q.shape[1])
-    if not w.size:  # also empty when q is
-        raise ValidationError("span enumeration produced an empty basis")
-    operators = {
-        s: w.T @ restricted[i] @ w for i, s in enumerate(m.alphabet)
-    }
-    return OomModel(
-        alphabet=m.alphabet,
-        operators=operators,
-        init=w.T @ v1,
-        eval=l1 @ w,
-        name=m.name,
-        description=m.description,
-    )
+    (ops, init, evalv), reduction = _reduced(m, m.operator_stack, tol_rel)
+    reduced = OomModel(m.alphabet, dict(zip(m.alphabet, ops)), init, evalv,
+                       name=m.name, description=m.description)
+    reduced._reduction = reduction
+    return reduced
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite norm is refused
+def _closure_images(seed, operators, depth: int) -> np.ndarray:
+    """Images ``T_w seed``, one per row, of a prefix-closed set of words of
+    length at most ``depth``, each independent of the earlier ones, that span
+    the images of every word up to ``depth``.
+
+    Breadth-first: every operator is applied to each admitted image, and a
+    candidate is admitted when its component orthogonal to the current span
+    is above ``DEFAULT_RANK_TOL`` times the running max candidate norm
+    (floored at one, probabilities being O(1)). At most ``d`` images are
+    admitted in ``d`` dimensions, even where round-off is, so the span is
+    invariant once ``depth`` reaches ``d`` and no more than ``d`` levels are
+    run. A non-finite candidate norm raises.
+    """
+    dim = seed.shape[0]
+    basis, images, queue, scale = [], [], [(seed, 0)], 1.0
+    for vec, n in queue:  # grows while it is read: each admitted image queues its successors
+        if not np.isfinite(norm := float(np.linalg.norm(vec))):  # the threshold would be inf
+            raise _overflow_to(depth)
+        scale, r = max(scale, norm), vec.astype(float)
+        for _ in range(2):  # two-pass Gram-Schmidt for numerical safety
+            for b in basis:
+                r -= (b @ r) * b
+        if (nrm := float(np.linalg.norm(r))) > DEFAULT_RANK_TOL * scale and len(basis) < dim:
+            basis.append(r / nrm)
+            images.append(vec)
+            queue += [(op @ vec, n + 1) for op in operators] if n < min(depth, dim) else []
+    return np.reshape(images, (-1, dim))
 
 
 def equivalent(m1: OomModel, m2: OomModel, l: int, tol: float = DEFAULT_EQUIV_TOL) -> bool:
@@ -399,5 +398,4 @@ def equivalent(m1: OomModel, m2: OomModel, l: int, tol: float = DEFAULT_EQUIV_TO
     if m1.alphabet != m2.alphabet:
         raise ValidationError("alphabet mismatch")
     ops, init, evalv = _difference(m1, m2)
-    _, images = _closure_basis([init], ops, DEFAULT_RANK_TOL, l)
-    return float(np.max(np.abs(images @ evalv), initial=0.0)) <= tol
+    return float(np.max(np.abs(_closure_images(init, ops, l) @ evalv), initial=0.0)) <= tol

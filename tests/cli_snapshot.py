@@ -8,7 +8,9 @@ on ``bernoulli05``, which it refuses), ``sample --length 5000`` and ``causal
 --past-len 8 --horizon 3`` on ``markov3`` and ``mixture_2bern``, which run the
 sampler and the clustering at more than toy size, ``dim --max-level 8`` on a
 20-state binary HMM whose fixed rank cut lands inside its spectrum,
-``minimize`` on that HMM and on a 12-state binary HMM, ``validate`` on 7- and
+``minimize`` on that HMM, on a 12-state binary HMM and on a two-coin mixture
+written in the bases ``[[1, 1], [0, 1e9]]`` and ``[[1, 1], [0, 1e12]]``,
+whose state coordinates differ in scale by that much, ``validate`` on 7- and
 26-symbol coins, which pins the depth each is scanned to, ``validate
 --check-stationarity`` on a phase-locked 2-cycle embedded as an
 operator-algebra model, and ``validate`` and ``nc-dim`` on a signed mixture
@@ -144,12 +146,19 @@ def cases(scratch: str) -> list:
     # value of "00" is 0 * inf
     overflow = OomModel(("0", "1"), {"0": [[0.5, 0.0], [1e308, 1e308]],
                                      "1": [[0.5, 0.0], [0.0, 0.5]]}, [1.0, 0.0], [1.0, 0.0])
+    # mixture_2bern(0.2, 0.8) in the basis [[1, 1], [0, big]]: its state
+    # coordinates differ in scale by about big
+    skewed = {big: OomModel(("0", "1"), {"0": [[0.8, -0.6 / big], [0.0, 0.2]],
+                                         "1": [[0.2, 0.6 / big], [0.0, 0.8]]},
+                            [1.0, big / 2], [1.0, 0.0]) for big in (1e9, 1e12)}
     # finite operators whose sum, and every word value past length one, overflow
     sum_overflow = OomModel(("0", "1"), {"0": [[1e308]], "1": [[1e308]]}, [1.0], [1.0])
     for kind, stem, model, argv in (
         ("dim", "hmm20_rng1", hmm20, ["dim", "--max-level", "8"]),
         ("minimize", "hmm12_rng0", hmm_to_oom(random_hmm(12, "01", rng=0)), ["minimize"]),
         ("minimize", "hmm20_rng1", hmm20, ["minimize"]),
+        ("minimize", "skewed_mix_1e9", skewed[1e9], ["minimize"]),
+        ("minimize", "skewed_mix_1e12", skewed[1e12], ["minimize"]),
         ("validate", "coin7", iid({str(i): 1 / 7 for i in range(7)}), ["validate"]),
         ("validate", "coin26", iid({str(i): 1 / 26 for i in range(26)}), ["validate"]),
         ("validate-stationarity", "phase_cycle_nc", embed_classical(hmm_to_oom(cycle)),

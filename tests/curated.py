@@ -40,6 +40,20 @@ def mixture_2bern(p1=0.2, p2=0.7):
     return ol.mixture_direct_sum([(0.5, ol.bernoulli(p1)), (0.5, ol.bernoulli(p2))])
 
 
+def in_basis(m: ol.OomModel, a) -> ol.OomModel:
+    """The same process in the basis ``a``: ``A T A^-1``, ``A v``, ``l A^-1``."""
+    a = np.asarray(a, dtype=float)
+    a_inv = np.linalg.inv(a)
+    ops = {s: a @ m.operators[s] @ a_inv for s in m.alphabet}
+    return ol.OomModel(m.alphabet, ops, a @ m.init, m.eval @ a_inv)
+
+
+def skewed_mixture(big: float) -> ol.OomModel:
+    """``mixture_2bern(0.2, 0.8)`` in the basis ``[[1, 1], [0, big]]``, whose
+    state coordinates differ in scale by about ``big``."""
+    return in_basis(mixture_2bern(0.2, 0.8), [[1.0, 1.0], [0.0, big]])
+
+
 def signed_coin_mixture(q=0.96) -> ol.OomModel:
     """``1.2 P_A - 0.2 P_B`` for coins with P(1) = 0.5 and ``q``. Both defining
     equalities hold, but long runs of ones are negative: P(111) = 0.15 - 0.2 q^3

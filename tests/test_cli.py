@@ -8,11 +8,12 @@ import pytest
 
 import oomlab as ol
 from oomlab.cli import build_parser, main
+from oomlab.dimension import MIN_RANK_MARGIN
 from oomlab.model_io import save_model, serialize_model
 
 import cli_snapshot
 from conftest import fixture_path
-from curated import overflowing_model, signed_coin_mixture, signed_qubit_mixture
+from curated import overflowing_model, signed_coin_mixture, signed_qubit_mixture, skewed_mixture
 
 
 def run_cli(capsys, *argv):
@@ -306,6 +307,8 @@ def test_minimize_reports_reduction(capsys):
     assert report["dim_before"] == 2 and report["dim_after"] == 2
     assert report["equivalent"] is True
     assert report["model"]["type"] == "oom"
+    reduced = ol.minimize_oom(ol.parse_model_file(fixture_path("mixture_2bern.json")))
+    assert {k: report[k] for k in ("depth", "margin")} == reduced._reduction
 
 
 def test_minimize_writes_model_file(capsys, tmp_path):
@@ -474,7 +477,20 @@ def test_minimize_twenty_state_hmm(capsys, tmp_path):
     save_model(ol.hmm_to_oom(ol.random_hmm(20, "01", rng=1)), path)
     code, out, _ = run_cli(capsys, "minimize", "--model", str(path))
     assert code == 0
-    assert json.loads(out)["equivalent"] is True
+    report = json.loads(out)
+    assert report["equivalent"] is True
+    kept, dropped = report["margin"]  # the thin cut that dim reports at depth 8
+    assert report["dim_after"] == 19 and kept < MIN_RANK_MARGIN * dropped
+
+
+@pytest.mark.parametrize("big", [1e9, 1e12])
+def test_minimize_skewed_mixture(capsys, tmp_path, big):
+    path = tmp_path / "skewed.json"
+    save_model(skewed_mixture(big), path)
+    code, out, _ = run_cli(capsys, "minimize", "--model", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["dim_after"] == 2 and report["equivalent"] is True
 
 
 def test_seven_symbol_model_validates_and_evaluates(capsys, tmp_path):

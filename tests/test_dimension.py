@@ -9,12 +9,12 @@ import pytest
 
 import oomlab as ol
 from oomlab import ResourceLimitError, ValidationError
-from oomlab.dimension import MIN_RANK_MARGIN, _model_block
+from oomlab.dimension import DEFAULT_RANK_TOL, MIN_RANK_MARGIN, _model_block, _reduced
 from oomlab.oom import _SCAN_CHUNK, _clamp_probabilities, _functional_levels, _state_levels
 
 from conftest import fixture_path
 from curated import curated_suite, markov2, markov3, mixture_2bern, overflowing_model
-from curated import signed_coin_mixture
+from curated import in_basis, signed_coin_mixture, skewed_mixture
 from oracles import (
     RationalBernoulli,
     RationalMarkovChain,
@@ -304,16 +304,13 @@ def test_minimize_with_zero_eval_has_empty_basis():
         init=[1.0, 0.0],
         eval=[0.0, 0.0],
     )
-    with pytest.raises(ValidationError, match="^span enumeration produced an empty basis$"):
+    with pytest.raises(ValidationError, match="^every word value is 0$"):
         ol.minimize_oom(m)
 
 
 def _similar(m: ol.OomModel, rng) -> ol.OomModel:
-    """The same process in another basis: ``A T A^-1``, ``A v``, ``l A^-1``."""
-    a = np.eye(m.dim) + 0.3 * rng.normal(size=(m.dim, m.dim))
-    a_inv = np.linalg.inv(a)
-    ops = {s: a @ m.operators[s] @ a_inv for s in m.alphabet}
-    return ol.OomModel(m.alphabet, ops, a @ m.init, m.eval @ a_inv)
+    """The same process in a random basis near the identity."""
+    return in_basis(m, np.eye(m.dim) + 0.3 * rng.normal(size=(m.dim, m.dim)))
 
 
 def _equivalence_cases(
@@ -489,6 +486,15 @@ def _history_cases() -> list:
     ]
 
 
+def _reduced_arrays(m) -> list:
+    """The operators, ``init`` and ``eval`` of ``minimize_oom(m)``, or of the
+    same reduction of an operator-algebra model."""
+    if isinstance(m, ol.OomModel):
+        m = ol.minimize_oom(m)
+        return [m.operator_stack, m.init, m.eval]
+    return list(_reduced(m, m.op_per_basis, DEFAULT_RANK_TOL)[0])
+
+
 @pytest.mark.parametrize(
     "make, ladder, depth",
     _history_cases(),
@@ -498,8 +504,10 @@ def _history_cases() -> list:
 def test_ladder_is_bitwise_the_same_whatever_ran_before(make, ladder, depth):
     block = ol.nc_hankel if ladder is ol.nc_process_dimension else ol.build_hankel
     fresh = ladder(make(), depth).to_dict()
+    reduced = _reduced_arrays(make())
     warmed = make()
     deep = block(warmed, depth + 2, depth + 1).singular_values  # deeper factors first
+    assert all(map(np.array_equal, _reduced_arrays(warmed), reduced))
     assert ladder(warmed, depth).to_dict() == fresh
     assert ladder(warmed, depth).to_dict() == fresh  # a repeat starts over from step 0
     shallow_first = make()
@@ -767,18 +775,49 @@ def test_long_period_stabilizes_at_its_exact_dimension():
     assert rep.stabilized and rep.dimension == 12
 
 
-def test_ladder_and_minimization_match_the_exact_dimension():
-    for seed in range(20):
-        a = ol.hmm_to_oom(ol.random_hmm(1 + seed % 10, "01", rng=seed))
-        b = ol.hmm_to_oom(ol.random_hmm(1 + seed % 4, "01", rng=seed + 100))
+def _exact_dimension_cases() -> list:
+    """The two skewed mixtures, of exact dimension 2 in coordinates whose
+    scales differ by 1e9 and 1e12, and 200 seeded models: 1 to 10 states
+    with 2 symbols or 1 to 6 with 3, each alone, doubled, mixed with another
+    and minimized."""
+    models = [skewed_mixture(1e9), skewed_mixture(1e12)]
+    for seed in range(50):
+        alphabet, n = ("abc", 1 + seed % 6) if seed % 3 == 2 else ("01", 1 + seed % 10)
+        a = ol.hmm_to_oom(ol.random_hmm(n, alphabet, rng=seed))
+        b = ol.hmm_to_oom(ol.random_hmm(1 + seed % 4, alphabet, rng=seed + 100))
         doubled = ol.mixture_direct_sum([(0.5, a), (0.5, a)])
         mixed = ol.mixture_direct_sum([(0.3, a), (0.7, b)])
-        for m in (a, doubled, mixed, ol.minimize_oom(a)):
-            exact = rational_model_dimension(m.operator_stack, m.init, m.eval)
-            assert exact <= m.dim, seed
-            assert ol.minimize_oom(m).dim == exact, seed
-            rep = ol.process_dimension(m, 8)
-            assert rep.stabilized and rep.dimension == exact, seed
+        models += [a, doubled, mixed, ol.minimize_oom(a)]
+    return models
+
+
+def test_ladder_and_minimization_match_the_exact_dimension():
+    for case, m in enumerate(_exact_dimension_cases()):
+        exact = rational_model_dimension(m.operator_stack, m.init, m.eval)
+        assert exact <= m.dim, case
+        reduced = ol.minimize_oom(m)
+        assert reduced.dim == exact, case
+        assert ol.equivalent(m, reduced, m.dim + reduced.dim), case
+        rep = ol.process_dimension(m, 8)
+        assert rep.stabilized and rep.dimension == exact, case
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ol.hmm_to_oom(ol.random_hmm(20, "01", rng=1)),
+     lambda: ol.hmm_to_oom(ol.periodic(list("000000000001"))),
+     lambda: ol.hmm_to_oom(markov3())],
+    ids=["hmm20", "p12", "markov3"],
+)
+def test_minimize_cuts_the_rank_where_dim_does(make):
+    m = make()
+    reduced = ol.minimize_oom(m)
+    depth, margin = reduced._reduction["depth"], reduced._reduction["margin"]
+    rep = ol.process_dimension(make(), depth)
+    assert reduced.dim == rep.rank_by_level[depth]
+    # the same spectrum, up to the round-off of the largest value, between the
+    # SVD with singular vectors and the one without
+    assert margin == pytest.approx(rep.margin_by_level[depth], rel=0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
