@@ -4,8 +4,8 @@ Subcommands: validate, eval, dim, minimize, causal, nc-eval, nc-dim, experiment
 and sample. Reports go to standard output as canonical JSON
 (17-significant-digit floats, byte-identical across runs for identical inputs
 and seeds); errors go to standard error. Exit codes: 0 success or PASS, 1 FAIL
-or invalid model, 2 usage or schema error, 3 INCONCLUSIVE. The env var
-OOMLAB_SEED overrides the default seed 0.
+or invalid model, 2 usage or schema error, 3 INCONCLUSIVE, as is a rank cut
+inside the spectrum. The env var OOMLAB_SEED overrides the default seed 0.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ from .causal import (
     topological_complexity,
     total_variation,
 )
-from .dimension import DEFAULT_RANK_TOL, equivalent, minimize_oom, process_dimension
+from .dimension import DEFAULT_RANK_TOL, MIN_RANK_MARGIN, equivalent, minimize_oom
+from .dimension import process_dimension
 from .errors import (
     PreconditionError,
     ResourceLimitError,
     SchemaError,
     ValidationError,
 )
-from .experiments import STATIONARITY_LEVEL
 from .model_io import (
     dumps_canonical,
     experiment_points_rows,
@@ -120,16 +120,14 @@ def _cmd_validate(args) -> int:
             report["induced_model_validation"] = orep.to_dict()
             passed = orep.passed
         if args.check_stationarity and passed:
-            report["stationarity"] = stationarity_check(
-                induced, l=args.stationarity_level
-            ).to_dict()
+            report["stationarity"] = stationarity_check(induced).to_dict()
     else:
         nc = isinstance(model, NcOomModel)
         rep = (validate_ncoom if nc else validate_oom)(model, **depth)
         report["validation"] = rep.to_dict()
         if args.check_stationarity:
             check = nc_stationarity_check if nc else stationarity_check
-            report["stationarity"] = check(model, l=args.stationarity_level).to_dict()
+            report["stationarity"] = check(model).to_dict()
         passed = rep.passed
     _emit(report)
     return 0 if passed else 1
@@ -167,12 +165,15 @@ def _cmd_minimize(args) -> int:
     else:
         report["model"] = serialize_model(reduced)
     _emit(report)
-    return 0 if same else 1
+    if not same:
+        return 1
+    kept, dropped = reduced._reduction["margin"]
+    return 0 if kept >= MIN_RANK_MARGIN * dropped else 3
 
 
 def _cmd_causal(args) -> int:
     model = _classical(parse_model_file(args.model), "causal")
-    stat = stationarity_check(model, l=args.stationarity_level)
+    stat = stationarity_check(model)
     if not stat.stationary:
         raise ValidationError(
             f"causal states need a stationary process; residual {stat.residual:.3e}"
@@ -278,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(p)
     p.add_argument("--depth", type=int, default=None, help="word/tuple scan depth")
     p.add_argument("--check-stationarity", action="store_true")
-    p.add_argument("--stationarity-level", type=int, default=STATIONARITY_LEVEL)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("eval", help="probability of a word")
@@ -306,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster-tol", type=_tolerance, default=DEFAULT_CLUSTER_TOL,
                    dest="cluster_tol")
     p.add_argument("--tol-rel", type=_rank_tolerance, default=DEFAULT_RANK_TOL, dest="tol_rel")
-    p.add_argument("--stationarity-level", type=int, default=STATIONARITY_LEVEL)
     p.set_defaults(func=_cmd_causal)
 
     p = sub.add_parser("nc-eval", help="evaluate a state on an elementary tensor")

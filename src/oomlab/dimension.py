@@ -9,27 +9,18 @@ numerical rank is stable across the last two levels and both of those rank
 cuts fall in a clear gap of the spectrum; stabilization is evidence, not
 proof.
 
-For a model the block factors as ``H = S F^T``. The rows of the state stack
-``S`` are the images ``T_u v`` of the pasts, the rows of the functional stack
-``F`` are the covectors ``l T_w`` of the futures, and both have only ``d``
-columns. The block's singular values are those of the core ``R_S R_F^T`` of
-the R factors of ``S`` and ``F``. The core is at most ``d x d`` and has the
-block's nonzero singular values (Golub & Van Loan, *Matrix Computations*,
-section 5.4); the remaining ones are exact zeros. Neither stack is listed for
-it: the rows of the depth-``j`` state stack other than ``v^T`` are those of
-the depth-``j-1`` stack times each ``T_s^T``, so ``R_S(j)`` is the R factor
-of ``[v^T; R_S(j-1) T_1^T; ...; R_S(j-1) T_k^T]`` up to row signs, and
-``R_F(j)`` likewise that of ``[l; R_F(j-1) T_1; ...; R_F(j-1) T_k]``. Each
-model, classical or operator-algebra, keeps the step of each chain it
-computed last and extends it when the next block is one level deeper, so a
-ladder to depth ``L`` factors ``2 (L + 1)`` matrices of at most ``1 + k d``
-rows, and the model holds at most two ``d x d`` factors. A depth's factor is
-always that step of its chain from step 0, so every spectrum is bitwise the
-same whichever blocks of the model were built before. The stacks, the block
-``S F^T`` and the word lists are formed only when read. A model with a
-negative parameter has the block's words scanned for a value below
-``-DEFAULT_NEG_TOL`` first, by the chunked split scan; round-off above that
-is kept. A word value that overflows the float range is refused.
+For a model the block factors as ``H = S F^T``: the rows of the state stack
+``S`` are the images ``T_u v`` of the pasts, those of the functional stack
+``F`` the covectors ``l T_w`` of the futures, both ``d`` wide. The block's
+nonzero singular values are those of the at most ``d x d`` core ``R_S
+R_F^T`` of their R factors (Golub & Van Loan, *Matrix Computations*, section
+5.4); the others are exact zeros. Each factor is one QR step from the one a
+level shallower, which the model keeps (:func:`oomlab.oom._stack_factor`), so
+a ladder to depth ``L`` factors ``2 (L + 1)`` matrices of at most ``1 + k d``
+rows and lists no word; the stacks, the block and the word lists are formed
+only when read. A model with a negative parameter has the block's words
+scanned for a value below ``-DEFAULT_NEG_TOL`` first, by the chunked split
+scan. A word value that overflows the float range is refused.
 
 Each level also records its rank-decision margin: the smallest kept and the
 largest dropped singular value, both relative to the largest. When the kept
@@ -37,15 +28,11 @@ one is less than :data:`MIN_RANK_MARGIN` times the dropped one at either of
 the last two levels, the fixed cut ``tol_rel`` has landed inside the spectrum
 rather than in a gap, and the ladder is not stabilized.
 
-:func:`minimize_oom` reduces the core of the stack factors at a depth where
-both spans are complete and cuts its rank as the ladder does (the balanced
-realization). Only :func:`equivalent` runs a span closure. It compares two
-models on every word up to a length through their difference model, the direct
-sum with the second eval covector negated, whose breadth-first span closure
-picks basis words whose state images span those of every word up to that
-length, at most the sum of the two dimensions, in polynomial time; the
-difference on every word is a combination of the differences on the basis
-words, and the tolerance bounds those.
+:func:`minimize_oom` reduces the core at the depth where both spans close
+(:func:`oomlab.oom._closure`) and cuts its rank as the ladder does (the
+balanced realization). :func:`equivalent` compares two models on every word
+up to a length, in polynomial time, by a breadth-first span closure of their
+difference model.
 """
 
 from __future__ import annotations
@@ -58,19 +45,22 @@ import numpy as np
 from .errors import ValidationError
 from .words import normalize_word, word_count_up_to, words_up_to
 from .oom import (
+    DEFAULT_RANK_TOL,
     OomModel,
     _budget,
     _classical_model,
+    _closure,
     _difference,
     _functional_levels,
     _overflow_to,
     _propagate,
+    _rank_cut,
     _require_nonnegative,
     _require_probabilities,
+    _stack_factor,
     _state_levels,
 )
 
-DEFAULT_RANK_TOL = 1e-9
 DEFAULT_EQUIV_TOL = 1e-9
 #: Least ratio of the smallest kept to the largest dropped singular value at
 #: which a rank cut counts as falling in a gap of the spectrum.
@@ -86,12 +76,10 @@ class HankelBlock:
     basis elements) of the concatenation ``pasts[i] + futures[j]``.
 
     The block is its model's ``ops``, ``init`` and ``eval`` over ``symbols``
-    to depths ``l_past`` and ``l_future``, and its singular values, which
-    came from the model's stack factors without listing a word. Everything
-    else is enumerated when first read: ``states``, the images of the pasts,
+    to depths ``l_past`` and ``l_future``, and its singular values. The rest
+    is enumerated when first read: ``states``, the images of the pasts,
     ``functionals``, the covectors of the futures, ``matrix``, their product
-    ``states @ functionals.T`` formed within the budget, and the word lists.
-    ``shape`` comes from the word counts and forms none of them.
+    formed within the budget, and the word lists; ``shape`` forms none.
     """
 
     ops: np.ndarray
@@ -180,40 +168,12 @@ def _block_budget(what: str, k: int, d: int, l_past: int, l_future: int) -> None
     _budget(f"{what} to depths {l_past} and {l_future}", rows * cols, (rows + cols) * d)
 
 
-def _stack_factor(m, ops: np.ndarray, depth: int, states: bool) -> np.ndarray:
-    """Step ``depth`` of the chain of R factors of ``m``'s state stack
-    (``states``) or functional stack over the operator stack ``ops``:
-    ``R(0) = R(seed)``, ``R(j) = R([seed; R(j-1) G_1; ...; R(j-1) G_k])``
-    with the seed ``init`` and the ``G_s`` the ``T_s^T``, or ``eval`` and the
-    ``T_s`` (see the module docstring). ``m`` keeps only the step computed
-    last, with its depth and ``ops``, as one private tuple replaced whole: a
-    ladder asks for the depths in turn and extends it by one step each, and
-    any other request starts over from step 0. So every step is computed the
-    same way, bitwise, whatever ran on ``m`` before, the model holds one
-    factor of at most ``d x d`` per stack, and concurrent callers can at
-    worst repeat work."""
-    name, seed, gens = (
-        ("_state_factor", m.init, ops.transpose(0, 2, 1)) if states
-        else ("_functional_factor", m.eval, ops)
-    )
-    held, j, r = vars(m).get(name, (None, -1, None))
-    if held is not ops or j > depth:
-        j, r = -1, None
-    while j < depth:
-        images = () if r is None else r @ gens
-        r, j = np.linalg.qr(np.vstack([seed, *images]), mode="r"), j + 1
-    vars(m)[name] = (ops, j, r)
-    return r
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite factor or core is refused
 def _model_block(m, ops: np.ndarray, symbols, l_past: int, l_future: int) -> HankelBlock:
-    """Block of the words over ``symbols`` up to ``l_past`` against those up
-    to ``l_future`` of the model ``m`` (its ``init`` and ``eval``) with the
-    operator stack ``ops``, unformed. Its singular values are those of the
-    core ``R_S R_F^T`` of the stack factors (:func:`_stack_factor`) padded
-    with exact zeros to the block's size; no word is listed. A core that is
-    not finite, as non-finite factors make it, raises an error."""
+    """Unformed block of ``m`` (its ``init`` and ``eval``) over the operator
+    stack ``ops`` and ``symbols`` to depths ``l_past`` and ``l_future``: its
+    singular values are those of the core ``R_S R_F^T`` of the stack factors,
+    padded with exact zeros. A non-finite core raises."""
     core = _stack_factor(m, ops, l_past, True) @ _stack_factor(m, ops, l_future, False).T
     if not np.isfinite(core).all():
         raise _overflow_to(l_past + l_future)
@@ -227,13 +187,11 @@ def build_hankel(p, l_past: int, l_future: int) -> HankelBlock:
     length <= l_future, in length-then-lexicographic order, with its
     singular values.
 
-    The block factors into the state images of the pasts and the linear
-    functionals of the futures of the model (or of the model an HMM induces).
-    Its singular values come from the R factors of those two stacks, each
-    one step of a recursion from the factors one level shallower, which the
-    model keeps for the next block (:func:`_stack_factor`), so no word is
-    listed for them; the stacks and the block are formed when first read. A model with a negative parameter first has its block's words
-    scanned: a value below ``-DEFAULT_NEG_TOL`` raises.
+    The singular values come from the R factors of the model's state and
+    functional stacks (or of the model an HMM induces) with no word listed;
+    the stacks and the block are formed when first read. A model with a
+    negative parameter first has its block's words scanned: a value below
+    ``-DEFAULT_NEG_TOL`` raises.
     """
     m = _classical_model(p)
     _block_budget("Hankel block", len(m.alphabet), m.dim, l_past, l_future)
@@ -248,19 +206,6 @@ def numerical_rank(singular_values, tol_rel: float = DEFAULT_RANK_TOL) -> int:
     own scale, which suits probability matrices whose entries are O(1).
     """
     return _rank_cut(singular_values, tol_rel)[0]
-
-
-def _rank_cut(singular_values, tol_rel: float) -> tuple:
-    """The rank decision: :func:`numerical_rank` and its margin, ``[smallest
-    kept, largest dropped]`` singular value relative to the largest, each 0.0
-    where there is none."""
-    sv = np.asarray(singular_values, dtype=float).reshape(-1)
-    if sv.size == 0 or sv[0] <= 0.0:
-        return 0, [0.0, 0.0]
-    rank = int(np.count_nonzero(sv > tol_rel * sv[0]))
-    kept = float(sv[rank - 1] / sv[0]) if rank else 0.0
-    dropped = float(sv[rank] / sv[0]) if rank < sv.size else 0.0
-    return rank, [kept, dropped]
 
 
 def _rank_ladder(block_at, l_max: int, tol_rel: float) -> DimensionReport:
@@ -302,26 +247,18 @@ def process_dimension(p, l_max: int, tol_rel: float = DEFAULT_RANK_TOL) -> Dimen
     return _rank_ladder(lambda level: build_hankel(p, level, level), l_max, tol_rel)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite factor or core is refused
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite core is refused
 def _reduced(m, ops: np.ndarray, tol_rel: float) -> tuple:
     """Minimal model ``(ops, init, eval)`` of ``m`` with the operator stack
     ``ops``, and the ``depth`` of the core it reduced with its ``margin``.
 
-    The factor chains (:func:`_stack_factor`) run to one step past the first
-    depth where neither factor's rank grows. With the core ``C = R_S R_F^T =
-    U S W^H`` there and ``r`` its rank, ``reduce = S_r^-1/2 conj(W^H)[:r]
+    With the core ``C = R_S R_F^T = U S W^H`` where both spans close
+    (:func:`_closure`) and ``r`` its rank, ``reduce = S_r^-1/2 conj(W^H)[:r]
     R_F`` and ``lift = R_S^T conj(U_r) S_r^-1/2`` give ``reduce lift = I_r``
     and the model ``(reduce T_s lift, reduce v, l lift)``, signed so that
     ``reduce v >= 0``.
     """
-    ranks = []
-    for depth in range(ops.shape[1] + 1):
-        r_s, r_f = pair = [_stack_factor(m, ops, depth, states) for states in (True, False)]
-        if not all(np.isfinite(r).all() for r in pair):
-            raise _overflow_to(depth)
-        ranks.append([numerical_rank(np.linalg.svd(r, compute_uv=False), tol_rel) for r in pair])
-        if len(ranks) > 2 and ranks[-3] == ranks[-2]:
-            break
+    depth, (r_s, r_f) = _closure(m, ops, (True, False), tol_rel)
     if not np.isfinite(core := r_s @ r_f.T).all():
         raise _overflow_to(2 * depth)
     u, sv, wh = np.linalg.svd(core, full_matrices=False)

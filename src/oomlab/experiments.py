@@ -46,8 +46,6 @@ from .processes import bernoulli, markov_chain
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
-#: Word length to which a harness checks that its processes are stationary.
-STATIONARITY_LEVEL = 4
 
 
 @dataclass
@@ -109,7 +107,7 @@ def cylinder_distance(p, q, l: int) -> float:
 
 
 def _require_stationary(m: OomModel, what: str):
-    rep = stationarity_check(m, l=STATIONARITY_LEVEL)
+    rep = stationarity_check(m)
     if not rep.stationary:
         raise PreconditionError(
             f"{what} is not stationary (residual {rep.residual:.3e} > {rep.tol})"
@@ -138,15 +136,14 @@ def run_additivity(
     """Dimension of a mixture of pairwise distinct stationary parts versus
     the sum of the parts' dimensions.
 
-    Preconditions (refused on failure): every part stationary to word length
-    ``STATIONARITY_LEVEL``, and parts pairwise non-equivalent up to the sum of
-    their dimensions. Without distinctness the equality genuinely fails (two
+    Preconditions (refused on failure): every part stationary on words of
+    every length, and parts pairwise non-equivalent up to the sum of their
+    dimensions. Without distinctness the equality genuinely fails (two
     identical parts collapse), which is why the harness refuses rather than
-    reporting FAIL. Distinct parts
-    need not be mutually singular, though: ``1/2 bern(0.2) + 1/2 bern(0.5)`` and
-    ``1/2 bern(0.2) + 1/2 bern(0.8)`` share an ergodic component, their even
-    mixture has dimension 3 against parts of dimension 2 and 2, and the
-    verdict is FAIL on correct code.
+    reporting FAIL. Distinct parts need not be mutually singular, though:
+    ``1/2 bern(0.2) + 1/2 bern(0.5)`` and ``1/2 bern(0.2) + 1/2 bern(0.8)``
+    share an ergodic component, their even mixture has dimension 3 against
+    parts of dimension 2 and 2, and the verdict is FAIL on correct code.
     """
     start = time.perf_counter()
     models = [m for _, m in parts]

@@ -10,7 +10,7 @@ FIRST factor applied first, mirroring the classical word convention. Under
 the reverse convention (available as a toggle where it matters) the defining
 mass-preservation condition makes generated states translation invariant by
 construction; under the convention used here it does not, which is what
-:func:`nc_stationarity_check` measures exactly on basis tuples.
+:func:`nc_stationarity_check` decides on basis tuples of every length.
 
 Classical models embed via :func:`embed_classical` with the commutative
 algebra whose basis elements are the symbol indicators; evaluation on
@@ -19,10 +19,10 @@ notions of process dimension coincide.
 
 A classical model is the commutative special case: both kinds are an
 operator stack with an init vector and an eval covector, the stack here
-being ``op_per_basis``. Level enumeration, Hankel blocks, the rank ladder,
-direct sums and the invariance scan therefore come from the classical core
-(:mod:`oomlab.oom` and :mod:`oomlab.dimension`), run with complex dtype over
-basis-index tuples.
+being ``op_per_basis``. Level enumeration, stack factors, Hankel blocks, the
+rank ladder, direct sums and the invariance check therefore come from the
+classical core (:mod:`oomlab.oom`, :mod:`oomlab.dimension`), run with complex
+dtype over basis-index tuples.
 
 The generated state is positive when it is positive on every local algebra
 ``A^(x)n``, not only on elementary tensors of positives. At depth ``n`` its
@@ -66,8 +66,8 @@ from .dimension import (
 from .errors import ValidationError
 from .oom import DEFAULT_CONDITION_TOL, DEFAULT_NEG_TOL, OomModel, _direct_sum
 from .oom import _Report, _condition_residuals, _deepest, _frozen, _frozen_vectors
-from .oom import _functional_levels, _mixture_weights, _overflow, _overflow_to
-from .oom import _require_nonnegative, _split_scan, _state_levels
+from .oom import _factor_residual, _functional_levels, _mixture_weights, _overflow
+from .oom import _overflow_to, _require_nonnegative, _state_levels
 from .words import word_count_up_to
 
 DEFAULT_IMAG_TOL = 1e-9
@@ -292,9 +292,7 @@ def nc_hankel(
     evaluated on the concatenated tensor, row factors first. For an embedded
     classical model this is entrywise the classical probability block. As
     in :func:`~oomlab.dimension.build_hankel`, the singular values come from
-    the R factors of the two stacks, each one step of a recursion from the
-    factors one level shallower, which the model keeps for the next block,
-    and the stacks and the block are formed only when first read.
+    the stack factors and the block is formed only when first read.
     """
     td = m.algebra.total_dim
     _block_budget("block", td, m.dim, l_past, l_future)
@@ -329,26 +327,22 @@ def nc_mixture_direct_sum(parts: Sequence[tuple]) -> NcOomModel:
 
 
 def nc_stationarity_check(
-    m: NcOomModel, l: int = 3, reverse_order: bool = False
+    m: NcOomModel, l: int | None = None, reverse_order: bool = False
 ) -> NcStationarityReport:
-    """Translation invariance, exact on basis-element tuples.
+    """Translation invariance on basis-element tuples.
 
-    Reports the max of ``|value(1 (x) a1 .. an) - value(a1 .. an)|`` over
-    all tuples of matrix-unit basis elements of length up to ``l``, the
-    split scan of ``T_1 v - v`` against ``eval`` (of ``v`` against
-    ``eval T_1 - eval`` under ``reverse_order``), stationary when it is within
-    ``NC_STATIONARITY_TOL``. By multilinearity a general tuple's gap is at
+    As :func:`~oomlab.oom.stationarity_check`, the 2-norm of ``value(1 (x)
+    a1 .. an) - value(a1 .. an)`` over the tuples of matrix-unit basis
+    elements up to ``level``, stationary within ``NC_STATIONARITY_TOL``: the
+    functional factor against ``T_1 v - v``, or under ``reverse_order`` the
+    state factor against ``eval T_1 - eval``. A general tuple's gap is at
     most this residual times the product of its factors' coefficient
     1-norms. With ``reverse_order`` the residual vanishes for any model
     meeting condition two, the alternative convention's built-in invariance.
     """
     _require_nonnegative(l=l)
     t, v, e = m.unit_operator, m.init, m.eval
-    ends = (v, e @ t - e) if reverse_order else (t @ v - v, e)
-    residual = _split_scan(m.op_per_basis, *ends, l)[1]
-    return NcStationarityReport(
-        residual=residual,
-        level=l,
-        reverse_order=reverse_order,
-        stationary=residual <= NC_STATIONARITY_TOL,
-    )
+    x = e @ t - e if reverse_order else t @ v - v
+    level, residual = _factor_residual(m, m.op_per_basis, reverse_order, x, l)
+    return NcStationarityReport(residual=residual, level=level, reverse_order=reverse_order,
+                                stationary=residual <= NC_STATIONARITY_TOL)

@@ -8,17 +8,17 @@ When the defining conditions hold (unit mass ``l(v) = 1``, mass preservation
 ``l o sum_d T_d = l``, nonnegativity of all word values) these numbers are the
 cylinder probabilities of a stochastic process on one-sided sequences.
 
-Nonnegativity cannot in general be certified by any finite check;
-:func:`validate_oom` scans all words up to a depth, as do the consistency and
-stationarity checks, in one block of two half-depth stacks
-(:func:`_split_scan`). A pass is therefore necessary, not sufficient. Entrywise
-nonnegative parameters are a sufficient certificate: every word value is then
-a sum of products of nonnegative numbers, at every depth. Validation on load
-and the semicontinuity harness accept such a model on its signs and its two
-condition residuals (:func:`_certified`) without the scan; ``oomlab validate``
-still scans. Values in ``[-DEFAULT_NEG_TOL, 0)`` are treated as numerical
-noise and clamped to zero where probabilities are consumed; anything below
-signals an invalid model and raises, and so does a non-finite value, which
+The stationarity and consistency checks hold on words of every length: each
+is the norm of one vector against the R factor of a stack whose span has
+closed (:func:`_factor_residual`). Nonnegativity cannot in general be
+certified by any finite check; :func:`validate_oom` scans all words up to a
+depth in one block of two half-depth stacks (:func:`_split_scan`), so a pass
+is necessary, not sufficient. Entrywise nonnegative parameters are a
+sufficient certificate, at every depth: validation on load and the
+semicontinuity harness accept such a model on its signs and its two
+condition residuals (:func:`_certified`); ``oomlab validate`` still scans.
+Values in ``[-DEFAULT_NEG_TOL, 0)`` are clamped to zero where probabilities
+are consumed; anything below raises, and so does a non-finite value, which
 every scan, closure, density check and sampling step refuses where it
 computes it. Every word enumeration, in every module, states its cost to
 :func:`_budget` before it allocates: the word values it computes or compares
@@ -45,6 +45,7 @@ from .words import Word, normalize_word, word_count_up_to
 
 DEFAULT_NEG_TOL = 1e-10
 DEFAULT_CONDITION_TOL = 1e-12
+DEFAULT_RANK_TOL = 1e-9
 STATIONARITY_TOL = 1e-10
 #: Word values one request may compute or compare: word pairs, block entries.
 MAX_VALUES = 2**27
@@ -197,7 +198,7 @@ class HmmValidationReport(_Report):
 
 @dataclass
 class StationarityReport(_Report):
-    """Max residual of ``|P(w) - sum_d P(dw)|`` over words up to a length."""
+    """2-norm of ``P(w) - sum_d P(dw)`` over the words up to ``level``."""
 
     residual: float
     level: int
@@ -253,10 +254,10 @@ def _frozen_symbol_matrices(alphabet, matrices: Mapping, d: int, noun: str, noun
     return alphabet, out
 
 
-def _require_nonnegative(**values: int) -> None:
+def _require_nonnegative(**values: int | None) -> None:
     """Refuse a negative depth, length or horizon, naming the parameter."""
     for name, value in values.items():
-        if value < 0:
+        if value is not None and value < 0:
             raise ValueError(f"{name} must be nonnegative")
 
 
@@ -340,6 +341,77 @@ def _functional_levels(ops: np.ndarray, eval: np.ndarray, depth: int) -> list[np
     return levels
 
 
+def _rank_cut(singular_values, tol_rel: float) -> tuple:
+    """The rank decision: the count of singular values above ``tol_rel`` times
+    the largest, and its margin, ``[smallest kept, largest dropped]`` relative
+    to the largest, 0.0 where there is none. A ``tol_rel`` of 1 or more raises."""
+    if not tol_rel < 1.0:
+        raise ValueError("tol_rel must be below 1")
+    sv = np.asarray(singular_values, dtype=float).reshape(-1)
+    if sv.size == 0 or sv[0] <= 0.0:
+        return 0, [0.0, 0.0]
+    rank = int(np.count_nonzero(sv > tol_rel * sv[0]))
+    kept = float(sv[rank - 1] / sv[0]) if rank else 0.0
+    dropped = float(sv[rank] / sv[0]) if rank < sv.size else 0.0
+    return rank, [kept, dropped]
+
+
+def _stack_factor(m, ops: np.ndarray, depth: int, states: bool) -> np.ndarray:
+    """R factor of ``m``'s state stack (``states``), the rows ``(T_w v)^T``,
+    or functional stack, the rows ``l T_w``, of the words up to ``depth`` over
+    the operator stack ``ops``, up to row signs: ``R(0) = R(seed)``, ``R(j) =
+    R([seed; R(j-1) G_1; ...; R(j-1) G_k])`` with the seed ``init`` and the
+    ``G_s`` the ``T_s^T``, or ``eval`` and the ``T_s``. ``m`` keeps only the
+    step computed last, with its depth and ``ops``, as one private tuple
+    replaced whole: a walk extends it by one step, any other request starts
+    over from step 0. So every step is bitwise the same whatever ran on ``m``
+    before, the model holds one factor of at most ``d x d`` per stack, and
+    concurrent callers can at worst repeat work."""
+    name, seed, gens = (
+        ("_state_factor", m.init, ops.transpose(0, 2, 1)) if states
+        else ("_functional_factor", m.eval, ops)
+    )
+    held, j, r = vars(m).get(name, (None, -1, None))
+    if held is not ops or j > depth:
+        j, r = -1, None
+    while j < depth:
+        images = np.empty((0, seed.size)) if r is None else (r @ gens).reshape(-1, seed.size)
+        r, j = np.linalg.qr(np.concatenate((seed[None], images)), mode="r"), j + 1
+    vars(m)[name] = (ops, j, r)
+    return r
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite factor is refused
+def _closure(m, ops: np.ndarray, chains, tol_rel: float, depth: int | None = None) -> tuple:
+    """The depth where a walk of ``m``'s factor chains ``chains``, each a
+    ``states`` flag of :func:`_stack_factor`, stops, and their factors there.
+    It stops at ``depth``, or one step past the first depth at which no
+    chain's numerical rank grows: a span is final once a level adds nothing,
+    by depth ``d - 1``. A non-finite factor raises."""
+    ranks, last = [], ops.shape[1] if depth is None else min(depth, ops.shape[1])
+    for j in range(last + 1):
+        factors = [_stack_factor(m, ops, j, states) for states in chains]
+        if not all(np.isfinite(r).all() for r in factors):
+            raise _overflow_to(j)
+        if len(ranks) > 1 and ranks[-2] == ranks[-1]:
+            break
+        ranks.append([_rank_cut(np.linalg.svd(r, compute_uv=False), tol_rel)[0] for r in factors])
+    return j, factors
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite residual is refused
+def _factor_residual(m, ops: np.ndarray, states: bool, x, depth: int | None) -> tuple:
+    """``(L, |R x|)`` for the state (``states``) or functional factor ``R`` of
+    ``m`` where :func:`_closure` stops at most ``depth`` deep: the 2-norm of
+    ``x^T T_w v``, or ``l T_w x``, over the words up to ``L``, and where the
+    span has closed, 0 iff it is on every word. A non-finite value raises."""
+    level, (r,) = _closure(m, ops, (states,), DEFAULT_RANK_TOL, depth)
+    residual = float(np.linalg.norm(r @ x))
+    if not isfinite(residual):
+        raise _overflow_to(level)
+    return level, residual
+
+
 def _scan_cost(k: int, d: int, depth: int) -> tuple[int, int]:
     """Word pairs of :func:`_split_scan` to ``depth`` over ``k`` operators of
     size ``d``, and the entries of both stacks and one row chunk it holds."""
@@ -349,12 +421,12 @@ def _scan_cost(k: int, d: int, depth: int) -> tuple[int, int]:
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is refused
 def _split_scan(ops: np.ndarray, vector, covector, depth: int) -> tuple[float, float]:
-    """Lowest real part and largest magnitude of ``covector T_w vector`` over
-    all words with ``|w| <= depth``: the entries of ``S F^T`` for the images
-    ``T_u vector``, ``|u| <= ceil(depth / 2)``, and the functionals
-    ``covector T_s``, ``|s| <= floor(depth / 2)``, taken in row chunks. A
-    value that is not finite, as ``0 * inf`` makes it where images overflow,
-    raises :class:`ValidationError`."""
+    """Lowest value and largest magnitude of ``covector T_w vector`` over all
+    words with ``|w| <= depth`` of a real model: the entries of ``S F^T`` for
+    the images ``T_u vector``, ``|u| <= ceil(depth / 2)``, and the
+    functionals ``covector T_s``, ``|s| <= floor(depth / 2)``, taken in row
+    chunks. A value that is not finite, as ``0 * inf`` makes it where images
+    overflow, raises :class:`ValidationError`."""
     _budget(f"scanning to depth {depth}", *_scan_cost(ops.shape[0], ops.shape[1], depth))
     states = np.vstack(_state_levels(ops, vector, (depth + 1) // 2))
     functionals = np.vstack(_functional_levels(ops, covector, depth // 2)).T
@@ -362,14 +434,10 @@ def _split_scan(ops: np.ndarray, vector, covector, depth: int) -> tuple[float, f
     step = max(1, _SCAN_CHUNK // functionals.shape[1])
     for start in range(0, states.shape[0], step):
         block = states[start : start + step] @ functionals
-        low = float(block.real.min())
-        if np.iscomplexobj(block):
-            high = float(np.abs(block).max())
-        else:  # the largest magnitude without an abs temporary
-            high = max(float(block.max()), -low)
+        low, high = float(block.min()), float(block.max())
         if not (isfinite(low) and isfinite(high)):  # Python's min and max would drop a NaN
             raise _overflow_to(depth)
-        lowest, largest = min(lowest, low), max(largest, high)
+        lowest, largest = min(lowest, low), max(largest, high, -low)
         del block  # so that the next chunk does not share the peak with it
     return lowest, largest
 
@@ -527,15 +595,16 @@ def word_probability(p, word, neg_tol: float = DEFAULT_NEG_TOL) -> float:
 
 
 def kolmogorov_residual(p, depth: int) -> float:
-    """Max of ``|sum_d P(wd) - P(w)|`` over all words with ``|w| < depth``,
-    0.0 at depth 0, where there are none: the split scan of the model's images
-    against the defect covector ``l sum_d T_d - l``."""
+    """2-norm of ``sum_d P(wd) - P(w)`` over the words up to ``depth - 1``,
+    or up to the depth where the state span closes if that is smaller (0 iff
+    on every word): the state factor against ``l sum_d T_d - l``
+    (:func:`_factor_residual`). 0.0 at depth 0, where there are no words."""
     _require_nonnegative(depth=depth)
     m = _classical_model(p)
     if depth == 0:
         return 0.0
     defect = m.eval @ m.operator_sum - m.eval
-    return _split_scan(m.operator_stack, m.init, defect, depth - 1)[1]
+    return _factor_residual(m, m.operator_stack, True, defect, depth - 1)[1]
 
 
 def hmm_to_oom(h: HmmModel) -> OomModel:
@@ -586,19 +655,22 @@ def mixture_direct_sum(parts: Sequence[tuple]) -> OomModel:
     return OomModel(alphabet=alphabet, operators=dict(zip(alphabet, ops)), init=init, eval=evalv)
 
 
-def stationarity_check(m: OomModel, l: int = 6) -> StationarityReport:
+def stationarity_check(m: OomModel, l: int | None = None) -> StationarityReport:
     """Test shift invariance of the generated process on observables.
 
-    Reports ``max |P(w) - sum_d P(dw)|`` over all words of length at most
-    ``l``, stationary when it is within ``STATIONARITY_TOL``. The algebraic
-    condition ``(sum_d T_d) v = v`` is sufficient but not necessary; this
-    observable criterion, the split scan of ``v - (sum_d T_d) v`` against
-    ``l``, is the one actually tested.
+    Reports the 2-norm of ``P(w) - sum_d P(dw)`` over the words up to
+    ``level``, stationary when it is within ``STATIONARITY_TOL``: ``level`` is
+    ``l``, or the depth where the functional span closes if that is smaller
+    or ``l`` is None, and there the check covers words of every length. The
+    algebraic condition ``(sum_d T_d) v = v`` is sufficient but not
+    necessary; the functional factor against ``v - (sum_d T_d) v``
+    (:func:`_factor_residual`) is the observable criterion.
     """
     _require_nonnegative(l=l)
     shifted = m.init - m.operator_sum @ m.init
-    residual = _split_scan(m.operator_stack, shifted, m.eval, l)[1]
-    return StationarityReport(residual=residual, level=l, stationary=residual <= STATIONARITY_TOL)
+    level, residual = _factor_residual(m, m.operator_stack, False, shifted, l)
+    return StationarityReport(residual=residual, level=level,
+                              stationary=residual <= STATIONARITY_TOL)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite total is refused

@@ -13,7 +13,9 @@ written in the bases ``[[1, 1], [0, 1e9]]`` and ``[[1, 1], [0, 1e12]]``,
 whose state coordinates differ in scale by that much, ``validate`` on 7- and
 26-symbol coins, which pins the depth each is scanned to, ``validate
 --check-stationarity`` on a phase-locked 2-cycle embedded as an
-operator-algebra model, and ``validate`` and ``nc-dim`` on a signed mixture
+operator-algebra model and on the period-12 cycle of ``000000000001``
+started in phase 0, which agrees with its shift on every word up to length
+10, and ``validate`` and ``nc-dim`` on a signed mixture
 of two qubit product states that is positive on one site and not on two, so
 that both exit 1, ``dim --max-level 3``, ``validate``, ``causal --past-len
 2 --horizon 2``, ``minimize`` and ``sample --length 12`` on a valid model
@@ -137,6 +139,10 @@ def cases(scratch: str) -> list:
         ]
     hmm20 = hmm_to_oom(random_hmm(20, "01", rng=1))
     cycle = markov_chain([[0, 1], [1, 0]], labels=["A", "B"], init=[1, 0])
+    # the period-12 cycle of "000000000001" started in phase 0, which first
+    # differs from its shift at length 11
+    p12 = markov_chain([[float(j == (i + 1) % 12) for j in range(12)] for i in range(12)],
+                       labels=list("000000000001"), init=[1.0] + [0.0] * 11)
     # 1.5 qp(0.5, 0.5) - 0.5 qp(1, 0), with qp(a, b) the product state of diag(a, b)
     zero = [[0.0, 0.0], [0.0, 0.0]]
     signed = NcOomModel(construct_algebra([2]), [[[0.5, 0.0], [0.0, 1.0]], zero, zero,
@@ -162,6 +168,8 @@ def cases(scratch: str) -> list:
         ("validate", "coin7", iid({str(i): 1 / 7 for i in range(7)}), ["validate"]),
         ("validate", "coin26", iid({str(i): 1 / 26 for i in range(26)}), ["validate"]),
         ("validate-stationarity", "phase_cycle_nc", embed_classical(hmm_to_oom(cycle)),
+         ["validate", "--check-stationarity"]),
+        ("validate-stationarity", "phase0_p12", hmm_to_oom(p12),
          ["validate", "--check-stationarity"]),
         ("validate", "signed_qubit_mix", signed, ["validate"]),
         ("nc-dim", "signed_qubit_mix", signed, ["nc-dim", "--max-level", "2"]),

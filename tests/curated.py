@@ -74,6 +74,22 @@ def overflowing_model() -> ol.OomModel:
     return ol.OomModel(("0", "1"), ops, [1.0, 0.0], [1.0, 0.0])
 
 
+def reversed_model(m: ol.OomModel) -> ol.OomModel:
+    """The time reversal of ``m``: its transposed operators, with ``init`` and
+    ``eval`` swapped. Of :func:`overflowing_model` it is the same fair coin,
+    whose functionals ``l T_w`` overflow where that model's state images do."""
+    ops = {s: m.operators[s].T for s in m.alphabet}
+    return ol.OomModel(m.alphabet, ops, m.eval, m.init)
+
+
+def phase0_p12() -> ol.OomModel:
+    """The period-12 cycle of ``"000000000001"`` started in phase 0, not in
+    its uniform stationary phase: it agrees with its shift on every word up
+    to length 10 and first differs at 11."""
+    cycle = np.roll(np.eye(12), 1, axis=1)
+    return ol.hmm_to_oom(ol.markov_chain(cycle, labels=list("000000000001"), init=np.eye(12)[0]))
+
+
 def signed_qubit_mixture() -> ol.NcOomModel:
     """``1.5 qp(0.5, 0.5) - 0.5 qp(1, 0)``, with ``qp(a, b)`` the product state
     of ``diag(a, b)``: its value on ``E_00`` tensored n times is

@@ -13,7 +13,8 @@ from oomlab.model_io import save_model, serialize_model
 
 import cli_snapshot
 from conftest import fixture_path
-from curated import overflowing_model, signed_coin_mixture, signed_qubit_mixture, skewed_mixture
+from curated import overflowing_model, phase0_p12, signed_coin_mixture, signed_qubit_mixture
+from curated import skewed_mixture
 
 
 def run_cli(capsys, *argv):
@@ -239,6 +240,21 @@ def test_validate_with_stationarity(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["stationarity"]["stationary"] is True
+
+
+def test_phase_started_cycle_is_not_stationary(capsys, tmp_path):
+    path = tmp_path / "p12.json"
+    save_model(phase0_p12(), path)
+    code, out, _ = run_cli(capsys, "validate", "--model", str(path), "--check-stationarity")
+    assert code == 0  # a valid model, of a process that is not stationary
+    assert json.loads(out)["stationarity"] == {
+        "residual": pytest.approx(2.0), "level": 12, "tol": 1e-10, "stationary": False,
+    }
+    code, out, err = run_cli(
+        capsys, "causal", "--model", str(path), "--past-len", "2", "--horizon", "2"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: causal states need a stationary process; residual 2.000e+00\n"
 
 
 def test_validate_mixture_file(capsys):
@@ -476,7 +492,7 @@ def test_minimize_twenty_state_hmm(capsys, tmp_path):
     path = tmp_path / "hmm20.json"
     save_model(ol.hmm_to_oom(ol.random_hmm(20, "01", rng=1)), path)
     code, out, _ = run_cli(capsys, "minimize", "--model", str(path))
-    assert code == 0
+    assert code == 3  # INCONCLUSIVE, as dim is on it
     report = json.loads(out)
     assert report["equivalent"] is True
     kept, dropped = report["margin"]  # the thin cut that dim reports at depth 8
@@ -776,6 +792,33 @@ def test_defaulted_parameters_are_exactly_the_pinned_ones():
                 found[name] = defaulted
     assert found == DEFAULTED
     assert sum(map(len, found.values())) == 30
+
+
+#: The option strings of each subcommand, help aside. A new option is a
+#: deliberate change here.
+OPTIONS = {
+    "validate": ["--model", "--depth", "--check-stationarity"],
+    "eval": ["--model", "--word", "--neg-tol"],
+    "dim": ["--model", "--max-level", "--tol-rel"],
+    "minimize": ["--model", "--tol-rel", "--output"],
+    "causal": ["--model", "--past-len", "--horizon", "--cluster-tol", "--tol-rel"],
+    "nc-eval": ["--model", "--factors", "--word", "--require-positive"],
+    "nc-dim": ["--model", "--max-level", "--tol-rel"],
+    "experiment": ["action", "spec", "--out-dir", "--csv"],
+    "sample": ["--model", "--length", "--seed"],
+}
+
+
+def test_cli_options_are_exactly_the_pinned_ones():
+    parser = build_parser()
+    sub = next(
+        a for a in parser._actions if isinstance(a, type(parser._subparsers._group_actions[0]))
+    )
+    found = {
+        name: [s for a in p._actions if a.dest != "help" for s in (a.option_strings or [a.dest])]
+        for name, p in sub.choices.items()
+    }
+    assert found == OPTIONS
 
 
 def test_every_public_operation_reachable_from_cli(monkeypatch, tmp_path):

@@ -125,6 +125,24 @@ def test_rank_of_zero_spectrum():
     assert ol.numerical_rank([0.0]) == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ol.numerical_rank([1.0, 0.5], tol_rel=1.0),
+        lambda: ol.process_dimension(ol.bernoulli(0.3), 2, tol_rel=1.0),
+        lambda: ol.minimize_oom(ol.bernoulli(0.3), tol_rel=1.0),
+        lambda: ol.nc_process_dimension(ol.embed_classical(ol.bernoulli(0.3)), 2, tol_rel=2.0),
+        lambda: ol.causal_span_rank(ol.enumerate_causal_states(ol.bernoulli(0.3), 2, 2), 1.0),
+        lambda: ol.numerical_rank([1.0], tol_rel=float("nan")),
+    ],
+    ids=["numerical_rank", "process_dimension", "minimize_oom", "nc_process_dimension",
+         "causal_span_rank", "nan"],
+)
+def test_a_rank_cut_that_keeps_nothing_is_refused(call):
+    with pytest.raises(ValueError, match=r"^tol_rel must be below 1$"):
+        call()
+
+
 def test_rank_two_mixture_with_exact_oracle():
     mix = mixture_2bern(0.2, 0.7)
     block = ol.build_hankel(mix, 3, 3)

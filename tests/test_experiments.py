@@ -6,7 +6,7 @@ from oomlab import PreconditionError
 from oomlab.processes import stationary_distribution
 
 from curated import OVERFLOW, curated_suite, markov2, mixture_2bern, overflowing_model
-from curated import signed_coin_mixture
+from curated import phase0_p12, signed_coin_mixture
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +114,12 @@ def test_nonstationary_part_is_refused():
     )
     with pytest.raises(PreconditionError, match="stationary"):
         ol.run_additivity([(0.5, ol.bernoulli(0.2)), (0.5, skewed)], 3)
+
+
+def test_part_that_differs_from_its_shift_only_at_length_eleven_is_refused():
+    message = r"^part 0 is not stationary \(residual 2\.000e\+00"
+    with pytest.raises(PreconditionError, match=message):
+        ol.run_additivity([(0.5, phase0_p12()), (0.5, ol.bernoulli(0.3))], 6)
 
 
 def test_four_distinct_coins():
