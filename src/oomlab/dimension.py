@@ -14,13 +14,13 @@ For a model the block factors as ``H = S F^T``: the rows of the state stack
 ``F`` the covectors ``l T_w`` of the futures, both ``d`` wide. The block's
 nonzero singular values are those of the at most ``d x d`` core ``R_S
 R_F^T`` of their R factors (Golub & Van Loan, *Matrix Computations*, section
-5.4); the others are exact zeros. Each factor is one QR step from the one a
-level shallower, which the model keeps (:func:`oomlab.oom._stack_factor`), so
-a ladder to depth ``L`` factors ``2 (L + 1)`` matrices of at most ``1 + k d``
-rows and lists no word; the stacks, the block and the word lists are formed
-only when read. A model with a negative parameter has the block's words
-scanned for a value below ``-DEFAULT_NEG_TOL`` first, by the chunked split
-scan. A word value that overflows the float range is refused.
+5.4); the others are exact zeros. Each factor is one QR step, within the
+budget, from the one a level shallower, which the model keeps
+(:func:`oomlab.oom._stack_factor`), so a ladder to depth ``L`` factors ``2 (L
++ 1)`` matrices of at most ``1 + k d`` rows and lists no word; the stacks,
+the block and the word lists are formed only when read. A model with a
+negative parameter has the block's words scanned for a value below
+``-DEFAULT_NEG_TOL`` first, by the chunked split scan; overflow is refused.
 
 Each level also records its rank-decision margin: the smallest kept and the
 largest dropped singular value, both relative to the largest. When the kept
@@ -48,6 +48,7 @@ from .oom import (
     DEFAULT_RANK_TOL,
     OomModel,
     _budget,
+    _charge_step,
     _classical_model,
     _closure,
     _difference,
@@ -76,10 +77,10 @@ class HankelBlock:
     basis elements) of the concatenation ``pasts[i] + futures[j]``.
 
     The block is its model's ``ops``, ``init`` and ``eval`` over ``symbols``
-    to depths ``l_past`` and ``l_future``, and its singular values. The rest
-    is enumerated when first read: ``states``, the images of the pasts,
-    ``functionals``, the covectors of the futures, ``matrix``, their product
-    formed within the budget, and the word lists; ``shape`` forms none.
+    to depths ``l_past`` and ``l_future``, and the at most ``d`` singular values
+    of its core (the rest are exactly zero). The rest is formed and budgeted
+    when first read: ``states``, the images of the pasts, ``functionals``, the
+    covectors of the futures, ``matrix``, their product, and the word lists.
     """
 
     ops: np.ndarray
@@ -92,10 +93,14 @@ class HankelBlock:
 
     @cached_property
     def states(self) -> np.ndarray:
+        n = self.shape[0] * self.init.size  # held twice: as levels, then stacked
+        _budget(f"stacking the images of the pasts to depth {self.l_past}", n, 2 * n)
         return np.vstack(_state_levels(self.ops, self.init, self.l_past))
 
     @cached_property
     def functionals(self) -> np.ndarray:
+        n = self.shape[1] * self.eval.size
+        _budget(f"stacking the functionals of the futures to depth {self.l_future}", n, 2 * n)
         return np.vstack(_functional_levels(self.ops, self.eval, self.l_future))
 
     @cached_property
@@ -106,10 +111,12 @@ class HankelBlock:
 
     @cached_property
     def pasts(self) -> list:
+        _budget(f"listing the pasts to depth {self.l_past}", self.shape[0], self.shape[0])
         return words_up_to(self.symbols, self.l_past)
 
     @cached_property
     def futures(self) -> list:
+        _budget(f"listing the futures to depth {self.l_future}", self.shape[1], self.shape[1])
         return words_up_to(self.symbols, self.l_future)
 
     @property
@@ -159,26 +166,16 @@ def apply_tau(m: OomModel, word) -> np.ndarray:
     return _propagate(m, normalize_word(word, m.alphabet))
 
 
-def _block_budget(what: str, k: int, d: int, l_past: int, l_future: int) -> None:
-    """Budget a block: its entries as values, and as held only the ``d``-wide
-    stacks of its pasts and futures. A negative depth raises ``ValueError``."""
-    if l_past < 0 or l_future < 0:
-        raise ValueError("l_past and l_future must be nonnegative")
-    rows, cols = word_count_up_to(k, l_past), word_count_up_to(k, l_future)
-    _budget(f"{what} to depths {l_past} and {l_future}", rows * cols, (rows + cols) * d)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite factor or core is refused
 def _model_block(m, ops: np.ndarray, symbols, l_past: int, l_future: int) -> HankelBlock:
     """Unformed block of ``m`` (its ``init`` and ``eval``) over the operator
-    stack ``ops`` and ``symbols`` to depths ``l_past`` and ``l_future``: its
-    singular values are those of the core ``R_S R_F^T`` of the stack factors,
-    padded with exact zeros. A non-finite core raises."""
+    stack ``ops`` and ``symbols`` to depths ``l_past`` and ``l_future``, with
+    the singular values of the core ``R_S R_F^T`` of the stack factors. A
+    non-finite core raises."""
     core = _stack_factor(m, ops, l_past, True) @ _stack_factor(m, ops, l_future, False).T
     if not np.isfinite(core).all():
         raise _overflow_to(l_past + l_future)
-    sv = np.zeros(word_count_up_to(len(ops), min(l_past, l_future)))  # min(rows, cols)
-    sv[: min(core.shape)] = np.linalg.svd(core, compute_uv=False)
+    sv = np.linalg.svd(core, compute_uv=False)
     return HankelBlock(ops, m.init, m.eval, tuple(symbols), l_past, l_future, sv)
 
 
@@ -187,14 +184,14 @@ def build_hankel(p, l_past: int, l_future: int) -> HankelBlock:
     length <= l_future, in length-then-lexicographic order, with its
     singular values.
 
-    The singular values come from the R factors of the model's state and
-    functional stacks (or of the model an HMM induces) with no word listed;
-    the stacks and the block are formed when first read. A model with a
-    negative parameter first has its block's words scanned: a value below
-    ``-DEFAULT_NEG_TOL`` raises.
+    The at most ``d`` nonzero singular values come from the R factors of the
+    model's state and functional stacks (or of the model an HMM induces) with
+    no word listed; the stacks and the block are formed when first read. A
+    model with a negative parameter first has its block's words scanned: a
+    value below ``-DEFAULT_NEG_TOL`` raises.
     """
     m = _classical_model(p)
-    _block_budget("Hankel block", len(m.alphabet), m.dim, l_past, l_future)
+    _require_nonnegative(l_past=l_past, l_future=l_future)
     _require_probabilities(m, l_past + l_future)
     return _model_block(m, m.operator_stack, m.alphabet, l_past, l_future)
 
@@ -291,27 +288,32 @@ def _closure_images(seed, operators, depth: int) -> np.ndarray:
     length at most ``depth``, each independent of the earlier ones, that span
     the images of every word up to ``depth``.
 
-    Breadth-first: every operator is applied to each admitted image, and a
-    candidate is admitted when its component orthogonal to the current span
-    is above ``DEFAULT_RANK_TOL`` times the running max candidate norm
-    (floored at one, probabilities being O(1)). At most ``d`` images are
-    admitted in ``d`` dimensions, even where round-off is, so the span is
-    invariant once ``depth`` reaches ``d`` and no more than ``d`` levels are
-    run. A non-finite candidate norm raises.
+    Breadth-first, each length budgeted as a factor step: every operator is
+    applied to each image admitted at the length before, and a candidate is
+    admitted when its component orthogonal to the current span is above
+    ``DEFAULT_RANK_TOL`` times the running max candidate norm (floored at one,
+    probabilities being O(1)). At most ``d`` images are admitted in ``d``
+    dimensions, even where round-off is, so the span is invariant once
+    ``depth`` reaches ``d`` and no more than ``d`` levels are run. A
+    non-finite candidate norm raises.
     """
     dim = seed.shape[0]
-    basis, images, queue, scale = [], [], [(seed, 0)], 1.0
-    for vec, n in queue:  # grows while it is read: each admitted image queues its successors
-        if not np.isfinite(norm := float(np.linalg.norm(vec))):  # the threshold would be inf
-            raise _overflow_to(depth)
-        scale, r = max(scale, norm), vec.astype(float)
-        for _ in range(2):  # two-pass Gram-Schmidt for numerical safety
-            for b in basis:
-                r -= (b @ r) * b
-        if (nrm := float(np.linalg.norm(r))) > DEFAULT_RANK_TOL * scale and len(basis) < dim:
-            basis.append(r / nrm)
-            images.append(vec)
-            queue += [(op @ vec, n + 1) for op in operators] if n < min(depth, dim) else []
+    basis, images, level, scale = [], [], [seed], 1.0
+    for n in range(min(depth, dim) + 1):
+        if n:  # each operator on each image admitted at length n - 1
+            _charge_step(f"the closure's images of length {n}", len(operators), len(images), dim)
+            level = [op @ vec for vec in images[start:] for op in operators]
+        start = len(images)
+        for vec in level:
+            if not np.isfinite(norm := float(np.linalg.norm(vec))):  # the threshold would be inf
+                raise _overflow_to(depth)
+            scale, r = max(scale, norm), vec.astype(float)
+            for _ in range(2):  # two-pass Gram-Schmidt for numerical safety
+                for b in basis:
+                    r -= (b @ r) * b
+            if (nrm := float(np.linalg.norm(r))) > DEFAULT_RANK_TOL * scale and len(basis) < dim:
+                basis.append(r / nrm)
+                images.append(vec)
     return np.reshape(images, (-1, dim))
 
 

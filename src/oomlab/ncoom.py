@@ -59,7 +59,6 @@ from .dimension import (
     DEFAULT_RANK_TOL,
     DimensionReport,
     HankelBlock,
-    _block_budget,
     _model_block,
     _rank_ladder,
 )
@@ -294,9 +293,8 @@ def nc_hankel(
     in :func:`~oomlab.dimension.build_hankel`, the singular values come from
     the stack factors and the block is formed only when first read.
     """
-    td = m.algebra.total_dim
-    _block_budget("block", td, m.dim, l_past, l_future)
-    return _model_block(m, m.op_per_basis, range(td), l_past, l_future)
+    _require_nonnegative(l_past=l_past, l_future=l_future)
+    return _model_block(m, m.op_per_basis, range(m.algebra.total_dim), l_past, l_future)
 
 
 def nc_process_dimension(

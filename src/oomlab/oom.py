@@ -20,9 +20,9 @@ condition residuals (:func:`_certified`); ``oomlab validate`` still scans.
 Values in ``[-DEFAULT_NEG_TOL, 0)`` are clamped to zero where probabilities
 are consumed; anything below raises, and so does a non-finite value, which
 every scan, closure, density check and sampling step refuses where it
-computes it. Every word enumeration, in every module, states its cost to
-:func:`_budget` before it allocates: the word values it computes or compares
-and the entries it holds.
+computes it. Every word enumeration and every step of a factor walk, in
+every module, states its cost to :func:`_budget` before it allocates: the
+values it computes or compares and the entries it holds.
 
 Hidden Markov models induce OOMs of the same size (:func:`hmm_to_oom`), and
 convex mixtures of processes are realized structurally as direct sums
@@ -283,15 +283,16 @@ def _budget(what: str, values: int, held: int) -> None:
         )
 
 
-def _overflow(what: str) -> ValidationError:
+def _overflow(what: str, image: str = "state image") -> ValidationError:
     """The refusal of a non-finite word value, which ``what`` names: floating
-    point evaluation overflowed, whatever the process's values are."""
-    return ValidationError(f"{what}: its state image overflows the float range")
+    point evaluation of its ``image`` overflowed, whatever the values are."""
+    return ValidationError(f"{what}: its {image} overflows the float range")
 
 
-def _overflow_to(depth: int) -> ValidationError:
+def _overflow_to(depth: int, states: bool = True) -> ValidationError:
     """How every scan, closure and density check refuses a non-finite value."""
-    return _overflow(f"a word up to length {depth} has a non-finite value")
+    return _overflow(f"a word up to length {depth} has a non-finite value",
+                     "state image" if states else "functional")
 
 
 def _clamp_probabilities(h: np.ndarray, what: str) -> np.ndarray:
@@ -356,27 +357,35 @@ def _rank_cut(singular_values, tol_rel: float) -> tuple:
     return rank, [kept, dropped]
 
 
+def _charge_step(what: str, k: int, rows: int, d: int) -> None:
+    """Budget a factor step from ``rows`` rows of ``d`` over ``k`` operators: the
+    entries it stacks, and as held its peak, the stack with the QR's and
+    LAPACK's copies, six ``d``-wide arrays of at most ``d`` rows and ``2^12``."""
+    stacked = (1 + k * rows) * d
+    _budget(what, stacked, 3 * stacked + 6 * min(1 + k * rows, d) * d + 2**12)
+
+
 def _stack_factor(m, ops: np.ndarray, depth: int, states: bool) -> np.ndarray:
     """R factor of ``m``'s state stack (``states``), the rows ``(T_w v)^T``,
     or functional stack, the rows ``l T_w``, of the words up to ``depth`` over
     the operator stack ``ops``, up to row signs: ``R(0) = R(seed)``, ``R(j) =
     R([seed; R(j-1) G_1; ...; R(j-1) G_k])`` with the seed ``init`` and the
-    ``G_s`` the ``T_s^T``, or ``eval`` and the ``T_s``. ``m`` keeps only the
-    step computed last, with its depth and ``ops``, as one private tuple
-    replaced whole: a walk extends it by one step, any other request starts
-    over from step 0. So every step is bitwise the same whatever ran on ``m``
-    before, the model holds one factor of at most ``d x d`` per stack, and
-    concurrent callers can at worst repeat work."""
+    ``G_s`` the ``T_s^T``, or ``eval`` and the ``T_s``, each step budgeted.
+    ``m`` keeps only the step computed last, with its depth and ``ops``, as
+    one private tuple replaced whole: a walk extends it by one step, any other
+    request starts over from step 0. So every step is bitwise the same
+    whatever ran on ``m`` before, the model holds one factor of at most ``d x
+    d`` per stack, and concurrent callers can at worst repeat work."""
     name, seed, gens = (
         ("_state_factor", m.init, ops.transpose(0, 2, 1)) if states
         else ("_functional_factor", m.eval, ops)
     )
     held, j, r = vars(m).get(name, (None, -1, None))
     if held is not ops or j > depth:
-        j, r = -1, None
+        j, r = -1, np.empty((0, seed.size))
     while j < depth:
-        images = np.empty((0, seed.size)) if r is None else (r @ gens).reshape(-1, seed.size)
-        r, j = np.linalg.qr(np.concatenate((seed[None], images)), mode="r"), j + 1
+        _charge_step(f"the {name[1:-7]} factor to depth {j + 1}", len(gens), len(r), seed.size)
+        r, j = np.linalg.qr(np.vstack((seed, (r @ gens).reshape(-1, seed.size))), mode="r"), j + 1
     vars(m)[name] = (ops, j, r)
     return r
 
@@ -387,12 +396,12 @@ def _closure(m, ops: np.ndarray, chains, tol_rel: float, depth: int | None = Non
     ``states`` flag of :func:`_stack_factor`, stops, and their factors there.
     It stops at ``depth``, or one step past the first depth at which no
     chain's numerical rank grows: a span is final once a level adds nothing,
-    by depth ``d - 1``. A non-finite factor raises."""
+    by depth ``d - 1``. A non-finite factor raises, naming its chain."""
     ranks, last = [], ops.shape[1] if depth is None else min(depth, ops.shape[1])
     for j in range(last + 1):
         factors = [_stack_factor(m, ops, j, states) for states in chains]
-        if not all(np.isfinite(r).all() for r in factors):
-            raise _overflow_to(j)
+        if bad := [states for states, r in zip(chains, factors) if not np.isfinite(r).all()]:
+            raise _overflow_to(j, bad[0])
         if len(ranks) > 1 and ranks[-2] == ranks[-1]:
             break
         ranks.append([_rank_cut(np.linalg.svd(r, compute_uv=False), tol_rel)[0] for r in factors])
@@ -408,7 +417,7 @@ def _factor_residual(m, ops: np.ndarray, states: bool, x, depth: int | None) -> 
     level, (r,) = _closure(m, ops, (states,), DEFAULT_RANK_TOL, depth)
     residual = float(np.linalg.norm(r @ x))
     if not isfinite(residual):
-        raise _overflow_to(level)
+        raise _overflow_to(level, states)
     return level, residual
 
 

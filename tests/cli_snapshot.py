@@ -2,9 +2,12 @@
 
 Runs ``oomlab.cli.main`` in-process for every subcommand on every model file
 under ``tests/fixtures/``, plus ``experiment run`` on each ``exp_*.json``
-spec, two requests on either side of the resource budget (``dim --max-level
-6`` on ``markov3``, which it admits, and ``causal --past-len 12 --horizon 16``
-on ``bernoulli05``, which it refuses), ``sample --length 5000`` and ``causal
+spec, requests on either side of the resource budget (``dim --max-level 6``
+on ``markov3`` and ``dim --max-level 13`` on ``bernoulli05``, whose deepest
+block has ``2^14 - 1`` words a side and which it admits, since it charges
+the factor walks of a ladder and not the words of its blocks, and ``causal
+--past-len 12 --horizon 16`` on ``bernoulli05``, which it refuses),
+``sample --length 5000`` and ``causal
 --past-len 8 --horizon 3`` on ``markov3`` and ``mixture_2bern``, which run the
 sampler and the clustering at more than toy size, ``dim --max-level 8`` on a
 20-state binary HMM whose fixed rank cut lands inside its spectrum,
@@ -127,6 +130,8 @@ def cases(scratch: str) -> list:
     out += [
         ("dim-level6__markov3",
          ["dim", "--model", os.path.join(FIXTURES, "markov3.json"), "--max-level", "6"]),
+        ("dim-deep__bernoulli05",
+         ["dim", "--model", os.path.join(FIXTURES, "bernoulli05.json"), "--max-level", "13"]),
         ("causal-p12-h16__bernoulli05",
          ["causal", "--model", os.path.join(FIXTURES, "bernoulli05.json"),
           "--past-len", "12", "--horizon", "16"]),

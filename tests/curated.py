@@ -8,7 +8,9 @@ resolve it.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -64,6 +66,8 @@ def signed_coin_mixture(q=0.96) -> ol.OomModel:
 
 #: How every scan, closure and density check refuses a non-finite word value.
 OVERFLOW = "a word up to length {} has a non-finite value: its state image overflows the float range"
+#: The same, where the walk of the functionals ``l T_w`` meets the value.
+FUNCTIONAL_OVERFLOW = OVERFLOW.replace("state image", "functional")
 
 
 def overflowing_model() -> ol.OomModel:
@@ -130,3 +134,31 @@ def random_element(
         if norm > 0:
             blocks = [b / norm for b in blocks]
     return ol.AlgebraElement(algebra, blocks)
+
+
+@cache
+def _wide_hmm() -> ol.HmmModel:
+    return ol.random_hmm(230, string.ascii_lowercase, rng=0)
+
+
+def wide_models() -> tuple:
+    """A new model of a 230-state HMM over 26 symbols and its operator-algebra
+    embedding, with no factor walked and every operator sum formed. Either
+    factor's step to depth 3 stacks ``(1 + 26 * 230) 230 = 1375630`` entries
+    and holds more than the budget admits; the steps to depth 2 fit."""
+    m = ol.hmm_to_oom(_wide_hmm())
+    e = ol.embed_classical(m)
+    m.operator_sum, e.unit_operator  # formed here, before a test traces
+    return m, e
+
+
+@cache
+def wide_pair() -> tuple:
+    """Two 150-state HMMs' models over 16 symbols, operator stacks formed: the
+    closure of their difference admits 273 images by length 2, and its
+    candidates of length 3 would hold more than the budget admits."""
+    symbols = string.ascii_lowercase[:16]
+    pair = tuple(ol.hmm_to_oom(ol.random_hmm(150, symbols, rng=r)) for r in (1, 2))
+    for m in pair:
+        m.operator_stack  # formed here, before a test traces
+    return pair

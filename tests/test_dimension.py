@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import string
 import sys
 import threading
 import tracemalloc
@@ -8,13 +9,14 @@ import numpy as np
 import pytest
 
 import oomlab as ol
-from oomlab import ResourceLimitError, ValidationError
+from oomlab import ResourceLimitError, ValidationError, oom
 from oomlab.dimension import DEFAULT_RANK_TOL, MIN_RANK_MARGIN, _model_block, _reduced
 from oomlab.oom import _SCAN_CHUNK, _clamp_probabilities, _functional_levels, _state_levels
+from oomlab.words import word_count_up_to
 
 from conftest import fixture_path
 from curated import curated_suite, markov2, markov3, mixture_2bern, overflowing_model
-from curated import in_basis, signed_coin_mixture, skewed_mixture
+from curated import in_basis, signed_coin_mixture, skewed_mixture, wide_models, wide_pair
 from oracles import (
     RationalBernoulli,
     RationalMarkovChain,
@@ -99,8 +101,11 @@ def test_rectangular_blocks_for_diagnostics():
 
 
 def test_hankel_entry_guard():
+    # the spectrum takes two one-row factor walks, whatever the block's word count
+    block = ol.build_hankel(ol.bernoulli(0.5), 13, 13)
+    assert block.singular_values.shape == (1,)
     with pytest.raises(ResourceLimitError):
-        ol.build_hankel(ol.bernoulli(0.5), 13, 13)
+        block.matrix
 
 
 def test_reading_a_block_past_the_budget_is_refused():
@@ -147,7 +152,7 @@ def test_rank_two_mixture_with_exact_oracle():
     mix = mixture_2bern(0.2, 0.7)
     block = ol.build_hankel(mix, 3, 3)
     assert ol.numerical_rank(block.singular_values) == 2
-    assert block.singular_values[2] < 1e-12 * block.singular_values[0]
+    _assert_dense_spectrum(block.singular_values, _dense_sv(block))
     exact = RationalMixture(
         [
             (Fraction(1, 2), RationalBernoulli(Fraction(2, 10))),
@@ -394,6 +399,14 @@ def _dense_sv(block) -> np.ndarray:
     return np.linalg.svd(block.matrix, compute_uv=False)
 
 
+def _assert_dense_spectrum(sv, dense):
+    """``sv`` is the head of the dense spectrum ``dense``, and the rest of
+    ``dense`` is round-off of the exact zeros it leaves out."""
+    assert sv.size <= dense.size
+    assert np.allclose(sv, dense[: sv.size], rtol=0, atol=1e-12 * dense[0])
+    assert (dense[sv.size :] <= 1e-12 * dense[0]).all()
+
+
 def _dense_ranks(p, l_max: int) -> dict:
     """Ranks of the dense SVDs of the ``build_hankel`` blocks at depths 1..l_max."""
     return {
@@ -408,9 +421,8 @@ def test_block_spectrum_from_factors_matches_dense_svd():
     for m in models:
         for l_past, l_future in [(0, 0), (0, 3), (3, 1), (4, 4)]:
             block = ol.build_hankel(m, l_past, l_future)
-            dense = _dense_sv(block)
-            assert block.singular_values.shape == dense.shape
-            assert np.allclose(block.singular_values, dense, rtol=0, atol=1e-12 * dense[0])
+            assert block.singular_values.size <= m.dim
+            _assert_dense_spectrum(block.singular_values, _dense_sv(block))
 
 
 def test_factored_ranks_match_dense_on_curated_suite():
@@ -480,9 +492,9 @@ def test_factored_ranks_match_dense_on_operator_algebra_models():
         for l_past, l_future in [(3, 1), (1, 4), (5, 2)]:
             block = ol.nc_hankel(m, l_past, l_future)
             dense = _dense_sv(block)
-            assert block.singular_values.shape == dense.shape
+            assert block.singular_values.size <= m.dim
             assert ol.numerical_rank(block.singular_values) == ol.numerical_rank(dense)
-            assert np.allclose(block.singular_values, dense, rtol=0, atol=1e-12 * dense[0])
+            _assert_dense_spectrum(block.singular_values, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +625,7 @@ def test_negative_noise_levels_keep_the_dense_spectrum():
         block = ol.build_hankel(m, level, level)
         sv = _dense_sv(block)  # of the unclamped block
         assert block.matrix.min() < 0.0
-        assert np.allclose(block.singular_values, sv, rtol=0, atol=1e-12 * sv[0])
+        _assert_dense_spectrum(block.singular_values, sv)
         rank = ol.numerical_rank(sv)
         assert rep.rank_by_level[level] == rank
         kept, dropped = rep.margin_by_level[level]
@@ -629,24 +641,26 @@ _OVERFLOW = "a word up to length {} has a non-finite value: its state image over
 
 
 @pytest.mark.parametrize(
-    "model, level, kind, message",
+    "make, level, kind, message",
     [
-        (signed_coin_mixture(), 2, ValidationError,
+        (signed_coin_mixture, 2, ValidationError,
          _NEGATIVE.format(4, -0.09486931199999998)),
         # P(1^19) < 0 is the first negative value, among the depth-10 block's words
-        (signed_coin_mixture(0.55), 10, ValidationError,
+        (lambda: signed_coin_mixture(0.55), 10, ValidationError,
          _NEGATIVE.format(20, -1.3875960337173652e-07)),
-        # refused on the values computed; the stacks held are small
-        (ol.bernoulli(0.5), 13, ResourceLimitError,
-         _BUDGET.format("Hankel block to depths 13 and 13", 268402689, 32766)),
-        (ol.hmm_to_oom(markov3()), 9, ResourceLimitError,
-         _BUDGET.format("Hankel block to depths 9 and 9", 871666576, 177144)),
+        # refused on the step that would stack (1 + 26 * 230) 230 entries
+        (lambda: wide_models()[0], 3, ResourceLimitError,
+         _BUDGET.format("the state factor to depth 3", 1375630, 4448386)),
+        # 1 + 3 * 540 rows of 540: the factor has its full 540 rows at depth 6
+        (lambda: ol.hmm_to_oom(ol.random_hmm(540, "abc", rng=0)), 7, ResourceLimitError,
+         _BUDGET.format("the state factor to depth 7", 875340, 4379716)),
         # certified, so it is not scanned: its factors are refused
-        (overflowing_model(), 2, ValidationError, _OVERFLOW.format(4)),
+        (overflowing_model, 2, ValidationError, _OVERFLOW.format(4)),
     ],
     ids=["negative", "negative-at-depth-10", "guard", "guard-3-symbols", "overflow"],
 )
-def test_ladder_errors_fire_at_their_level(model, level, kind, message):
+def test_ladder_errors_fire_at_their_level(make, level, kind, message):
+    model = make()
     with pytest.raises(kind) as err:
         ol.process_dimension(model, level)
     assert str(err.value) == message
@@ -654,11 +668,19 @@ def test_ladder_errors_fire_at_their_level(model, level, kind, message):
 
 
 def test_operator_algebra_guard_fires_at_its_level():
-    m = ol.embed_classical(ol.bernoulli(0.5))
+    m = wide_models()[1]
     with pytest.raises(ResourceLimitError) as err:
-        ol.nc_process_dimension(m, 13)
-    assert str(err.value) == _BUDGET.format("block to depths 13 and 13", 268402689, 32766)
-    ol.nc_process_dimension(m, 12)
+        ol.nc_process_dimension(m, 3)
+    assert str(err.value) == _BUDGET.format("the state factor to depth 3", 1375630, 4448386)
+    ol.nc_process_dimension(m, 2)
+
+
+def test_equivalence_closure_is_refused_at_the_length_it_outgrows():
+    a, b = wide_pair()
+    with pytest.raises(ResourceLimitError) as err:
+        ol.equivalent(a, b, 3)
+    assert str(err.value) == _BUDGET.format("the closure's images of length 3", 1310700, 4476196)
+    assert not ol.equivalent(a, b, 2)  # its candidates of length 2 fit
 
 
 def test_operator_algebra_overflow_fires_at_its_level():
@@ -732,7 +754,7 @@ def test_signed_block_keeps_its_negative_round_off():
     assert -1e-15 < raw.min() < 0.0  # round-off within the tolerance, not clamped
     _assert_block_equals_dense(block, m.alphabet, s, f, raw)
     dense = np.linalg.svd(raw, compute_uv=False)
-    assert np.allclose(block.singular_values, dense, rtol=0, atol=1e-12 * dense[0])
+    _assert_dense_spectrum(block.singular_values, dense)
     assert ol.numerical_rank(block.singular_values) == ol.numerical_rank(dense) == 3
 
 
@@ -746,6 +768,41 @@ def test_operator_algebra_block_is_formed_only_when_read(name):
     assert "matrix" not in vars(block)
     s, f = _factors(m.op_per_basis, m.init, m.eval, 2, 1)
     _assert_block_equals_dense(block, tuple(range(m.algebra.total_dim)), s, f, s @ f.T)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 26])
+def test_a_factor_walk_holds_no_more_than_it_charges(monkeypatch, k):
+    """Every walk the budget admits peaks within the entries its largest step
+    states as held, 8 bytes each: both chains, each walked from its seed."""
+    charged = []
+
+    def spy(what, values, held):
+        charged.append(held)
+        budget(what, values, held)
+
+    budget = oom._budget
+    monkeypatch.setattr(oom, "_budget", spy)
+    admitted = 0
+    for d in (1, 12, 60, 200, 250):
+        hmm = ol.random_hmm(d, string.ascii_lowercase[:k], rng=d)
+        # deep enough that the factors reach d rows, at most 60 steps
+        depth = min(60, next(n for n in range(1, d + 1) if word_count_up_to(k, n - 1) >= d))
+        for call in (lambda m: ol.build_hankel(m, depth, depth), ol.stationarity_check,
+                     ol.minimize_oom):
+            m = ol.hmm_to_oom(hmm)
+            m.operator_sum  # the model's own arrays are formed before tracing
+            charged.clear()
+            tracemalloc.start()
+            try:
+                call(m)
+                peak = tracemalloc.get_traced_memory()[1]
+            except ResourceLimitError:
+                continue
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * max(charged), (d, call)
+            admitted += 1
+    assert admitted >= 12
 
 
 def test_certified_ladder_holds_no_dense_block():

@@ -11,7 +11,8 @@ from oomlab.oom import _SAMPLE_BLOCK, DEFAULT_NEG_TOL, STATIONARITY_TOL
 from oomlab.oom import _classical_model, _functional_levels, _split_scan
 from oomlab.processes import stationary_distribution
 
-from curated import OVERFLOW, markov2, overflowing_model, phase0_p12, reversed_model
+from curated import FUNCTIONAL_OVERFLOW, OVERFLOW, markov2, overflowing_model, phase0_p12
+from curated import reversed_model, wide_models, wide_pair
 from oracles import forward_probability, level_scan
 
 
@@ -671,16 +672,27 @@ _COIN = ol.bernoulli(0.5)
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda: ol.build_hankel(_COIN, 13, 13), id="hankel-model"),
-        pytest.param(lambda: ol.nc_hankel(ol.embed_classical(_COIN), 13, 13), id="nc-hankel"),
-        pytest.param(lambda: ol.enumerate_causal_states(_COIN, 12, 16), id="causal-model"),
-        pytest.param(lambda: ol.predictive_distribution(_COIN, "0", 23), id="predictive-model"),
-        pytest.param(lambda: ol.empirical_causal_states(_COIN, 40, 22, n_windows=2),
+        # each factor walk of the wide model is refused at its step to depth 3
+        pytest.param(lambda m, e: ol.build_hankel(m, 3, 3), id="hankel-model"),
+        pytest.param(lambda m, e: ol.nc_hankel(e, 3, 3), id="nc-hankel"),
+        pytest.param(lambda m, e: ol.minimize_oom(m), id="minimize"),
+        pytest.param(lambda m, e: ol.stationarity_check(m), id="stationarity"),
+        pytest.param(lambda m, e: ol.kolmogorov_residual(m, 8), id="kolmogorov-model"),
+        pytest.param(lambda m, e: ol.nc_stationarity_check(e), id="nc-stationarity"),
+        # the closure of the pair's difference, at its candidates of length 3
+        pytest.param(lambda m, e: ol.equivalent(*wide_pair(), 3), id="equivalent"),
+        pytest.param(lambda m, e: ol.enumerate_causal_states(_COIN, 12, 16), id="causal-model"),
+        pytest.param(lambda m, e: ol.predictive_distribution(_COIN, "0", 23),
+                     id="predictive-model"),
+        pytest.param(lambda m, e: ol.empirical_causal_states(_COIN, 40, 22, n_windows=2),
                      id="empirical"),
-        pytest.param(lambda: ol.cylinder_distance(_COIN, ol.bernoulli(0.4), 26), id="cylinder"),
+        pytest.param(lambda m, e: ol.cylinder_distance(_COIN, ol.bernoulli(0.4), 26),
+                     id="cylinder"),
     ],
 )
 def test_oversized_requests_are_refused_before_allocating(call):
+    wide = wide_models()  # the inputs, formed before tracing
+    wide_pair()
     tracemalloc.start()
     try:
         with pytest.raises(
@@ -688,7 +700,7 @@ def test_oversized_requests_are_refused_before_allocating(call):
             match=r"^.+ would take \d+ values and hold \d+ entries; "
             r"the budget is 134217728 values and 4194304 entries$",
         ):
-            call()
+            call(*wide)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -723,8 +735,8 @@ def test_validate_scans_to_the_asked_depth_within_the_guard():
         (lambda m: ol.stationarity_check(m, l=-1), "l"),
         (lambda m: ol.kolmogorov_residual(m, -1), "depth"),
         (lambda m: ol.sample_trajectory(m, -1, 0), "length"),
-        (lambda m: ol.build_hankel(m, 2, -1), "l_past and l_future"),
-        (lambda m: ol.nc_hankel(ol.embed_classical(m), -1, 2), "l_past and l_future"),
+        (lambda m: ol.build_hankel(m, 2, -1), "l_future"),
+        (lambda m: ol.nc_hankel(ol.embed_classical(m), -1, 2), "l_past"),
         (lambda m: ol.equivalent(ol.bernoulli(0.3), ol.bernoulli(0.4), -1), "l"),
         (lambda m: ol.predictive_distribution(m, "0", -1), "horizon"),
         (lambda m: ol.enumerate_causal_states(m, 2, -1), "horizon"),
@@ -767,35 +779,39 @@ def test_overflowing_word_values_are_not_dropped(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "call, depth",
+    "call, message",
     [
         # the stationarity checks read functionals, which overflow in the reversal
-        (lambda m: ol.stationarity_check(reversed_model(m)), 2),
-        (lambda m: ol.kolmogorov_residual(m, 6), 2),
-        (lambda m: ol.nc_stationarity_check(ol.embed_classical(reversed_model(m))), 2),
-        (lambda m: ol.validate_ncoom(ol.embed_classical(m)), 4),
-        (lambda m: ol.validate_oom(m), 8),
-        (lambda m: ol.cylinder_distance(m, ol.bernoulli(0.5), 4), 4),
-        (lambda m: ol.equivalent(m, ol.bernoulli(0.3), 4), 4),
-        (lambda m: ol.equivalent(ol.bernoulli(0.3), m, 4), 4),
-        (lambda m: ol.minimize_oom(m), 2),
-        (lambda m: ol.run_additivity([(0.5, m), (0.5, ol.bernoulli(0.3))], 2), 3),
-        (lambda m: ol.run_upperbound(m, 2, 2, 3), 4),
+        (lambda m: ol.stationarity_check(reversed_model(m)), FUNCTIONAL_OVERFLOW.format(2)),
+        (lambda m: ol.kolmogorov_residual(m, 6), OVERFLOW.format(2)),
+        (lambda m: ol.nc_stationarity_check(ol.embed_classical(reversed_model(m))),
+         FUNCTIONAL_OVERFLOW.format(2)),
+        (lambda m: ol.validate_ncoom(ol.embed_classical(m)), OVERFLOW.format(4)),
+        (lambda m: ol.validate_oom(m), OVERFLOW.format(8)),
+        (lambda m: ol.cylinder_distance(m, ol.bernoulli(0.5), 4), OVERFLOW.format(4)),
+        (lambda m: ol.equivalent(m, ol.bernoulli(0.3), 4), OVERFLOW.format(4)),
+        (lambda m: ol.equivalent(ol.bernoulli(0.3), m, 4), OVERFLOW.format(4)),
+        (lambda m: ol.minimize_oom(m), OVERFLOW.format(2)),
+        (lambda m: ol.minimize_oom(reversed_model(m)), FUNCTIONAL_OVERFLOW.format(2)),
+        (lambda m: ol.run_additivity([(0.5, m), (0.5, ol.bernoulli(0.3))], 2),
+         OVERFLOW.format(3)),
+        (lambda m: ol.run_upperbound(m, 2, 2, 3), OVERFLOW.format(4)),
         # "1", "0", "0" and "0" are drawn, and the image of "100" has overflowed
-        (lambda m: ol.sample_trajectory(m, 12, 0), 5),
-        (lambda m: ol.enumerate_causal_states(m, 2, 2), 4),
+        (lambda m: ol.sample_trajectory(m, 12, 0), OVERFLOW.format(5)),
+        (lambda m: ol.enumerate_causal_states(m, 2, 2), OVERFLOW.format(4)),
     ],
     ids=["stationarity_check", "kolmogorov_residual", "nc_stationarity_check",
          "validate_ncoom", "validate_oom", "cylinder_distance", "equivalent",
-         "equivalent-reversed", "minimize_oom", "run_additivity", "run_upperbound",
-         "sample_trajectory", "enumerate_causal_states"],
+         "equivalent-reversed", "minimize_oom", "minimize_oom-reversed", "run_additivity",
+         "run_upperbound", "sample_trajectory", "enumerate_causal_states"],
 )
-def test_every_entry_point_refuses_an_overflow(call, depth):
+def test_every_entry_point_refuses_an_overflow(call, message):
     """Each refuses through the scan, closure, density check or sampling step
-    it runs, with no warning from the overflowed arithmetic."""
+    it runs, naming the image that overflowed, with no warning from the
+    overflowed arithmetic."""
     with pytest.raises(ValidationError) as err:
         call(overflowing_model())
-    assert str(err.value) == OVERFLOW.format(depth)
+    assert str(err.value) == message
 
 
 def test_parameters_summing_past_the_float_range_are_refused():
