@@ -61,13 +61,20 @@ class CausalStatePartition:
     """Clusters of equal-prediction pasts with their stationary weights.
 
     ``method`` is "exact" when weights come from cylinder probabilities and
-    "empirical" when they are sampled frequencies.
+    "empirical" when they are sampled frequencies. ``core`` has a row per
+    state and the singular values of the stacked representatives. For an
+    exact partition a row is ``x R_F^T``, with ``x`` the representative past's
+    state image over its weight and ``R_F`` the R factor of the horizon's
+    functionals ``F = Q R_F``: the representative is ``x F^T = x R_F^T Q^T``
+    and ``Q^T`` has orthonormal rows, so the core is at most ``d`` wide. For
+    an empirical partition the rows are the representatives themselves.
     """
 
     past_length: int
     horizon: int
     cluster_tol: float
     states: list
+    core: np.ndarray
     method: str = "exact"
 
     @property
@@ -103,8 +110,10 @@ def total_variation(d1: np.ndarray, d2: np.ndarray) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is refused
 def _predictive_matrix(m: OomModel, past_length: int, horizon: int):
-    """Pasts of exact length, their probabilities, and P(past+future) rows.
-    A value that is not finite, as where a state image overflows, raises."""
+    """Pasts of exact length, their probabilities, the P(past+future) rows,
+    and the rows' ``d``-wide core: the pasts' state images times ``R_F^T``,
+    for the R factor ``R_F`` of the futures' functionals. A value that is not
+    finite, as where a state image overflows, raises."""
     k = len(m.alphabet)
     n_past, n_future = k**past_length, k**horizon
     held = n_past * n_future + (n_past + n_future) * m.dim
@@ -119,7 +128,7 @@ def _predictive_matrix(m: OomModel, past_length: int, horizon: int):
         raise _overflow_to(past_length + horizon)
     weights = _clamp_probabilities(weights, "past probability")
     numerators = _clamp_probabilities(numerators, "predictive entry")
-    return pasts, weights, numerators
+    return pasts, weights, numerators, states @ np.linalg.qr(functionals, mode="r").T
 
 
 def predictive_distribution(p, past, horizon: int) -> PredictiveDistribution:
@@ -148,24 +157,27 @@ def _components(dists: np.ndarray, cluster_tol: float) -> np.ndarray:
     index.
 
     For ``|r_j| <= 1``, ``|r.(x - y)| <= |x - y|_1 = 2 TV(x, y)``, so only rows
-    whose projections on a fixed ``r`` lie within ``2 cluster_tol`` (plus a
-    round-off slack) can be linked. The sorted projections give those
-    candidate pairs, nearest neighbours first, in chunks of
-    ``_CLUSTER_CHUNK`` gathered entries. A pair is tested only while its rows
-    are in different components, by ``0.5 * |d_j - d_i|.sum()`` with ``j > i``
-    in full, so the components are those of testing every pair. The linked
+    whose projections on each of two fixed ``r`` lie within ``2 cluster_tol``
+    (plus a round-off slack) can be linked. The sorted first projections give
+    the candidate pairs, nearest neighbours first, in chunks of
+    ``_CLUSTER_CHUNK`` gathered entries; a pair whose second projections lie
+    farther apart is dropped. A pair is tested only while its rows are in
+    different components, by ``0.5 * |d_j - d_i|.sum()`` with ``j > i`` in
+    full, so the components are those of testing every pair. The linked
     pairs of a chunk are joined by a union-find over their labels, and the
     labels rewritten in one pass. A position leaves the sweep once the run of
     equal labels that starts at it covers its reach.
     """
     n, n_future = dists.shape
     labels = np.arange(n)
-    proj = dists @ np.random.default_rng(0).uniform(-1.0, 1.0, n_future)
+    r, s = np.random.default_rng(0).uniform(-1.0, 1.0, (2, n_future))
+    proj, second = dists @ r, dists @ s
     order = np.argsort(proj, kind="stable")
     sorted_proj = proj[order]
     scale = float(np.abs(dists).sum(axis=1).max()) if n else 0.0
     slack = 4 * (n_future + 1) * np.finfo(float).eps * (scale + cluster_tol)
-    reach = np.searchsorted(sorted_proj, sorted_proj + (2 * cluster_tol + slack), side="right")
+    bound = 2 * cluster_tol + slack
+    reach = np.searchsorted(sorted_proj, sorted_proj + bound, side="right")
     step = max(1, _CLUSTER_CHUNK // (2 * n_future))
     active, offset, run_end = np.arange(n), 1, np.arange(1, n + 1)
     while True:
@@ -175,7 +187,7 @@ def _components(dists: np.ndarray, cluster_tol: float) -> np.ndarray:
             return labels
         left, right = order[active], order[active + offset]
         lo, hi = np.minimum(left, right), np.maximum(left, right)
-        open_pair = labels[lo] != labels[hi]
+        open_pair = (labels[lo] != labels[hi]) & (np.abs(second[hi] - second[lo]) <= bound)
         lo, hi, merged = lo[open_pair], hi[open_pair], False
         for start in range(0, lo.size, step):
             i, j = lo[start : start + step], hi[start : start + step]
@@ -215,15 +227,18 @@ def _merge_labels(left: list, right: list) -> dict:
     return {a: find(a) for a in list(parent)}
 
 
-def _cluster(pasts, weights, dists, past_length, horizon, cluster_tol, method):
+def _cluster(pasts, weights, dists, core, past_length, horizon, cluster_tol, method):
+    """Partition of the rows ``dists`` with the rows ``core[rep]`` of its
+    representatives ``rep`` as its core."""
     clusters: dict[int, list[int]] = {}
     for i, root in enumerate(_components(dists, cluster_tol).tolist()):
         clusters.setdefault(root, []).append(i)
-    states = []
+    states, reps = [], []
     for root in sorted(clusters):
         members = clusters[root]
         weight = float(weights[members].sum())
         rep = max(members, key=lambda i: (weights[i], -i))
+        reps.append(rep)
         states.append(
             CausalState(
                 representative=dists[rep].copy(),
@@ -237,6 +252,7 @@ def _cluster(pasts, weights, dists, past_length, horizon, cluster_tol, method):
         horizon=horizon,
         cluster_tol=cluster_tol,
         states=states,
+        core=core[reps],
         method=method,
     )
 
@@ -253,19 +269,22 @@ def enumerate_causal_states(
     Clustering is exact single linkage over pairs at distance <=
     ``cluster_tol``, deterministic in the lexicographic past order: clusters
     are listed by their first member. It sweeps rows sorted by a projection
-    that cannot separate a linked pair by more than ``2 cluster_tol``, so only
+    that cannot separate a linked pair by more than ``2 cluster_tol`` and
+    skips a pair that a second such projection separates by more, so only
     nearby pairs are compared in full. Cluster weight is the summed past
     probability; pasts of exact length partition the process, so the weights
     sum to one. The representative is the highest-weight member (earliest on
     ties).
     """
     _require_nonnegative(past_length=past_length, horizon=horizon)
-    pasts, weights, numerators = _predictive_matrix(_classical_model(p), past_length, horizon)
+    m = _classical_model(p)
+    pasts, weights, numerators, core = _predictive_matrix(m, past_length, horizon)
     keep = np.flatnonzero(weights > 0.0)
     pasts = [pasts[i] for i in keep]
     weights = weights[keep]
     dists = numerators[keep] / weights[:, None]
-    return _cluster(pasts, weights, dists, past_length, horizon, cluster_tol, "exact")
+    core = core[keep] / weights[:, None]
+    return _cluster(pasts, weights, dists, core, past_length, horizon, cluster_tol, "exact")
 
 
 def empirical_causal_states(
@@ -312,7 +331,7 @@ def empirical_causal_states(
     dists = np.zeros((n_past, n_future))
     dists[rows, cells % n_future] = counts / totals[rows]
     pasts = [traj[i : i + past_length] for i in first.tolist()]
-    return _cluster(pasts, weights, dists, past_length, horizon, cluster_tol, "empirical")
+    return _cluster(pasts, weights, dists, dists, past_length, horizon, cluster_tol, "empirical")
 
 
 def _base_k_codes(digits: np.ndarray, k: int) -> np.ndarray:
@@ -338,13 +357,14 @@ def topological_complexity(c: CausalStatePartition) -> float:
 
 
 def causal_span_rank(c: CausalStatePartition, tol_rel: float = DEFAULT_RANK_TOL) -> int:
-    """Numerical rank of the matrix of representative predictive rows.
+    """Numerical rank of the matrix of representative predictive rows, cut by
+    :func:`numerical_rank` on the singular values of the partition's
+    ``core``, which are those of the rows: ``n_states x d`` for an exact
+    partition however many futures the horizon has.
 
     With a horizon at least the process dimension this recovers that
     dimension, however many distinct states the finite past length produces.
     """
     if c.n_states == 0:
         raise ValueError("empty partition")
-    mat = np.vstack([s.representative for s in c.states])
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return numerical_rank(sv, tol_rel)
+    return numerical_rank(np.linalg.svd(c.core, compute_uv=False), tol_rel)

@@ -48,10 +48,8 @@ from .oom import (
     DEFAULT_RANK_TOL,
     OomModel,
     _budget,
-    _charge_step,
     _classical_model,
     _closure,
-    _difference,
     _functional_levels,
     _overflow_to,
     _propagate,
@@ -283,38 +281,54 @@ def minimize_oom(m: OomModel, tol_rel: float = DEFAULT_RANK_TOL) -> OomModel:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite norm is refused
-def _closure_images(seed, operators, depth: int) -> np.ndarray:
-    """Images ``T_w seed``, one per row, of a prefix-closed set of words of
-    length at most ``depth``, each independent of the earlier ones, that span
-    the images of every word up to ``depth``.
+def _closure_images(stacks, seed: np.ndarray, depth: int) -> list:
+    """Images ``T_w seed`` of a prefix-closed set of words of length at most
+    ``depth``, each independent of the earlier ones, that span the images of
+    every word up to ``depth``, for the direct sum of the operator ``stacks``:
+    each stack acts on its own block of ``seed``, so the sum is never formed.
 
-    Breadth-first, each length budgeted as a factor step: every operator is
-    applied to each image admitted at the length before, and a candidate is
-    admitted when its component orthogonal to the current span is above
-    ``DEFAULT_RANK_TOL`` times the running max candidate norm (floored at one,
-    probabilities being O(1)). At most ``d`` images are admitted in ``d``
-    dimensions, even where round-off is, so the span is invariant once
-    ``depth`` reaches ``d`` and no more than ``d`` levels are run. A
-    non-finite candidate norm raises.
+    Breadth-first: every operator is applied to each image admitted at the
+    length before, and a candidate is admitted when its component orthogonal
+    to the current span is above ``DEFAULT_RANK_TOL`` times the running max
+    candidate norm (floored at one, probabilities being O(1)). At most ``d``
+    images are admitted in ``d`` dimensions, even where round-off is, so the
+    span is invariant once ``depth`` reaches ``d`` and no more than ``d``
+    levels are run; once ``d`` are admitted, a candidate is only checked to be
+    finite. Each length is budgeted for what it holds: its candidates, and the
+    basis and the images as they can be after it, every one ``d`` entries and
+    an array header of about 16, plus ``2^12`` for the rest. A non-finite
+    candidate norm raises.
     """
-    dim = seed.shape[0]
+    dim, k = seed.size, len(stacks[0])
+    cuts = np.cumsum([0] + [ops.shape[1] for ops in stacks])
+    parts = [(ops, slice(lo, hi)) for ops, lo, hi in zip(stacks, cuts, cuts[1:])]
     basis, images, level, scale = [], [], [seed], 1.0
     for n in range(min(depth, dim) + 1):
         if n:  # each operator on each image admitted at length n - 1
-            _charge_step(f"the closure's images of length {n}", len(operators), len(images), dim)
-            level = [op @ vec for vec in images[start:] for op in operators]
+            count = k * (len(images) - start)
+            kept = min(dim, len(images) + count)  # basis vectors and images after it
+            _budget(f"the closure's images of length {n}", count * dim,
+                    (count + 2 * kept) * (dim + 16) + 2**12)
+            del level  # so that the candidates of two lengths do not share the peak
+            level = [
+                np.concatenate([ops[s] @ vec[part] for ops, part in parts])
+                for vec in images[start:]
+                for s in range(k)
+            ]
         start = len(images)
         for vec in level:
             if not np.isfinite(norm := float(np.linalg.norm(vec))):  # the threshold would be inf
                 raise _overflow_to(depth)
+            if len(basis) == dim:  # nothing more can be admitted
+                continue
             scale, r = max(scale, norm), vec.astype(float)
             for _ in range(2):  # two-pass Gram-Schmidt for numerical safety
                 for b in basis:
                     r -= (b @ r) * b
-            if (nrm := float(np.linalg.norm(r))) > DEFAULT_RANK_TOL * scale and len(basis) < dim:
+            if (nrm := float(np.linalg.norm(r))) > DEFAULT_RANK_TOL * scale:
                 basis.append(r / nrm)
                 images.append(vec)
-    return np.reshape(images, (-1, dim))
+    return images
 
 
 def equivalent(m1: OomModel, m2: OomModel, l: int, tol: float = DEFAULT_EQUIV_TOL) -> bool:
@@ -325,16 +339,19 @@ def equivalent(m1: OomModel, m2: OomModel, l: int, tol: float = DEFAULT_EQUIV_TO
     automata); for non-minimal models it remains a sound necessary check.
 
     The test runs on the difference model, whose value on a word is the
-    difference of the two models' values. Its state images up to length
-    ``l`` are spanned by those of a few basis words, at most ``d1 + d2`` of
-    them (Tzeng, SIAM J. Comput. 21(2), 1992), so every difference up to
-    length ``l`` is a combination of the basis words' differences. ``tol``
-    bounds the difference on those basis words: exactly equivalent models
-    pass, and so does every pair whose differences on all words up to ``l``
-    are within ``tol``.
+    difference of the two models' values: their direct sum with ``m2``'s
+    eval negated, applied block by block and never formed. Its state images
+    up to length ``l`` are spanned by those of a few basis words, at most
+    ``d1 + d2`` of them (Tzeng, SIAM J. Comput. 21(2), 1992), so every
+    difference up to length ``l`` is a combination of the basis words'
+    differences. ``tol`` bounds the difference on those basis words: exactly
+    equivalent models pass, and so does every pair whose differences on all
+    words up to ``l`` are within ``tol``.
     """
     _require_nonnegative(l=l)
     if m1.alphabet != m2.alphabet:
         raise ValidationError("alphabet mismatch")
-    ops, init, evalv = _difference(m1, m2)
-    return float(np.max(np.abs(_closure_images(init, ops, l) @ evalv), initial=0.0)) <= tol
+    stacks = (m1.operator_stack, m2.operator_stack)
+    images = _closure_images(stacks, np.concatenate((m1.init, m2.init)), l)
+    evalv = np.concatenate((m1.eval, -m2.eval))
+    return max((abs(float(vec @ evalv)) for vec in images), default=0.0) <= tol

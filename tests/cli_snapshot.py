@@ -9,7 +9,10 @@ the factor walks of a ladder and not the words of its blocks, and ``causal
 --past-len 12 --horizon 16`` on ``bernoulli05``, which it refuses),
 ``sample --length 5000`` and ``causal
 --past-len 8 --horizon 3`` on ``markov3`` and ``mixture_2bern``, which run the
-sampler and the clustering at more than toy size, ``dim --max-level 8`` on a
+sampler and the clustering at more than toy size, ``causal --past-len 10
+--horizon 8`` on a 4-state binary HMM started in its stationary distribution,
+which clusters 1024 pasts by 256 futures into 895 states and takes its span
+rank from the core of the representatives, ``dim --max-level 8`` on a
 20-state binary HMM whose fixed rank cut lands inside its spectrum,
 ``minimize`` on that HMM, on a 12-state binary HMM and on a two-coin mixture
 written in the bases ``[[1, 1], [0, 1e9]]`` and ``[[1, 1], [0, 1e12]]``,
@@ -62,6 +65,7 @@ import sys
 import tempfile
 
 from oomlab import (
+    HmmModel,
     NcOomModel,
     OomModel,
     construct_algebra,
@@ -73,6 +77,7 @@ from oomlab import (
     save_model,
 )
 from oomlab.cli import main
+from oomlab.processes import stationary_distribution
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
@@ -143,6 +148,9 @@ def cases(scratch: str) -> list:
             (f"causal-p8-h3__{stem}", ["causal", *model, "--past-len", "8", "--horizon", "3"]),
         ]
     hmm20 = hmm_to_oom(random_hmm(20, "01", rng=1))
+    hmm4 = random_hmm(4, "01", rng=8)
+    pi4 = stationary_distribution(sum(hmm4.transition_emission.values()))
+    hmm4 = HmmModel(hmm4.alphabet, hmm4.transition_emission, pi4)
     cycle = markov_chain([[0, 1], [1, 0]], labels=["A", "B"], init=[1, 0])
     # the period-12 cycle of "000000000001" started in phase 0, which first
     # differs from its shift at length 11
@@ -166,6 +174,8 @@ def cases(scratch: str) -> list:
     sum_overflow = OomModel(("0", "1"), {"0": [[1e308]], "1": [[1e308]]}, [1.0], [1.0])
     for kind, stem, model, argv in (
         ("dim", "hmm20_rng1", hmm20, ["dim", "--max-level", "8"]),
+        ("causal-p10-h8", "hmm4_stationary", hmm4,
+         ["causal", "--past-len", "10", "--horizon", "8"]),
         ("minimize", "hmm12_rng0", hmm_to_oom(random_hmm(12, "01", rng=0)), ["minimize"]),
         ("minimize", "hmm20_rng1", hmm20, ["minimize"]),
         ("minimize", "skewed_mix_1e9", skewed[1e9], ["minimize"]),

@@ -154,11 +154,11 @@ def wide_models() -> tuple:
 
 @cache
 def wide_pair() -> tuple:
-    """Two 150-state HMMs' models over 16 symbols, operator stacks formed: the
-    closure of their difference admits 273 images by length 2, and its
-    candidates of length 3 would hold more than the budget admits."""
-    symbols = string.ascii_lowercase[:16]
-    pair = tuple(ol.hmm_to_oom(ol.random_hmm(150, symbols, rng=r)) for r in (1, 2))
+    """Two 160-state HMMs' models over 48 symbols, operator stacks formed: the
+    closure of their difference admits all 320 images by length 2, and its
+    48 * 271 candidates of length 3 would hold more than the budget admits."""
+    symbols = string.ascii_letters[:48]
+    pair = tuple(ol.hmm_to_oom(ol.random_hmm(160, symbols, rng=r)) for r in (1, 2))
     for m in pair:
         m.operator_stack  # formed here, before a test traces
     return pair

@@ -5,6 +5,9 @@ import oomlab as ol
 from oomlab import ResourceLimitError
 from oomlab import causal
 from oomlab.causal import _components, _predictive_matrix
+from oomlab.dimension import DEFAULT_RANK_TOL, MIN_RANK_MARGIN
+from oomlab.oom import _rank_cut
+from oomlab.processes import stationary_distribution
 
 from curated import curated_suite, markov2, mixture_2bern, signed_coin_mixture
 
@@ -232,7 +235,7 @@ def test_exact_partitions_match_the_pairwise_loop(cluster_tol):
         cases.append((m, *((4, 2) if len(m.alphabet) == 2 else (2, 1 + seed % 2))))
     for m, past_length, horizon in cases:
         part = ol.enumerate_causal_states(m, past_length, horizon, cluster_tol=cluster_tol)
-        pasts, weights, numerators = _predictive_matrix(m, past_length, horizon)
+        pasts, weights, numerators, _ = _predictive_matrix(m, past_length, horizon)
         keep = weights > 0.0
         rows = numerators[keep] / weights[keep, None]
         live = [u for u, k in zip(pasts, keep) if k]
@@ -309,10 +312,29 @@ def test_components_match_the_pairwise_loop(cluster_tol, chunk, monkeypatch):
     for seed in range(100):
         m = seeded_model(seed)
         past_length = 5 if len(m.alphabet) == 2 else 3
-        _, weights, numerators = _predictive_matrix(m, past_length, 1)
+        _, weights, numerators, _ = _predictive_matrix(m, past_length, 1)
         keep = weights > 0.0
         rows = numerators[keep] / weights[keep, None]
         assert _components(rows, cluster_tol).tolist() == reference_labels(rows, cluster_tol)
+
+
+@pytest.mark.parametrize("seed, past_length, horizon", [(0, 8, 4), (1, 9, 6), (2, 10, 8), (3, 10, 5)])
+def test_components_match_the_pairwise_loop_on_near_ties(seed, past_length, horizon, monkeypatch):
+    # long pasts of a stationary 4-state HMM predict alike: at 1e-5 and 1e-4
+    # their rows link in tens to thousands of pairs, and the first projection
+    # alone passes 1.5 to 3.3 times as many pairs as both together
+    hmm = ol.random_hmm(4, "01", rng=seed)
+    pi = stationary_distribution(sum(hmm.transition_emission.values()))
+    m = ol.hmm_to_oom(ol.HmmModel(hmm.alphabet, hmm.transition_emission, pi))
+    _, weights, numerators, _ = _predictive_matrix(m, past_length, horizon)
+    keep = weights > 0.0
+    rows = numerators[keep] / weights[keep, None]
+    for cluster_tol in (1e-8, 1e-5, 1e-4):
+        want = reference_labels(rows, cluster_tol)
+        assert _components(rows, cluster_tol).tolist() == want
+        with monkeypatch.context() as small:
+            small.setattr(causal, "_CLUSTER_CHUNK", 64)
+            assert _components(rows, cluster_tol).tolist() == want
 
 
 def test_identical_rows_form_one_component():
@@ -373,6 +395,36 @@ def test_mixture_many_states_span_two():
 def test_markov_span_two():
     part = ol.enumerate_causal_states(ol.hmm_to_oom(markov2()), 1, 3)
     assert ol.causal_span_rank(part) == 2
+
+
+def span_rank_partitions():
+    """Exact partitions of the curated suite; of signed coin mixtures with
+    ``P(1^n) = 0``, whose computed value is a round-off below zero and is
+    clamped; and of 200 seeded models, each followed by a sampled one."""
+    for entry in curated_suite():
+        yield ol.enumerate_causal_states(entry.model, entry.past_length, entry.horizon)
+    for n in range(3, 9):
+        yield ol.enumerate_causal_states(signed_coin_mixture(0.5 * 6 ** (1 / n)), n - 2, 2)
+    for seed in range(200):
+        m = seeded_model(seed)
+        past_length, horizon = (4, 3) if len(m.alphabet) == 2 else (2, 2)
+        yield ol.enumerate_causal_states(m, past_length, horizon)
+        yield ol.empirical_causal_states(m, past_length, horizon, n_windows=500, seed=seed)
+
+
+def test_span_rank_from_the_core_matches_the_dense_rows():
+    clear = 0
+    for part in span_rank_partitions():
+        dense = np.linalg.svd(np.vstack([s.representative for s in part.states]),
+                              compute_uv=False)
+        core = np.linalg.svd(part.core, compute_uv=False)
+        assert np.abs(core - dense[: core.size]).max() <= 1e-12 * dense[0]
+        assert dense[core.size :].max(initial=0.0) <= 1e-12 * dense[0]
+        rank, (kept, dropped) = _rank_cut(dense, DEFAULT_RANK_TOL)
+        if kept >= MIN_RANK_MARGIN * dropped:
+            assert ol.causal_span_rank(part) == rank
+            clear += 1
+    assert clear >= 300
 
 
 def test_span_rank_recovers_dimension_on_curated_suite():

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import oomlab as ol
-from oomlab import ResourceLimitError, ValidationError, oom
+from oomlab import ResourceLimitError, ValidationError, dimension, oom
 from oomlab.dimension import DEFAULT_RANK_TOL, MIN_RANK_MARGIN, _model_block, _reduced
-from oomlab.oom import _SCAN_CHUNK, _clamp_probabilities, _functional_levels, _state_levels
+from oomlab.oom import _SCAN_CHUNK, _budget, _clamp_probabilities, _functional_levels
+from oomlab.oom import _state_levels
 from oomlab.words import word_count_up_to
 
 from conftest import fixture_path
@@ -679,8 +680,43 @@ def test_equivalence_closure_is_refused_at_the_length_it_outgrows():
     a, b = wide_pair()
     with pytest.raises(ResourceLimitError) as err:
         ol.equivalent(a, b, 3)
-    assert str(err.value) == _BUDGET.format("the closure's images of length 3", 1310700, 4476196)
+    assert str(err.value) == _BUDGET.format("the closure's images of length 3", 4162560, 4589824)
     assert not ol.equivalent(a, b, 2)  # its candidates of length 2 fit
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_closure_that_runs_peaks_below_its_charge(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    symbols = string.ascii_lowercase[: int(rng.integers(1, 27))]
+    a, b = (ol.hmm_to_oom(ol.random_hmm(int(rng.integers(1, 41)), symbols, rng=rng))
+            for _ in range(2))
+    a.operator_stack, b.operator_stack  # formed before tracing
+    charges = []
+
+    def charge(what, values, held):
+        charges.append(held)
+        return _budget(what, values, held)
+
+    monkeypatch.setattr(dimension, "_budget", charge)
+    tracemalloc.start()
+    try:
+        ol.equivalent(a, b, a.dim + b.dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * max(charges)
+
+
+def test_a_full_basis_still_checks_each_candidate():
+    # the closure admits [1, 1] and T_0 [1, 1] = [1e100, 0.25], a full basis of
+    # two, so T_0 T_0 [1, 1] = [1e200, 0.0625] at length 2 is only checked, and
+    # its norm, 1e200 squared, is not finite
+    a = ol.OomModel(("0", "1"), {"0": [[1e100]], "1": [[0.5]]}, [1.0], [1.0])
+    b = ol.OomModel(("0", "1"), {"0": [[0.25]], "1": [[0.5]]}, [1.0], [1.0])
+    assert not ol.equivalent(a, b, 1)
+    with pytest.raises(ValidationError) as err:
+        ol.equivalent(a, b, 2)
+    assert str(err.value) == _OVERFLOW.format(2)
 
 
 def test_operator_algebra_overflow_fires_at_its_level():
