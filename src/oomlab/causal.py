@@ -23,7 +23,7 @@ from .dimension import DEFAULT_RANK_TOL, numerical_rank
 from .oom import OomModel, sample_trajectory, word_probability
 from .oom import _budget, _clamp_probabilities, _classical_model, _functional_levels
 from .oom import _overflow_to, _propagate, _require_nonnegative, _state_levels
-from .words import Word, normalize_word, words_of_length
+from .words import Word, normalize_word, word_count_up_to, words_of_length
 
 DEFAULT_CLUSTER_TOL = 1e-8
 #: Entries of the gathered row pairs :func:`_components` holds at once.
@@ -110,25 +110,39 @@ def total_variation(d1: np.ndarray, d2: np.ndarray) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value is refused
 def _predictive_matrix(m: OomModel, past_length: int, horizon: int):
-    """Pasts of exact length, their probabilities, the P(past+future) rows,
-    and the rows' ``d``-wide core: the pasts' state images times ``R_F^T``,
-    for the R factor ``R_F`` of the futures' functionals. A value that is not
-    finite, as where a state image overflows, raises."""
+    """The pasts of exact length with positive probability, their weights,
+    their rows ``P(future | past)`` and the rows' ``d``-wide core (each past's
+    state image over its weight, times ``R_F^T`` for the R factor of the
+    futures' functionals), from one block over every past: gathered only where
+    a past has probability zero, and clamped and divided in place. Charged for
+    the level lists and the row pairs :func:`_components` gathers, and again
+    for the kept rows before a gather. A value that is not finite, as where a
+    state image overflows, raises."""
     k = len(m.alphabet)
     n_past, n_future = k**past_length, k**horizon
-    held = n_past * n_future + (n_past + n_future) * m.dim
+    what, block = f"{k}^{past_length} pasts by {k}^{horizon} futures", n_past * n_future
+    levels = (word_count_up_to(k, past_length) + word_count_up_to(k, horizon)) * m.dim
+    held = block + levels + 2 * max(_CLUSTER_CHUNK, 2 * n_future)
     # clustering may test up to pasts^2 candidate pairs of rows
-    _budget(f"{k}^{past_length} pasts by {k}^{horizon} futures", n_past * n_past + held, held)
-    pasts = words_of_length(m.alphabet, past_length)
+    _budget(what, n_past * n_past + held, held)
     states = _state_levels(m.operator_stack, m.init, past_length)[past_length]
     functionals = _functional_levels(m.operator_stack, m.eval, horizon)[horizon]
-    weights = states @ m.eval
-    numerators = states @ functionals.T
-    if not (np.isfinite(weights).all() and np.isfinite(numerators).all()):
+    weights, rows = states @ m.eval, states @ functionals.T
+    if not (np.isfinite(weights).all() and np.isfinite(rows).all()):
         raise _overflow_to(past_length + horizon)
-    weights = _clamp_probabilities(weights, "past probability")
-    numerators = _clamp_probabilities(numerators, "predictive entry")
-    return pasts, weights, numerators, states @ np.linalg.qr(functionals, mode="r").T
+    core = states @ np.linalg.qr(functionals, mode="r").T
+    del states, functionals
+    _clamp_probabilities(weights, "past probability")
+    _clamp_probabilities(rows, "predictive entry")
+    pasts, keep = words_of_length(m.alphabet, past_length), np.flatnonzero(weights > 0.0)
+    if keep.size < n_past:
+        held = block + keep.size * n_future
+        _budget(what, keep.size * keep.size + held, held)
+        pasts = [pasts[i] for i in keep.tolist()]
+        weights, rows, core = weights[keep], rows[keep], core[keep]
+    rows /= weights[:, None]
+    core /= weights[:, None]
+    return pasts, weights, rows, core
 
 
 def predictive_distribution(p, past, horizon: int) -> PredictiveDistribution:
@@ -142,31 +156,32 @@ def predictive_distribution(p, past, horizon: int) -> PredictiveDistribution:
     m = _classical_model(p)
     w = normalize_word(past, m.alphabet)
     k = len(m.alphabet)
-    _budget(f"{k}^{horizon} futures", k**horizon, k**horizon * m.dim)
+    _budget(f"{k}^{horizon} futures", k**horizon, word_count_up_to(k, horizon) * m.dim + k**horizon)
     weight = word_probability(m, w)
     if weight <= 0.0:
         return PredictiveDistribution(past=w, horizon=horizon, dist=None, weight=0.0)
-    numer = _functional_levels(m.operator_stack, m.eval, horizon)[horizon] @ _propagate(m, w)
-    numer = _clamp_probabilities(numer, "predictive entry")
-    return PredictiveDistribution(past=w, horizon=horizon, dist=numer / weight, weight=weight)
+    dist = _functional_levels(m.operator_stack, m.eval, horizon)[horizon] @ _propagate(m, w)
+    _clamp_probabilities(dist, "predictive entry")
+    dist /= weight
+    return PredictiveDistribution(past=w, horizon=horizon, dist=dist, weight=weight)
 
 
 def _components(dists: np.ndarray, cluster_tol: float) -> np.ndarray:
-    """Single-linkage components of the rows of ``dists`` under total-variation
-    distance ``<= cluster_tol``, each row labelled with its component's lowest
-    index.
+    """Single-linkage components of the nonnegative rows of ``dists`` under
+    total-variation distance ``<= cluster_tol``, each row labelled with its
+    component's lowest index.
 
     For ``|r_j| <= 1``, ``|r.(x - y)| <= |x - y|_1 = 2 TV(x, y)``, so only rows
     whose projections on each of two fixed ``r`` lie within ``2 cluster_tol``
-    (plus a round-off slack) can be linked. The sorted first projections give
-    the candidate pairs, nearest neighbours first, in chunks of
-    ``_CLUSTER_CHUNK`` gathered entries; a pair whose second projections lie
-    farther apart is dropped. A pair is tested only while its rows are in
-    different components, by ``0.5 * |d_j - d_i|.sum()`` with ``j > i`` in
-    full, so the components are those of testing every pair. The linked
-    pairs of a chunk are joined by a union-find over their labels, and the
-    labels rewritten in one pass. A position leaves the sweep once the run of
-    equal labels that starts at it covers its reach.
+    (plus a round-off slack, from the largest row sum) can be linked. The
+    sorted first projections give the candidate pairs, nearest neighbours
+    first, in chunks of ``_CLUSTER_CHUNK`` gathered entries; a pair whose
+    second projections lie farther apart is dropped. A pair is tested only
+    while its rows are in different components, by ``0.5 * |d_j - d_i|.sum()``
+    with ``j > i`` in full, so the components are those of testing every
+    pair. The linked pairs of a chunk are joined on the labels by
+    :func:`_join`. A position leaves the sweep once the run of equal labels
+    that starts at it covers its reach.
     """
     n, n_future = dists.shape
     labels = np.arange(n)
@@ -174,7 +189,7 @@ def _components(dists: np.ndarray, cluster_tol: float) -> np.ndarray:
     proj, second = dists @ r, dists @ s
     order = np.argsort(proj, kind="stable")
     sorted_proj = proj[order]
-    scale = float(np.abs(dists).sum(axis=1).max()) if n else 0.0
+    scale = float(dists.sum(axis=1).max()) if n else 0.0
     slack = 4 * (n_future + 1) * np.finfo(float).eps * (scale + cluster_tol)
     bound = 2 * cluster_tol + slack
     reach = np.searchsorted(sorted_proj, sorted_proj + bound, side="right")
@@ -194,11 +209,8 @@ def _components(dists: np.ndarray, cluster_tol: float) -> np.ndarray:
             open_pair = labels[i] != labels[j]
             i, j = i[open_pair], j[open_pair]
             linked = 0.5 * np.abs(dists[j] - dists[i]).sum(axis=1) <= cluster_tol
-            roots = _merge_labels(labels[i[linked]].tolist(), labels[j[linked]].tolist())
-            if roots:
-                relabel = np.arange(n)
-                relabel[list(roots)] = list(roots.values())
-                labels = relabel[labels]
+            if linked.any():
+                _join(labels, i[linked], j[linked])
                 merged = True
         if merged:
             starts = np.flatnonzero(np.diff(labels[order])) + 1
@@ -206,47 +218,38 @@ def _components(dists: np.ndarray, cluster_tol: float) -> np.ndarray:
         offset += 1
 
 
-def _merge_labels(left: list, right: list) -> dict:
-    """Union-find over the label pairs ``(left[p], right[p])``: each merged
-    label mapped to the lowest label of its merged group."""
-    parent: dict[int, int] = {}
-
-    def find(a):
-        path = []
-        while a in parent:
-            path.append(a)
-            a = parent[a]
-        for p in path:
-            parent[p] = a
-        return a
-
-    for a, b in zip(left, right):
-        a, b = find(a), find(b)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    return {a: find(a) for a in list(parent)}
+def _join(labels: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """Union-find on ``labels``, each index holding its group's lowest index:
+    joins the groups of ``left[p]`` and ``right[p]`` in place, hooking larger
+    roots onto smaller ones and every index onto its root until pairs agree."""
+    while True:
+        a, b = labels[left], labels[right]
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while ((up := labels[labels]) != labels).any():
+            labels[:] = up
+        if (labels[left] == labels[right]).all():
+            return
 
 
 def _cluster(pasts, weights, dists, core, past_length, horizon, cluster_tol, method):
-    """Partition of the rows ``dists`` with the rows ``core[rep]`` of its
-    representatives ``rep`` as its core."""
-    clusters: dict[int, list[int]] = {}
-    for i, root in enumerate(_components(dists, cluster_tol).tolist()):
-        clusters.setdefault(root, []).append(i)
-    states, reps = [], []
-    for root in sorted(clusters):
-        members = clusters[root]
-        weight = float(weights[members].sum())
-        rep = max(members, key=lambda i: (weights[i], -i))
-        reps.append(rep)
-        states.append(
-            CausalState(
-                representative=dists[rep].copy(),
-                weight=weight,
-                member_pasts=[pasts[i] for i in members],
-                representative_past=pasts[rep],
-            )
+    """Partition of the rows ``dists`` into their :func:`_components`, each
+    state's members in past order (one stable sort) and its representative
+    its heaviest member, the earliest on ties (one ``lexsort``); the
+    representatives' rows of ``core`` are the partition's core."""
+    labels = _components(dists, cluster_tol)
+    members = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(labels[members] == members)  # a label is its state's first member
+    reps = np.lexsort((-weights, labels))[starts]
+    ends = [*starts[1:].tolist(), labels.size]
+    states = [
+        CausalState(
+            representative=row,
+            weight=float(weights[members[a:b]].sum()),
+            member_pasts=[pasts[i] for i in members[a:b].tolist()],
+            representative_past=pasts[rep],
         )
+        for row, a, b, rep in zip(dists[reps], starts.tolist(), ends, reps.tolist())
+    ]
     return CausalStatePartition(
         past_length=past_length,
         horizon=horizon,
@@ -277,14 +280,8 @@ def enumerate_causal_states(
     ties).
     """
     _require_nonnegative(past_length=past_length, horizon=horizon)
-    m = _classical_model(p)
-    pasts, weights, numerators, core = _predictive_matrix(m, past_length, horizon)
-    keep = np.flatnonzero(weights > 0.0)
-    pasts = [pasts[i] for i in keep]
-    weights = weights[keep]
-    dists = numerators[keep] / weights[:, None]
-    core = core[keep] / weights[:, None]
-    return _cluster(pasts, weights, dists, core, past_length, horizon, cluster_tol, "exact")
+    rows = _predictive_matrix(_classical_model(p), past_length, horizon)
+    return _cluster(*rows, past_length, horizon, cluster_tol, "exact")
 
 
 def empirical_causal_states(

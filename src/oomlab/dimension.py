@@ -302,7 +302,7 @@ def _closure_images(stacks, seed: np.ndarray, depth: int) -> list:
     dim, k = seed.size, len(stacks[0])
     cuts = np.cumsum([0] + [ops.shape[1] for ops in stacks])
     parts = [(ops, slice(lo, hi)) for ops, lo, hi in zip(stacks, cuts, cuts[1:])]
-    basis, images, level, scale = [], [], [seed], 1.0
+    basis, images, level, scale = np.empty((0, dim)), [], [seed], 1.0
     for n in range(min(depth, dim) + 1):
         if n:  # each operator on each image admitted at length n - 1
             count = k * (len(images) - start)
@@ -316,17 +316,17 @@ def _closure_images(stacks, seed: np.ndarray, depth: int) -> list:
                 for s in range(k)
             ]
         start = len(images)
+        basis.resize((min(dim, start + len(level)), dim), refcheck=False)  # no view of it is kept
         for vec in level:
             if not np.isfinite(norm := float(np.linalg.norm(vec))):  # the threshold would be inf
                 raise _overflow_to(depth)
-            if len(basis) == dim:  # nothing more can be admitted
+            if len(images) == dim:  # nothing more can be admitted
                 continue
             scale, r = max(scale, norm), vec.astype(float)
-            for _ in range(2):  # two-pass Gram-Schmidt for numerical safety
-                for b in basis:
-                    r -= (b @ r) * b
+            for _ in range(2):  # classical Gram-Schmidt, twice for numerical safety
+                r -= basis[: len(images)].T @ (basis[: len(images)] @ r)
             if (nrm := float(np.linalg.norm(r))) > DEFAULT_RANK_TOL * scale:
-                basis.append(r / nrm)
+                basis[len(images)] = r / nrm
                 images.append(vec)
     return images
 

@@ -295,9 +295,10 @@ def _overflow_to(depth: int, states: bool = True) -> ValidationError:
                      "state image" if states else "functional")
 
 
-def _clamp_probabilities(h: np.ndarray, what: str) -> np.ndarray:
-    """``h`` with its entries in ``[-DEFAULT_NEG_TOL, 0)`` set to zero: ``h``
-    itself when it has none. An entry below that, or NaN, raises."""
+def _clamp_probabilities(h: np.ndarray, what: str) -> None:
+    """Set the entries of ``h`` in ``[-DEFAULT_NEG_TOL, 0)`` to zero, in
+    place, so that no second copy is held. An entry below that, or NaN,
+    raises."""
     worst = float(h.min()) if h.size else 0.0
     if np.isnan(worst):  # the comparison below is false for NaN
         raise _overflow(f"a {what} is nan")
@@ -306,7 +307,8 @@ def _clamp_probabilities(h: np.ndarray, what: str) -> np.ndarray:
             f"{what} {worst} below -neg_tol={-DEFAULT_NEG_TOL}; "
             "the model does not generate a probability distribution"
         )
-    return np.where(h < 0.0, 0.0, h) if worst < 0.0 else h
+    if worst < 0.0:
+        h[h < 0.0] = 0.0
 
 
 def _propagate(m: OomModel, word: Word) -> np.ndarray:

@@ -10,9 +10,14 @@ the factor walks of a ladder and not the words of its blocks, and ``causal
 ``sample --length 5000`` and ``causal
 --past-len 8 --horizon 3`` on ``markov3`` and ``mixture_2bern``, which run the
 sampler and the clustering at more than toy size, ``causal --past-len 10
---horizon 8`` on a 4-state binary HMM started in its stationary distribution,
-which clusters 1024 pasts by 256 futures into 895 states and takes its span
-rank from the core of the representatives, ``dim --max-level 8`` on a
+--horizon 3`` on ``markov2``, which groups 1024 pasts into two states of 512,
+``causal --past-len 10 --horizon 8`` on a 4-state binary HMM started in its
+stationary distribution, which clusters 1024 pasts by 256 futures into 895
+states and takes its span rank from the core of the representatives,
+``causal --past-len 10 --horizon 4`` on the period-12 cycle of
+``000000000001`` started in its stationary phase, where 1013 of the 1024
+pasts have probability zero and the kept rows of the other 11 are gathered
+into 4 states, ``dim --max-level 8`` on a
 20-state binary HMM whose fixed rank cut lands inside its spectrum,
 ``minimize`` on that HMM, on a 12-state binary HMM and on a two-coin mixture
 written in the bases ``[[1, 1], [0, 1e9]]`` and ``[[1, 1], [0, 1e12]]``,
@@ -140,6 +145,9 @@ def cases(scratch: str) -> list:
         ("causal-p12-h16__bernoulli05",
          ["causal", "--model", os.path.join(FIXTURES, "bernoulli05.json"),
           "--past-len", "12", "--horizon", "16"]),
+        ("causal-p10-h3__markov2",
+         ["causal", "--model", os.path.join(FIXTURES, "markov2.json"),
+          "--past-len", "10", "--horizon", "3"]),
     ]
     for stem in ("markov3", "mixture_2bern"):
         model = ["--model", os.path.join(FIXTURES, stem + ".json")]
@@ -154,8 +162,11 @@ def cases(scratch: str) -> list:
     cycle = markov_chain([[0, 1], [1, 0]], labels=["A", "B"], init=[1, 0])
     # the period-12 cycle of "000000000001" started in phase 0, which first
     # differs from its shift at length 11
-    p12 = markov_chain([[float(j == (i + 1) % 12) for j in range(12)] for i in range(12)],
-                       labels=list("000000000001"), init=[1.0] + [0.0] * 11)
+    shift = [[float(j == (i + 1) % 12) for j in range(12)] for i in range(12)]
+    p12 = markov_chain(shift, labels=list("000000000001"), init=[1.0] + [0.0] * 11)
+    # the same cycle started in its uniform stationary phase: 1013 of its
+    # 1024 pasts of length 10 have probability zero
+    p12_stationary = markov_chain(shift, labels=list("000000000001"), init=[1 / 12] * 12)
     # 1.5 qp(0.5, 0.5) - 0.5 qp(1, 0), with qp(a, b) the product state of diag(a, b)
     zero = [[0.0, 0.0], [0.0, 0.0]]
     signed = NcOomModel(construct_algebra([2]), [[[0.5, 0.0], [0.0, 1.0]], zero, zero,
@@ -186,6 +197,8 @@ def cases(scratch: str) -> list:
          ["validate", "--check-stationarity"]),
         ("validate-stationarity", "phase0_p12", hmm_to_oom(p12),
          ["validate", "--check-stationarity"]),
+        ("causal-p10-h4", "stationary_p12", hmm_to_oom(p12_stationary),
+         ["causal", "--past-len", "10", "--horizon", "4"]),
         ("validate", "signed_qubit_mix", signed, ["validate"]),
         ("nc-dim", "signed_qubit_mix", signed, ["nc-dim", "--max-level", "2"]),
         ("dim", "overflow", overflow, ["dim", "--max-level", "3"]),

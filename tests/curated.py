@@ -94,6 +94,15 @@ def phase0_p12() -> ol.OomModel:
     return ol.hmm_to_oom(ol.markov_chain(cycle, labels=list("000000000001"), init=np.eye(12)[0]))
 
 
+def stationary_p12() -> ol.OomModel:
+    """The period-12 cycle of ``"000000000001"`` started in its uniform
+    stationary phase: 11 of its 1024 pasts of length 10 have positive
+    probability, and they fall into 4 causal states at horizon 4."""
+    cycle = np.roll(np.eye(12), 1, axis=1)
+    labels = list("000000000001")
+    return ol.hmm_to_oom(ol.markov_chain(cycle, labels=labels, init=np.full(12, 1 / 12)))
+
+
 def signed_qubit_mixture() -> ol.NcOomModel:
     """``1.5 qp(0.5, 0.5) - 0.5 qp(1, 0)``, with ``qp(a, b)`` the product state
     of ``diag(a, b)``: its value on ``E_00`` tensored n times is

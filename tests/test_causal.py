@@ -1,15 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oomlab as ol
 from oomlab import ResourceLimitError
 from oomlab import causal
-from oomlab.causal import _components, _predictive_matrix
+from oomlab.causal import _components, _join, _predictive_matrix
 from oomlab.dimension import DEFAULT_RANK_TOL, MIN_RANK_MARGIN
 from oomlab.oom import _rank_cut
 from oomlab.processes import stationary_distribution
 
-from curated import curated_suite, markov2, mixture_2bern, signed_coin_mixture
+from curated import curated_suite, markov2, mixture_2bern, signed_coin_mixture, stationary_p12
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +67,39 @@ def test_negative_predictions_raise():
 def test_horizon_guard():
     with pytest.raises(ResourceLimitError):
         ol.predictive_distribution(ol.bernoulli(0.5), "0", 30)
+
+
+def _traced(call, monkeypatch, module):
+    """The tracemalloc peak of ``call()`` and the held entries of every
+    charge it made to ``module._budget``."""
+    charged = []
+
+    def spy(what, values, held):
+        charged.append(held)
+        budget(what, values, held)
+
+    budget = module._budget
+    monkeypatch.setattr(module, "_budget", spy)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, charged
+
+
+@pytest.mark.parametrize("m, past", [
+    (ol.bernoulli(0.5), "0"),
+    (ol.hmm_to_oom(ol.random_hmm(3, "cab", rng=1)), "ab"),
+], ids=["binary", "ternary"])
+def test_predictive_distribution_peaks_within_its_charge(m, past, monkeypatch):
+    # the functional levels below the horizon are alive as the last is formed
+    horizon = 16 if len(m.alphabet) == 2 else 9
+    m.operator_stack  # the model's own arrays are formed before tracing
+    peak, charged = _traced(lambda: ol.predictive_distribution(m, past, horizon),
+                            monkeypatch, causal)
+    assert len(charged) == 1 and peak <= 8 * charged[0]
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +270,8 @@ def test_exact_partitions_match_the_pairwise_loop(cluster_tol):
         cases.append((m, *((4, 2) if len(m.alphabet) == 2 else (2, 1 + seed % 2))))
     for m, past_length, horizon in cases:
         part = ol.enumerate_causal_states(m, past_length, horizon, cluster_tol=cluster_tol)
-        pasts, weights, numerators, _ = _predictive_matrix(m, past_length, horizon)
-        keep = weights > 0.0
-        rows = numerators[keep] / weights[keep, None]
-        live = [u for u, k in zip(pasts, keep) if k]
-        assert [s.member_pasts for s in part.states] == reference_groups(live, rows, cluster_tol)
+        pasts, _, rows, _ = _predictive_matrix(m, past_length, horizon)
+        assert [s.member_pasts for s in part.states] == reference_groups(pasts, rows, cluster_tol)
 
 
 @pytest.mark.parametrize("cluster_tol", TOLS)
@@ -312,9 +344,7 @@ def test_components_match_the_pairwise_loop(cluster_tol, chunk, monkeypatch):
     for seed in range(100):
         m = seeded_model(seed)
         past_length = 5 if len(m.alphabet) == 2 else 3
-        _, weights, numerators, _ = _predictive_matrix(m, past_length, 1)
-        keep = weights > 0.0
-        rows = numerators[keep] / weights[keep, None]
+        rows = _predictive_matrix(m, past_length, 1)[2]
         assert _components(rows, cluster_tol).tolist() == reference_labels(rows, cluster_tol)
 
 
@@ -326,15 +356,65 @@ def test_components_match_the_pairwise_loop_on_near_ties(seed, past_length, hori
     hmm = ol.random_hmm(4, "01", rng=seed)
     pi = stationary_distribution(sum(hmm.transition_emission.values()))
     m = ol.hmm_to_oom(ol.HmmModel(hmm.alphabet, hmm.transition_emission, pi))
-    _, weights, numerators, _ = _predictive_matrix(m, past_length, horizon)
-    keep = weights > 0.0
-    rows = numerators[keep] / weights[keep, None]
+    rows = _predictive_matrix(m, past_length, horizon)[2]
     for cluster_tol in (1e-8, 1e-5, 1e-4):
         want = reference_labels(rows, cluster_tol)
         assert _components(rows, cluster_tol).tolist() == want
         with monkeypatch.context() as small:
             small.setattr(causal, "_CLUSTER_CHUNK", 64)
             assert _components(rows, cluster_tol).tolist() == want
+
+
+@pytest.mark.parametrize("m, past_length, horizon, n_states, n_charges", [
+    (ol.bernoulli(0.5), 10, 10, 1, 1),
+    # 1013 of 1024 pasts have probability zero: the kept rows are gathered
+    (stationary_p12(), 10, 4, 4, 2),
+], ids=["coin", "period12"])
+def test_causal_states_peak_within_the_largest_charge(m, past_length, horizon, n_states,
+                                                      n_charges, monkeypatch):
+    m.operator_stack
+    part = []
+    peak, charged = _traced(
+        lambda: part.append(ol.enumerate_causal_states(m, past_length, horizon)),
+        monkeypatch, causal)
+    assert part[0].n_states == n_states and len(charged) == n_charges
+    assert peak <= 8 * max(charged)
+
+
+def test_a_gather_of_kept_rows_is_charged(monkeypatch):
+    charged = []
+    monkeypatch.setattr(causal, "_budget", lambda what, values, held: charged.append((what, held)))
+    pasts = _predictive_matrix(stationary_p12(), 8, 12)[0]
+    # the block and the rows of the 9 pasts of positive probability
+    assert len(pasts) == 9
+    assert charged[1] == ("2^8 pasts by 2^12 futures", 2**8 * 2**12 + 9 * 2**12)
+
+
+def test_equal_weights_take_the_earliest_past():
+    part = ol.enumerate_causal_states(ol.bernoulli(0.5), 3, 2)
+    assert part.n_states == 1
+    assert part.states[0].representative_past == ("0", "0", "0")
+
+
+def test_join_maps_a_chain_to_its_lowest_label():
+    labels = np.arange(8)
+    _join(labels, np.array([0, 3, 7]), np.array([3, 5, 2]))
+    assert labels.tolist() == [0, 1, 2, 0, 4, 0, 6, 2]
+
+
+def test_join_matches_a_loop_over_the_pairs():
+    # pairs already joined sit next to pairs that hook their root
+    rng = np.random.default_rng(0)
+    for n in (2, 5, 40):
+        for _ in range(50):
+            left, right = rng.integers(0, n, (2, int(rng.integers(1, 2 * n))))
+            want = list(range(n))
+            for a, b in zip(left.tolist(), right.tolist()):
+                low, high = sorted((want[a], want[b]))
+                want = [low if w == high else w for w in want]
+            labels = np.arange(n)
+            _join(labels, left, right)
+            assert labels.tolist() == want
 
 
 def test_identical_rows_form_one_component():
