@@ -16,6 +16,7 @@ process dimension once the horizon is at least that dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, product
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .dimension import DEFAULT_RANK_TOL, numerical_rank
 from .oom import OomModel, sample_trajectory, word_probability
 from .oom import _budget, _clamp_probabilities, _classical_model, _functional_levels
 from .oom import _overflow_to, _propagate, _require_nonnegative, _state_levels
-from .words import Word, normalize_word, word_count_up_to, words_of_length
+from .words import Word, normalize_word, word_count_up_to
 
 DEFAULT_CLUSTER_TOL = 1e-8
 #: Entries of the gathered row pairs :func:`_components` holds at once.
@@ -115,9 +116,10 @@ def _predictive_matrix(m: OomModel, past_length: int, horizon: int):
     state image over its weight, times ``R_F^T`` for the R factor of the
     futures' functionals), from one block over every past: gathered only where
     a past has probability zero, and clamped and divided in place. Charged for
-    the level lists and the row pairs :func:`_components` gathers, and again
-    for the kept rows before a gather. A value that is not finite, as where a
-    state image overflows, raises."""
+    the level lists and the row pairs :func:`_components` gathers, and again,
+    once the positive pasts are known, for the block, the mask, the kept pasts
+    and, before a gather, the kept rows. A value that is not finite, as where
+    a state image overflows, raises."""
     k = len(m.alphabet)
     n_past, n_future = k**past_length, k**horizon
     what, block = f"{k}^{past_length} pasts by {k}^{horizon} futures", n_past * n_future
@@ -134,11 +136,14 @@ def _predictive_matrix(m: OomModel, past_length: int, horizon: int):
     del states, functionals
     _clamp_probabilities(weights, "past probability")
     _clamp_probabilities(rows, "predictive entry")
-    pasts, keep = words_of_length(m.alphabet, past_length), np.flatnonzero(weights > 0.0)
-    if keep.size < n_past:
-        held = block + keep.size * n_future
-        _budget(what, keep.size * keep.size + held, held)
-        pasts = [pasts[i] for i in keep.tolist()]
+    keep = weights > 0.0
+    n_keep = int(np.count_nonzero(keep))
+    gather = n_keep < n_past
+    held = block + n_past + n_keep * (past_length + (n_future if gather else 0))
+    _budget(what, n_keep * n_keep + held, held)
+    # the lexicographic product filtered by the mask lists only the kept pasts
+    pasts = list(compress(product(m.alphabet, repeat=past_length), keep.tolist()))
+    if gather:
         weights, rows, core = weights[keep], rows[keep], core[keep]
     rows /= weights[:, None]
     core /= weights[:, None]
@@ -305,7 +310,12 @@ def empirical_causal_states(
     if n_windows < 1:
         raise ValueError("n_windows must be positive")
     window, k = past_length + horizon, len(m.alphabet)
-    traj = sample_trajectory(m, window + n_windows - 1, seed)
+    n_future, length = k**horizon, window + n_windows - 1
+    # the trajectory and its symbol indices, and the past, future and pair codes;
+    # then the pasts, their rows and the row pairs clustering gathers
+    sampled = 2 * length + 3 * n_windows
+    _budget(f"{n_windows} windows of {window} symbols", sampled, sampled)
+    traj = sample_trajectory(m, length, seed)
     index = {s: i for i, s in enumerate(m.alphabet)}
     # past codes beyond int64 stay Python integers
     code_type = np.int64 if k**past_length < 2**63 else object
@@ -316,11 +326,11 @@ def empirical_causal_states(
     _, first, past_ids = np.unique(
         _base_k_codes(digits[:, :past_length], k), return_index=True, return_inverse=True
     )
-    n_past, n_future = len(first), k**horizon
-    held = n_past * n_future
+    n_past = len(first)
+    held = sampled + n_past * (past_length + n_future) + 2 * max(_CLUSTER_CHUNK, 2 * n_future)
     # clustering may test up to pasts^2 candidate pairs of rows
     _budget(f"{n_past} pasts by {k}^{horizon} futures", n_past * n_past + held, held)
-    futures = _base_k_codes(digits[:, past_length:].astype(np.int64), k)
+    futures = _base_k_codes(digits[:, past_length:].astype(np.int64, copy=False), k)
     cells, counts = np.unique(past_ids * n_future + futures, return_counts=True)
     totals = np.bincount(past_ids, minlength=n_past)
     rows = cells // n_future

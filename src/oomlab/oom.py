@@ -684,37 +684,107 @@ def stationarity_check(m: OomModel, l: int | None = None) -> StationarityReport:
                               stationary=residual <= STATIONARITY_TOL)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite total is refused
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite mass is refused
 def sample_trajectory(m: OomModel, length: int, seed: int) -> Word:
     """Draw a word of the given length from the generated process.
 
-    Sampling walks sequential conditionals ``P(d | w) = P(wd) / P(w)``. With
-    ``C`` the stack of covectors ``l T_e`` and ``R`` its running sums down
-    the symbols, each step is one product of the state with
-    ``G_s = [T_s ; C T_s ; R T_s]`` for the symbol ``s`` just drawn: the next
-    state, its raw conditionals and their running sums. The next symbol is
-    the first whose running sum exceeds the uniform times the last one, the
-    total. The state is never divided by its mass: when the total leaves
-    ``(2^-256, 2^256)`` the state is scaled by a power of two, which adds no
-    round-off, so arbitrarily long trajectories do not underflow. Only a step
-    with a negative raw conditional or no positive total divides the
-    conditionals by the mass ``l x`` (1 at the initial state), clamps those
-    in ``[-DEFAULT_NEG_TOL, 0)`` to zero and raises below that or when no mass
-    is left. A total that is not finite, where a state image or a parameter
-    sum overflows, raises :class:`ValidationError` before a symbol is drawn.
-    Running sums taken as products round differently in the last bits from
-    sums of normalised conditionals, so a symbol can differ from such a
-    sampler only where a uniform lies within about ``1e-15`` of a boundary.
-    Uniforms are drawn from the generator in fixed blocks, the same stream as
-    one draw per step. Deterministic given ``seed``.
+    A certified model (:func:`_certified`) whose ``eval`` is entrywise
+    positive is a hidden Markov chain after the diagonal change of basis by
+    ``eval``: from hidden coordinate ``i`` it emits ``s`` and moves to ``j``
+    with weight ``l_j T_s[j, i]``, and its first pair ``(s, j)`` has weight
+    ``l_j (T_s v)_j``. Row ``i`` of those weights sums to ``(l sum_s T_s)_i =
+    l_i`` within the certified residual and the first row to ``l v = 1``, so
+    the probability of a word, summed over hidden paths, telescopes to ``l
+    T_w v``. Where every row has a positive finite total, the word is drawn
+    on that chain (:func:`_hidden_walk`), which holds no state vector; its
+    weights are probabilities, so it cannot overflow. Every other model,
+    signed, with a zero ``eval`` entry, with a row of zero total or not
+    certified, takes the belief walk (:func:`_belief_walk`), which carries
+    the state ``T_w v``. The two walks draw the same law but, for one seed,
+    different words. Both take one uniform a step, drawn from the generator
+    in fixed blocks, the same stream as one draw per step. Deterministic
+    given ``seed``.
     """
     _require_nonnegative(length=length)
     rng = np.random.default_rng(seed)
-    ops, l, k, d = m.operator_stack, m.eval, len(m.alphabet), m.dim
-    mass = float(l @ m.init)
+    mass = float(m.eval @ m.init)
     if abs(mass - 1.0) > 1e-6:
         raise ValidationError(f"initial mass is {mass}, expected 1")
     _condition_residuals(m.operator_sum, m.init, m.eval)  # refuses sums past the float range
+    blocks = (rng.random(min(_SAMPLE_BLOCK, length - start)).tolist()
+              for start in range(0, length, _SAMPLE_BLOCK))
+    table = _hidden_table(m)
+    return _belief_walk(m, blocks) if table is None else _hidden_walk(m, table, blocks)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite total selects the belief walk
+def _hidden_table(m: OomModel) -> tuple | None:
+    """The running sums of the hidden chain's weights, one row per hidden
+    coordinate ``i`` over the pairs ``(s, j)`` at ``s * d + j``, the weights
+    ``l_j T_s[j, i]``, and a last row of the first draw's weights ``l_j (T_s
+    v)_j``, formed in one array charged before it is allocated; and each
+    row's end, the first entry that reaches its total. None where the model
+    is not certified, or has an ``eval`` entry that is not positive or a row
+    whose total is not positive and finite."""
+    k, d = len(m.alphabet), m.dim
+    if not (_certified(m) and (m.eval > 0.0).all()):
+        return None
+    _budget(f"the hidden chain's {d + 1} rows of {k * d} pairs", (d + 1) * k * d, (d + 1) * k * d)
+    sums = np.empty((d + 1, k * d))
+    np.multiply(m.operator_stack.transpose(2, 0, 1), m.eval, out=sums[:d].reshape(d, k, d))
+    np.multiply(m.eval, m.operator_stack @ m.init, out=sums[d].reshape(k, d))
+    np.cumsum(sums, axis=1, out=sums)
+    totals = sums[:, -1]
+    if not ((totals > 0.0) & (totals < np.inf)).all():
+        return None
+    return sums, np.count_nonzero(sums < totals[:, None], axis=1).tolist()
+
+
+def _hidden_walk(m: OomModel, table: tuple, blocks) -> Word:
+    """The word of :func:`_hidden_table`'s chain, started at its first-draw
+    row: each step bisects the current row at the uniform times its total,
+    clamped to the row's end so that no pair of weight zero is drawn. A row
+    becomes a list when the walk first reaches it, so a short word of a wide
+    model converts only the rows it visits."""
+    sums, ends = table
+    d = m.dim
+    symbols = [s for s in m.alphabet for _ in range(d)]
+    hidden = list(range(d)) * len(m.alphabet)
+    rows = [None] * (d + 1)
+    out, i = [], d
+    for block in blocks:
+        for u in block:
+            row = rows[i]
+            if row is None:
+                row = rows[i] = sums[i].tolist()
+            idx = bisect_right(row, u * row[-1], 0, ends[i])
+            out.append(symbols[idx])
+            i = hidden[idx]
+    return tuple(out)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite total is refused
+def _belief_walk(m: OomModel, blocks) -> Word:
+    """The word drawn from sequential conditionals ``P(d | w) = P(wd) / P(w)``.
+
+    With ``C`` the stack of covectors ``l T_e`` and ``R`` its running sums
+    down the symbols, each step is one product of the state with ``G_s = [T_s
+    ; C T_s ; R T_s]`` for the symbol ``s`` just drawn: the next state, its
+    raw conditionals and their running sums. The next symbol is the first
+    whose running sum exceeds the uniform times the last one, the total. The
+    state is never divided by its mass: when the total leaves ``(2^-256,
+    2^256)`` the state is scaled by a power of two, which adds no round-off,
+    so arbitrarily long trajectories do not underflow. Only a step with a
+    negative raw conditional or no positive total divides the conditionals by
+    the mass ``l x`` (1 at the initial state), clamps those in
+    ``[-DEFAULT_NEG_TOL, 0)`` to zero and raises below that or when no mass
+    is left. A total that is not finite, where a state image overflows,
+    raises :class:`ValidationError` before a symbol is drawn. Running sums
+    taken as products round differently in the last bits from sums of
+    normalised conditionals, so a symbol can differ from such a sampler only
+    where a uniform lies within about ``1e-15`` of a boundary.
+    """
+    ops, l, k, d = m.operator_stack, m.eval, len(m.alphabet), m.dim
     covectors = l @ ops
     rows = np.vstack([covectors, np.cumsum(covectors, axis=0)])
     fused = [np.vstack([t, rows @ t]) for t in ops]
@@ -727,8 +797,8 @@ def sample_trajectory(m: OomModel, length: int, seed: int) -> Word:
     # the first k - 1 running sums are bisected; a uniform past them picks the last symbol
     lo, hi = d + k, d + 2 * k - 1
     out = []
-    for start in range(0, length, _SAMPLE_BLOCK):
-        for u in rng.random(min(_SAMPLE_BLOCK, length - start)).tolist():
+    for block in blocks:
+        for u in block:
             total = vals[-1]
             if total > 0.0 and not (signed and min(vals[d:lo]) < 0.0):
                 idx = bisect_right(vals, u * total, lo, hi) - lo

@@ -9,7 +9,8 @@ the factor walks of a ladder and not the words of its blocks, and ``causal
 --past-len 12 --horizon 16`` on ``bernoulli05``, which it refuses),
 ``sample --length 5000`` and ``causal
 --past-len 8 --horizon 3`` on ``markov3`` and ``mixture_2bern``, which run the
-sampler and the clustering at more than toy size, ``causal --past-len 10
+sampler on their hidden chains and the clustering at more than toy size,
+``causal --past-len 10
 --horizon 3`` on ``markov2``, which groups 1024 pasts into two states of 512,
 ``causal --past-len 10 --horizon 8`` on a 4-state binary HMM started in its
 stationary distribution, which clusters 1024 pasts by 256 futures into 895
@@ -21,7 +22,9 @@ into 4 states, ``dim --max-level 8`` on a
 20-state binary HMM whose fixed rank cut lands inside its spectrum,
 ``minimize`` on that HMM, on a 12-state binary HMM and on a two-coin mixture
 written in the bases ``[[1, 1], [0, 1e9]]`` and ``[[1, 1], [0, 1e12]]``,
-whose state coordinates differ in scale by that much, ``validate`` on 7- and
+whose state coordinates differ in scale by that much, ``sample --length
+5000`` on the first of those, which is signed, so that the sampler's belief
+walk keeps a byte-pinned output, ``validate`` on 7- and
 26-symbol coins, which pins the depth each is scanned to, ``validate
 --check-stationarity`` on a phase-locked 2-cycle embedded as an
 operator-algebra model and on the period-12 cycle of ``000000000001``
@@ -191,6 +194,8 @@ def cases(scratch: str) -> list:
         ("minimize", "hmm20_rng1", hmm20, ["minimize"]),
         ("minimize", "skewed_mix_1e9", skewed[1e9], ["minimize"]),
         ("minimize", "skewed_mix_1e12", skewed[1e12], ["minimize"]),
+        ("sample-5000", "skewed_mix_1e9", skewed[1e9],
+         ["sample", "--length", "5000", "--seed", "3"]),
         ("validate", "coin7", iid({str(i): 1 / 7 for i in range(7)}), ["validate"]),
         ("validate", "coin26", iid({str(i): 1 / 26 for i in range(26)}), ["validate"]),
         ("validate-stationarity", "phase_cycle_nc", embed_classical(hmm_to_oom(cycle)),

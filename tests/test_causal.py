@@ -10,6 +10,7 @@ from oomlab.causal import _components, _join, _predictive_matrix
 from oomlab.dimension import DEFAULT_RANK_TOL, MIN_RANK_MARGIN
 from oomlab.oom import _rank_cut
 from oomlab.processes import stationary_distribution
+from oomlab.words import words_of_length
 
 from curated import curated_suite, markov2, mixture_2bern, signed_coin_mixture, stationary_p12
 
@@ -366,10 +367,12 @@ def test_components_match_the_pairwise_loop_on_near_ties(seed, past_length, hori
 
 
 @pytest.mark.parametrize("m, past_length, horizon, n_states, n_charges", [
-    (ol.bernoulli(0.5), 10, 10, 1, 1),
+    (ol.bernoulli(0.5), 10, 10, 1, 2),
     # 1013 of 1024 pasts have probability zero: the kept rows are gathered
     (stationary_p12(), 10, 4, 4, 2),
-], ids=["coin", "period12"])
+    # 8192 pasts of 13 symbols, every one kept
+    (ol.hmm_to_oom(markov2()), 13, 2, 2, 2),
+], ids=["coin", "period12", "markov2"])
 def test_causal_states_peak_within_the_largest_charge(m, past_length, horizon, n_states,
                                                       n_charges, monkeypatch):
     m.operator_stack
@@ -385,9 +388,28 @@ def test_a_gather_of_kept_rows_is_charged(monkeypatch):
     charged = []
     monkeypatch.setattr(causal, "_budget", lambda what, values, held: charged.append((what, held)))
     pasts = _predictive_matrix(stationary_p12(), 8, 12)[0]
-    # the block and the rows of the 9 pasts of positive probability
+    # the block, its mask, and the 9 pasts of positive probability with their rows
     assert len(pasts) == 9
-    assert charged[1] == ("2^8 pasts by 2^12 futures", 2**8 * 2**12 + 9 * 2**12)
+    assert charged[1] == ("2^8 pasts by 2^12 futures", 2**8 * 2**12 + 2**8 + 9 * (8 + 2**12))
+
+
+def test_every_kept_past_is_charged(monkeypatch):
+    charged = []
+    monkeypatch.setattr(causal, "_budget", lambda what, values, held: charged.append((what, held)))
+    pasts = _predictive_matrix(ol.hmm_to_oom(markov2()), 13, 2)[0]
+    # no past has probability zero, so no row is gathered: the block, its mask
+    # and the 8192 pasts of 13 symbols
+    assert pasts == words_of_length(("0", "1"), 13)
+    assert charged[1] == ("2^13 pasts by 2^2 futures", 2**13 * 2**2 + 2**13 + 2**13 * 13)
+
+
+@pytest.mark.parametrize("past_length, horizon", [(10, 1), (12, 2), (8, 6)])
+def test_empirical_states_peak_below_the_largest_charge(past_length, horizon, monkeypatch):
+    m = ol.hmm_to_oom(ol.random_hmm(3, "01", rng=0))
+    m.operator_stack
+    peak, charged = _traced(lambda: ol.empirical_causal_states(m, past_length, horizon),
+                            monkeypatch, causal)
+    assert len(charged) == 2 and peak < 8 * max(charged)
 
 
 def test_equal_weights_take_the_earliest_past():

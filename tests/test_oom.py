@@ -408,13 +408,33 @@ def reference_sample(m, length, seed, neg_tol=DEFAULT_NEG_TOL):
     return tuple(out)
 
 
+def reference_hidden_sample(m, length, seed):
+    """The hidden chain of a certified model with a positive eval, one scalar
+    draw a step: from hidden coordinate ``i`` the pair ``(s, j)``, at flat
+    index ``s * d + j``, with weight ``l_j T_s[j, i]``, and first with weight
+    ``l_j (T_s v)_j``; a draw never lands past the first running sum that
+    reaches the row's total."""
+    rng = np.random.default_rng(seed)
+    ops, d = m.operator_stack, m.dim
+    weights = m.eval * (ops @ m.init)
+    out = []
+    for _ in range(length):
+        sums = np.cumsum(weights.ravel())
+        end = int(np.searchsorted(sums, sums[-1], side="left"))
+        idx = min(int(np.searchsorted(sums, rng.random() * sums[-1], side="right")), end)
+        s, i = divmod(idx, d)
+        out.append(m.alphabet[s])
+        weights = m.eval * ops[:, :, i]
+    return tuple(out)
+
+
 def test_sampler_matches_the_per_step_loop():
     alphabets = ("01", "abc", "abcdef", "abcdefghij")
     for seed in range(1000):
         rng = np.random.default_rng(seed)
         h = ol.random_hmm(int(rng.integers(1, 13)), alphabets[seed % 4], rng=rng)
         m = ol.hmm_to_oom(h)
-        assert ol.sample_trajectory(m, 40, seed) == reference_sample(m, 40, seed), seed
+        assert ol.sample_trajectory(m, 40, seed) == reference_hidden_sample(m, 40, seed), seed
 
 
 @pytest.mark.parametrize("blocks, extra", [(0, 0), (1, -1), (1, 0), (1, 1), (3, 0)])
@@ -422,7 +442,7 @@ def test_sampler_across_uniform_blocks(blocks, extra):
     length = blocks * _SAMPLE_BLOCK + extra
     m = ol.hmm_to_oom(ol.random_hmm(5, "abc", rng=4))
     w = ol.sample_trajectory(m, length, 17)
-    assert len(w) == length and w == reference_sample(m, length, 17)
+    assert len(w) == length and w == reference_hidden_sample(m, length, 17)
 
 
 def similar(m, rng):
@@ -447,7 +467,8 @@ def test_sampler_matches_the_per_step_loop_on_signed_models():
 @pytest.mark.parametrize(
     "m",
     [
-        ol.hmm_to_oom(ol.random_hmm(5, "abcdefghij", rng=8)),
+        # signed, so that the belief walk carries, and rescales, its state
+        similar(ol.hmm_to_oom(ol.random_hmm(5, "abcdefghij", rng=8)), np.random.default_rng(8)),
         ol.iid({chr(ord("a") + i): 1 / 26 for i in range(26)}),
     ],
     ids=["hmm10", "coin26"],
@@ -497,6 +518,99 @@ def test_sampler_errors_keep_their_messages():
             with pytest.raises(ValidationError) as err:
                 sample(m, length, 0)
             assert str(err.value) == message
+
+
+def certified_model(seed):
+    """HMMs of 1 to 12 states over 2 to 10 symbols, every fourth a mixture of
+    two, and every third written in a positive diagonal basis, so that its
+    ``eval`` is not all ones: each is certified, with a positive ``eval``."""
+    rng = np.random.default_rng(seed)
+    alphabet = "abcdefghij"[: 2 + seed % 9]
+
+    def hmm():
+        return ol.hmm_to_oom(ol.random_hmm(int(rng.integers(1, 13)), alphabet, rng=rng))
+
+    if seed % 4 == 0:
+        w = float(rng.uniform(0.1, 0.9))
+        m = ol.mixture_direct_sum([(w, hmm()), (1.0 - w, hmm())])
+    else:
+        m = hmm()
+    if seed % 3 == 0:
+        scale = rng.uniform(0.1, 10.0, m.dim)
+        ops = {s: scale[:, None] * t / scale for s, t in m.operators.items()}
+        m = ol.OomModel(m.alphabet, ops, scale * m.init, m.eval / scale)
+    assert oom._certified(m) and (m.eval > 0).all()
+    return m
+
+
+def split_values(ops, init, evalv, half=3):
+    """``evalv T_w T_u init``, the value of the word ``u w``, at row ``u`` and
+    column ``w`` for all words of up to ``half`` symbols, each length in lex
+    order: the values of every word up to length ``2 half``."""
+    states, functionals = [init[None]], [evalv[None]]
+    for _ in range(half):
+        states.append(np.einsum("kij,nj->nki", ops, states[-1]).reshape(-1, init.size))
+        functionals.append(np.einsum("nj,kji->kni", functionals[-1], ops).reshape(-1, init.size))
+    return np.vstack(states) @ np.vstack(functionals).T
+
+
+def test_the_hidden_chain_has_the_models_law():
+    # the forward sums over hidden paths of the kernel l_j T_s[j, i] / (l sum_s T_s)_i,
+    # entered with weights l_j (T_s v)_j, that is from the hidden law
+    # (l sum_s T_s)_i v_i over its total
+    for seed in range(216):
+        m = certified_model(seed)
+        ops, l, v = m.operator_stack, m.eval, m.init
+        rows = (l[:, None] * ops).sum(axis=(0, 1))
+        kernel = l[:, None] * ops / rows
+        start = rows * v / (rows @ v)
+        law = split_values(ops, v, l)
+        np.testing.assert_allclose(split_values(kernel, start, np.ones(m.dim)), law,
+                                   rtol=1e-12, atol=0.0, err_msg=str(seed))
+        k = len(m.alphabet)
+
+        def at(word):
+            shorter = sum(k**j for j in range(len(word)))
+            return shorter + sum(s * k**j for j, s in enumerate(reversed(word)))
+
+        for u, w in (([], []), ([0], []), ([k - 1, 0], [1]), ([0, k - 1, 1], [0, k - 1, 1])):
+            expected = ol.word_probability(m, [m.alphabet[s] for s in u + w])
+            assert law[at(u), at(w)] == pytest.approx(expected, rel=1e-12, abs=0.0), seed
+
+
+def test_a_hidden_sample_has_the_word_frequencies_of_its_law():
+    # started stationary, so that each window of two symbols has the same law
+    hmm = ol.random_hmm(4, "abc", rng=5)
+    pi = stationary_distribution(sum(hmm.transition_emission.values()))
+    m = ol.hmm_to_oom(ol.HmmModel(hmm.alphabet, hmm.transition_emission, pi))
+    n, batches = 100_000, 50
+    w = ol.sample_trajectory(m, n, 7)
+    for pair in ((a, b) for a in m.alphabet for b in m.alphabet):
+        p = ol.word_probability(m, pair)
+        hits = np.array([w[t : t + 2] == pair for t in range(n - 1)])
+        means = hits[: (n - 1) // batches * batches].reshape(batches, -1).mean(axis=1)
+        error = max(means.std(ddof=1) / np.sqrt(batches), np.sqrt(p * (1 - p) / (n - 1)))
+        assert abs(hits.mean() - p) <= 6 * error, pair
+
+
+def test_a_row_of_zero_total_takes_the_belief_walk():
+    # l sum_s T_s = [1 + 5e-14, 0] is within the certified residual of l = [1, 1e-13],
+    # but the hidden coordinate 2 has no way out
+    ops = {"0": [[0.5, 0.0], [0.5, 0.0]], "1": [[0.5, 0.0], [0.0, 0.0]]}
+    m = ol.OomModel(("0", "1"), ops, [1.0, 0.0], [1.0, 1e-13])
+    assert oom._certified(m) and oom._hidden_table(m) is None
+    for seed in range(10):
+        assert ol.sample_trajectory(m, 2000, seed) == reference_sample(m, 2000, seed), seed
+
+
+def test_the_hidden_chains_table_is_charged(monkeypatch):
+    m = ol.hmm_to_oom(ol.random_hmm(5, "abc", rng=4))
+    # a row for each of the 5 hidden coordinates and one for the first draw, of 3 * 5 pairs
+    monkeypatch.setattr(oom, "MAX_HELD", 6 * 3 * 5)
+    assert ol.sample_trajectory(m, 500, 3) == reference_hidden_sample(m, 500, 3)
+    monkeypatch.setattr(oom, "MAX_HELD", 6 * 3 * 5 - 1)
+    with pytest.raises(ResourceLimitError, match="^the hidden chain's 6 rows of 15 pairs"):
+        ol.sample_trajectory(m, 500, 3)
 
 
 # ---------------------------------------------------------------------------
