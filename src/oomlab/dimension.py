@@ -16,11 +16,13 @@ nonzero singular values are those of the at most ``d x d`` core ``R_S
 R_F^T`` of their R factors (Golub & Van Loan, *Matrix Computations*, section
 5.4); the others are exact zeros. Each factor is one QR step, within the
 budget, from the one a level shallower, which the model keeps
-(:func:`oomlab.oom._stack_factor`), so a ladder to depth ``L`` factors ``2 (L
-+ 1)`` matrices of at most ``1 + k d`` rows and lists no word; the stacks,
-the block and the word lists are formed only when read. A model with a
-negative parameter has the block's words scanned for a value below
-``-DEFAULT_NEG_TOL`` first, by the chunked split scan; overflow is refused.
+(:func:`oomlab.oom._stack_factors`). A square block steps both chains
+together, their stacks of at most ``1 + k d`` rows factored by one batched
+QR, so a ladder to depth ``L`` takes ``L + 1`` joint steps and lists no
+word; the stacks, the block and the word lists are formed only when read. A
+model with a negative parameter has the block's words scanned for a value
+below ``-DEFAULT_NEG_TOL`` first, by the chunked split scan; overflow is
+refused.
 
 Each level also records its rank-decision margin: the smallest kept and the
 largest dropped singular value, both relative to the largest. When the kept
@@ -56,7 +58,7 @@ from .oom import (
     _rank_cut,
     _require_nonnegative,
     _require_probabilities,
-    _stack_factor,
+    _stack_factors,
     _state_levels,
 )
 
@@ -169,8 +171,13 @@ def _model_block(m, ops: np.ndarray, symbols, l_past: int, l_future: int) -> Han
     """Unformed block of ``m`` (its ``init`` and ``eval``) over the operator
     stack ``ops`` and ``symbols`` to depths ``l_past`` and ``l_future``, with
     the singular values of the core ``R_S R_F^T`` of the stack factors. A
-    non-finite core raises."""
-    core = _stack_factor(m, ops, l_past, True) @ _stack_factor(m, ops, l_future, False).T
+    non-finite core raises. A square block walks both chains together."""
+    if l_past == l_future:
+        r_s, r_f = _stack_factors(m, ops, l_past, (True, False))
+    else:
+        (r_s,), (r_f,) = (_stack_factors(m, ops, l_past, (True,)),
+                          _stack_factors(m, ops, l_future, (False,)))
+    core = r_s @ r_f.T
     if not np.isfinite(core).all():
         raise _overflow_to(l_past + l_future)
     sv = np.linalg.svd(core, compute_uv=False)

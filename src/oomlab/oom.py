@@ -106,6 +106,12 @@ class OomModel:
         return self.operator_stack.sum(axis=0)
 
     @cached_property
+    def _hidden_chain(self) -> tuple | None:
+        """The sampler's table (:func:`_hidden_table`), built and charged by
+        the first sample and kept for the next, as the factor walk is."""
+        return _hidden_table(self)
+
+    @cached_property
     def _nonnegative(self) -> bool:
         """No negative entry in the operators, ``init`` or ``eval``: then no
         word value ``l T_w v`` is negative, in floating point too."""
@@ -359,54 +365,93 @@ def _rank_cut(singular_values, tol_rel: float) -> tuple:
     return rank, [kept, dropped]
 
 
-def _charge_step(what: str, k: int, rows: int, d: int) -> None:
-    """Budget a factor step from ``rows`` rows of ``d`` over ``k`` operators: the
-    entries it stacks, and as held its peak, the stack with the QR's and
-    LAPACK's copies, six ``d``-wide arrays of at most ``d`` rows and ``2^12``."""
+def _step_cost(k: int, rows: int, d: int, chains: int = 1) -> tuple[int, int]:
+    """Values and held entries of a factor step of ``chains`` chains from
+    factors of ``rows`` rows of ``d`` over ``k`` operators: the entries it
+    stacks, and as held its peak, every chain's stack and the QR's copy of
+    it, LAPACK's copy of one stack, six ``d``-wide arrays of at most ``d``
+    rows a chain and ``2^12``."""
     stacked = (1 + k * rows) * d
-    _budget(what, stacked, 3 * stacked + 6 * min(1 + k * rows, d) * d + 2**12)
+    return chains * stacked, ((2 * chains + 1) * stacked
+                              + 6 * chains * min(1 + k * rows, d) * d + 2**12)
 
 
-def _stack_factor(m, ops: np.ndarray, depth: int, states: bool) -> np.ndarray:
-    """R factor of ``m``'s state stack (``states``), the rows ``(T_w v)^T``,
-    or functional stack, the rows ``l T_w``, of the words up to ``depth`` over
-    the operator stack ``ops``, up to row signs: ``R(0) = R(seed)``, ``R(j) =
-    R([seed; R(j-1) G_1; ...; R(j-1) G_k])`` with the seed ``init`` and the
-    ``G_s`` the ``T_s^T``, or ``eval`` and the ``T_s``, each step budgeted.
-    ``m`` keeps only the step computed last, with its depth and ``ops``, as
-    one private tuple replaced whole: a walk extends it by one step, any other
-    request starts over from step 0. So every step is bitwise the same
-    whatever ran on ``m`` before, the model holds one factor of at most ``d x
-    d`` per stack, and concurrent callers can at worst repeat work."""
-    name, seed, gens = (
-        ("_state_factor", m.init, ops.transpose(0, 2, 1)) if states
-        else ("_functional_factor", m.eval, ops)
-    )
-    held, j, r = vars(m).get(name, (None, -1, None))
-    if held is not ops or j > depth:
-        j, r = -1, np.empty((0, seed.size))
+def _stack_factors(m, ops: np.ndarray, depth: int, chains: tuple) -> np.ndarray:
+    """R factors, one per ``states`` flag of ``chains``, of ``m``'s state stack
+    (``states``), the rows ``(T_w v)^T``, or functional stack, the rows ``l
+    T_w``, of the words up to ``depth`` over the operator stack ``ops``, up to
+    row signs, as one array: ``R(0) = R(seed)``, ``R(j) = R([seed; R(j-1) G_1;
+    ...; R(j-1) G_k])`` with the seed ``init`` and the ``G_s`` the ``T_s^T``,
+    or ``eval`` and the ``T_s``, each step budgeted.
+
+    A step of several chains writes their stacks into one buffer and factors
+    them with one batched QR, charged for all of them (:func:`_step_cost`):
+    at small ``d`` numpy's cost per call, not LAPACK's work, sets a step's
+    time.
+    Where that charge does not fit the budget, the chains step one at a time,
+    each charged and refused as a walk of that chain alone, so a joint walk is
+    admitted wherever its chains are. Each chain's factors are bitwise those
+    of a walk of that chain alone. ``m`` keeps only the step computed last,
+    with its ``ops``, ``chains`` and depth, as one private tuple replaced
+    whole: a walk of the same chains extends it, any other request starts over
+    from step 0. So every step is bitwise the same whatever ran on ``m``
+    before, the model holds one factor of at most ``d x d`` per chain, and
+    concurrent callers can at worst repeat work."""
+    k, d, n = len(ops), m.dim, len(chains)
+    walked_ops, walked, j, factors = vars(m).get("_factor_walk", (None, None, -1, None))
+    if walked_ops is not ops or walked != chains or j > depth:
+        j, factors = -1, np.empty((n, 0, d))
+    # models keep init and eval in one dtype, so each chain's is its own
+    dtype = np.result_type(ops, factors, m.init, m.eval)
     while j < depth:
-        _charge_step(f"the {name[1:-7]} factor to depth {j + 1}", len(gens), len(r), seed.size)
-        r, j = np.linalg.qr(np.vstack((seed, (r @ gens).reshape(-1, seed.size))), mode="r"), j + 1
-    vars(m)[name] = (ops, j, r)
-    return r
+        rows, j = factors.shape[1], j + 1
+        if n > 1 and _within_budget(*(cost := _step_cost(k, rows, d, n))):
+            _budget(f"the {n} factors to depth {j}", *cost)
+            buf = np.empty((n, 1 + k * rows, d), dtype)
+            for stack, states, r in zip(buf, chains, factors):
+                _write_stack(stack, m, ops, states, r)
+            factors = np.linalg.qr(buf, mode="r")
+        else:  # one chain at a time
+            step = []
+            for states, r in zip(chains, factors):
+                _budget(f"the {'state' if states else 'functional'} factor to depth {j}",
+                        *_step_cost(k, rows, d))
+                stack = _write_stack(np.empty((1 + k * rows, d), dtype), m, ops, states, r)
+                step.append(np.linalg.qr(stack, mode="r"))
+            factors = step[0][None] if n == 1 else np.stack(step)
+    vars(m)["_factor_walk"] = (ops, chains, j, factors)
+    return factors
+
+
+def _write_stack(out: np.ndarray, m, ops: np.ndarray, states: bool, r: np.ndarray) -> np.ndarray:
+    """``out``, filled with the stack of a step of ``m``'s state (``states``)
+    or functional chain from its factor ``r``: the seed, then ``r G_s`` for
+    each operator, computed in place."""
+    out[0] = m.init if states else m.eval
+    np.matmul(r, ops.transpose(0, 2, 1) if states else ops,
+              out=out[1:].reshape(len(ops), len(r), out.shape[1]))
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite factor is refused
-def _closure(m, ops: np.ndarray, chains, tol_rel: float, depth: int | None = None) -> tuple:
+def _closure(m, ops: np.ndarray, chains: tuple, tol_rel: float, depth: int | None = None) -> tuple:
     """The depth where a walk of ``m``'s factor chains ``chains``, each a
-    ``states`` flag of :func:`_stack_factor`, stops, and their factors there.
+    ``states`` flag of :func:`_stack_factors`, stops, and their factors there.
     It stops at ``depth``, or one step past the first depth at which no
     chain's numerical rank grows: a span is final once a level adds nothing,
-    by depth ``d - 1``. A non-finite factor raises, naming its chain."""
+    by depth ``d - 1``. The ranks of a step come from one batched SVD. A
+    non-finite factor raises, naming its chain."""
     ranks, last = [], ops.shape[1] if depth is None else min(depth, ops.shape[1])
     for j in range(last + 1):
-        factors = [_stack_factor(m, ops, j, states) for states in chains]
-        if bad := [states for states, r in zip(chains, factors) if not np.isfinite(r).all()]:
-            raise _overflow_to(j, bad[0])
+        factors = _stack_factors(m, ops, j, chains)
+        if not np.isfinite(factors).all():
+            raise _overflow_to(j, next(s for s, r in zip(chains, factors)
+                                       if not np.isfinite(r).all()))
         if len(ranks) > 1 and ranks[-2] == ranks[-1]:
             break
-        ranks.append([_rank_cut(np.linalg.svd(r, compute_uv=False), tol_rel)[0] for r in factors])
+        # numpy takes longer for a batch of one than for its matrix
+        sv = np.linalg.svd(factors if len(chains) > 1 else factors[0], compute_uv=False)
+        ranks.append([_rank_cut(s, tol_rel)[0] for s in sv.reshape(len(chains), -1)])
     return j, factors
 
 
@@ -697,7 +742,8 @@ def sample_trajectory(m: OomModel, length: int, seed: int) -> Word:
     the probability of a word, summed over hidden paths, telescopes to ``l
     T_w v``. Where every row has a positive finite total, the word is drawn
     on that chain (:func:`_hidden_walk`), which holds no state vector; its
-    weights are probabilities, so it cannot overflow. Every other model,
+    weights are probabilities, so it cannot overflow. The model builds the
+    chain's table on its first sample and keeps it. Every other model,
     signed, with a zero ``eval`` entry, with a row of zero total or not
     certified, takes the belief walk (:func:`_belief_walk`), which carries
     the state ``T_w v``. The two walks draw the same law but, for one seed,
@@ -713,7 +759,7 @@ def sample_trajectory(m: OomModel, length: int, seed: int) -> Word:
     _condition_residuals(m.operator_sum, m.init, m.eval)  # refuses sums past the float range
     blocks = (rng.random(min(_SAMPLE_BLOCK, length - start)).tolist()
               for start in range(0, length, _SAMPLE_BLOCK))
-    table = _hidden_table(m)
+    table = m._hidden_chain
     return _belief_walk(m, blocks) if table is None else _hidden_walk(m, table, blocks)
 
 
@@ -782,9 +828,14 @@ def _belief_walk(m: OomModel, blocks) -> Word:
     raises :class:`ValidationError` before a symbol is drawn. Running sums
     taken as products round differently in the last bits from sums of
     normalised conditionals, so a symbol can differ from such a sampler only
-    where a uniform lies within about ``1e-15`` of a boundary.
+    where a uniform lies within about ``1e-15`` of a boundary. The ``k (d +
+    2k) d`` entries of the ``G_s`` are charged before they are formed.
     """
     ops, l, k, d = m.operator_stack, m.eval, len(m.alphabet), m.dim
+    entries = k * (d + 2 * k) * d
+    # held with them: the k covectors, the 2k rows of those and their sums, one product of the rows
+    _budget(f"the belief walk's {k} fused operators of {d + 2 * k} rows", entries,
+            entries + 5 * k * d + 2**12)
     covectors = l @ ops
     rows = np.vstack([covectors, np.cumsum(covectors, axis=0)])
     fused = [np.vstack([t, rows @ t]) for t in ops]

@@ -543,8 +543,83 @@ def test_ladder_is_bitwise_the_same_whatever_ran_before(make, ladder, depth):
     assert ladder(warmed, depth).to_dict() == fresh  # a repeat starts over from step 0
     shallow_first = make()
     ladder(shallow_first, depth)
-    for m in (warmed, shallow_first):
+    # single-chain walks between and inside ladders replace the joint walk
+    interleaved = make()
+    block(interleaved, 2, 2)
+    for _ in range(2):
+        _walk_single_chains(interleaved, depth)
+        assert ladder(interleaved, depth).to_dict() == fresh
+    _walk_single_chains(interleaved, depth)
+    for m in (warmed, shallow_first, interleaved):
         assert np.array_equal(block(m, depth + 2, depth + 1).singular_values, deep)
+
+
+def _walk_single_chains(m, depth: int) -> None:
+    """The stationarity check and the consistency residual, or the operator-
+    algebra invariance check both ways: walks of one chain each."""
+    if isinstance(m, ol.OomModel):
+        ol.stationarity_check(m)
+        ol.kolmogorov_residual(m, depth)
+    else:
+        ol.nc_stationarity_check(m)
+        ol.nc_stationarity_check(m, reverse_order=True)
+
+
+def _reference_chain(seed, gens, depth: int) -> list:
+    """Steps 0..depth of one factor chain, one ``np.linalg.qr`` of the stacked
+    rows a step, as a walk of that chain alone takes them."""
+    r, factors = np.empty((0, seed.size)), []
+    for _ in range(depth + 1):
+        r = np.linalg.qr(np.vstack((seed, (r @ gens).reshape(-1, seed.size))), mode="r")
+        factors.append(r)
+    return factors
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 26])
+@pytest.mark.parametrize("kind", ["real", "embedded", "complex"])
+def test_joint_factors_are_bitwise_the_chains_alone(k, kind):
+    symbols = string.ascii_lowercase[:k]
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        m = ol.hmm_to_oom(ol.random_hmm(int(rng.integers(1, 21)), symbols, rng=rng))
+        if kind == "embedded":
+            m = ol.embed_classical(m)
+        elif kind == "complex":
+            m = ol.NcOomModel(ol.construct_algebra([1] * k), m.operator_stack * np.exp(0.3j),
+                              m.init * (1 + 1j), m.eval)
+        ops = m.operator_stack if kind == "real" else m.op_per_basis
+        depth = 4 if k <= 8 else 2
+        states = _reference_chain(m.init, ops.transpose(0, 2, 1), depth)
+        functionals = _reference_chain(m.eval, ops, depth)
+        for j in range(depth + 1):
+            r_s, r_f = oom._stack_factors(m, ops, j, (True, False))
+            for got, want in ((r_s, states[j]), (r_f, functionals[j])):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (seed, j)
+
+
+def test_a_joint_step_past_the_budget_steps_one_chain_at_a_time(monkeypatch):
+    charged = []
+
+    def spy(what, values, held):
+        charged.append(what)
+        budget(what, values, held)
+
+    budget = oom._budget
+    monkeypatch.setattr(oom, "_budget", spy)
+    # the step to depth 3 holds 2.7 million entries for one chain, 4.6 million for both
+    m = ol.hmm_to_oom(ol.random_hmm(180, string.ascii_lowercase, rng=0))
+    sv = ol.build_hankel(m, 3, 3).singular_values
+    assert charged == ["the 2 factors to depth 0", "the 2 factors to depth 1",
+                       "the 2 factors to depth 2", "the state factor to depth 3",
+                       "the functional factor to depth 3"]
+    (r_s,), (r_f,) = (oom._stack_factors(m, m.operator_stack, 3, (states,))
+                      for states in (True, False))
+    assert np.array_equal(sv, np.linalg.svd(r_s @ r_f.T, compute_uv=False))
+    # a walk whose chains do not fit one at a time is refused as before
+    with pytest.raises(ResourceLimitError) as err:
+        ol.process_dimension(wide_models()[0], 3)
+    assert str(err.value) == _BUDGET.format("the state factor to depth 3", 1375630, 4448386)
+    assert charged[-2:] == ["the 2 factors to depth 2", "the state factor to depth 3"]
 
 
 def test_stack_factors_follow_the_operators_they_were_built_from():
@@ -564,11 +639,15 @@ def test_concurrent_ladders_share_one_model_safely():
 
     depths = (3, 5, 7) * 2  # more threads than cores
     want = {depth: ol.process_dimension(make(), depth).to_dict() for depth in depths}
-    m, results = make(), []
+    stationarity = ol.stationarity_check(make()).to_dict()
+    m, results, checks = make(), [], []
     threads = [
         threading.Thread(target=lambda d=d: results.append((d, ol.process_dimension(m, d))))
         for d in depths
     ]
+    # single-chain walks replace the joint walk that the ladders extend
+    threads += [threading.Thread(target=lambda: checks.append(ol.stationarity_check(m)))
+                for _ in range(2)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -581,27 +660,32 @@ def test_concurrent_ladders_share_one_model_safely():
     assert not any(t.is_alive() for t in threads)
     assert sorted(d for d, _ in results) == sorted(depths)
     assert all(rep.to_dict() == want[d] for d, rep in results)
+    assert [rep.to_dict() for rep in checks] == [stationarity] * 2
 
 
 def test_ladder_factors_each_depth_once(monkeypatch):
-    calls = []
+    shapes = []
     qr = np.linalg.qr
 
     def counting(*args, **kwargs):
-        calls.append(args[0].shape)
+        shapes.append(args[0].shape)
         return qr(*args, **kwargs)
+
+    def stacks() -> int:
+        """Stacks factored so far: a batched call factors one per leading index."""
+        return sum(int(np.prod(shape[:-2])) for shape in shapes)
 
     monkeypatch.setattr(np.linalg, "qr", counting)
     m = ol.hmm_to_oom(ol.random_hmm(5, "01", rng=3))
     ol.process_dimension(m, 8)
-    assert len(calls) == 2 * 9  # one factor per stack and depth 0..8
-    assert max(rows for rows, _ in calls) <= 1 + 2 * m.dim
+    assert stacks() == 2 * 9  # one factor per stack and depth 0..8
+    assert max(shape[-2] for shape in shapes) <= 1 + 2 * m.dim
     ol.build_hankel(m, 8, 8)
-    assert len(calls) == 18  # the last factors are kept
+    assert stacks() == 18  # the last factors are kept
     ol.build_hankel(m, 9, 9)
-    assert len(calls) == 20  # one step deeper
+    assert stacks() == 20  # one step deeper
     ol.process_dimension(m, 8)
-    assert len(calls) == 38  # shallower depths start over from step 0
+    assert stacks() == 38  # shallower depths start over from step 0
 
 
 def test_deep_single_symbol_block_holds_one_factor_per_stack():

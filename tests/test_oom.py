@@ -1,3 +1,4 @@
+import string
 import tracemalloc
 
 import numpy as np
@@ -604,13 +605,58 @@ def test_a_row_of_zero_total_takes_the_belief_walk():
 
 
 def test_the_hidden_chains_table_is_charged(monkeypatch):
-    m = ol.hmm_to_oom(ol.random_hmm(5, "abc", rng=4))
+    def make():
+        return ol.hmm_to_oom(ol.random_hmm(5, "abc", rng=4))
+
+    m = make()
     # a row for each of the 5 hidden coordinates and one for the first draw, of 3 * 5 pairs
     monkeypatch.setattr(oom, "MAX_HELD", 6 * 3 * 5)
     assert ol.sample_trajectory(m, 500, 3) == reference_hidden_sample(m, 500, 3)
     monkeypatch.setattr(oom, "MAX_HELD", 6 * 3 * 5 - 1)
     with pytest.raises(ResourceLimitError, match="^the hidden chain's 6 rows of 15 pairs"):
-        ol.sample_trajectory(m, 500, 3)
+        ol.sample_trajectory(make(), 500, 3)
+    # the model keeps its table, so its next sample builds and charges nothing
+    assert ol.sample_trajectory(m, 500, 4) == reference_hidden_sample(m, 500, 4)
+
+
+def test_a_sample_builds_the_hidden_chain_once(monkeypatch):
+    m = ol.hmm_to_oom(ol.random_hmm(6, "abcd", rng=2))
+    want = {seed: ol.sample_trajectory(ol.hmm_to_oom(ol.random_hmm(6, "abcd", rng=2)), 30, seed)
+            for seed in range(20)}
+    built = []
+    table = oom._hidden_table
+    monkeypatch.setattr(oom, "_hidden_table", lambda m: built.append(m) or table(m))
+    assert all(ol.sample_trajectory(m, 30, seed) == want[seed] for seed in range(20))
+    assert built == [m]
+
+
+def test_the_belief_walk_is_charged_and_holds_no_more(monkeypatch):
+    # signed by the change of basis, so that the belief walk samples it
+    m = similar(ol.hmm_to_oom(ol.random_hmm(120, string.ascii_lowercase, rng=0)),
+                np.random.default_rng(0))
+    m.operator_sum, m._hidden_chain  # formed before tracing
+    charged = []
+
+    def spy(what, values, held):
+        charged.append((what, values, held))
+        budget(what, values, held)
+
+    budget = oom._budget
+    monkeypatch.setattr(oom, "_budget", spy)
+    tracemalloc.start()
+    try:
+        w = ol.sample_trajectory(m, 10, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w == reference_sample(m, 10, 0)
+    fused = 26 * (120 + 2 * 26) * 120  # the 26 operators G_s of 172 rows
+    assert [(what, values) for what, values, _ in charged] == [
+        ("the belief walk's 26 fused operators of 172 rows", fused)]
+    assert peak <= 8 * charged[0][2]
+    monkeypatch.setattr(oom, "MAX_HELD", fused)
+    with pytest.raises(ResourceLimitError, match="^the belief walk's 26 fused operators"):
+        ol.sample_trajectory(m, 10, 0)
 
 
 # ---------------------------------------------------------------------------
