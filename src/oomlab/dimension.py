@@ -167,21 +167,23 @@ def apply_tau(m: OomModel, word) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite factor or core is refused
-def _model_block(m, ops: np.ndarray, symbols, l_past: int, l_future: int) -> HankelBlock:
-    """Unformed block of ``m`` (its ``init`` and ``eval``) over the operator
-    stack ``ops`` and ``symbols`` to depths ``l_past`` and ``l_future``, with
+def _model_block(m, symbols, l_past: int, l_future: int) -> HankelBlock:
+    """Unformed block of ``m`` (its ``operator_stack``, ``init`` and
+    ``eval``) over ``symbols`` to depths ``l_past`` and ``l_future``, with
     the singular values of the core ``R_S R_F^T`` of the stack factors. A
-    non-finite core raises. A square block walks both chains together."""
+    non-finite core raises. A square block walks both chains together; a
+    block of unequal depths walks each chain alone, and the model keeps
+    either walk beside the other."""
     if l_past == l_future:
-        r_s, r_f = _stack_factors(m, ops, l_past, (True, False))
+        r_s, r_f = _stack_factors(m, l_past, (True, False))
     else:
-        (r_s,), (r_f,) = (_stack_factors(m, ops, l_past, (True,)),
-                          _stack_factors(m, ops, l_future, (False,)))
+        (r_s,), (r_f,) = (_stack_factors(m, l_past, (True,)),
+                          _stack_factors(m, l_future, (False,)))
     core = r_s @ r_f.T
     if not np.isfinite(core).all():
         raise _overflow_to(l_past + l_future)
     sv = np.linalg.svd(core, compute_uv=False)
-    return HankelBlock(ops, m.init, m.eval, tuple(symbols), l_past, l_future, sv)
+    return HankelBlock(m.operator_stack, m.init, m.eval, tuple(symbols), l_past, l_future, sv)
 
 
 def build_hankel(p, l_past: int, l_future: int) -> HankelBlock:
@@ -198,7 +200,7 @@ def build_hankel(p, l_past: int, l_future: int) -> HankelBlock:
     m = _classical_model(p)
     _require_nonnegative(l_past=l_past, l_future=l_future)
     _require_probabilities(m, l_past + l_future)
-    return _model_block(m, m.operator_stack, m.alphabet, l_past, l_future)
+    return _model_block(m, m.alphabet, l_past, l_future)
 
 
 def numerical_rank(singular_values, tol_rel: float = DEFAULT_RANK_TOL) -> int:
@@ -250,9 +252,9 @@ def process_dimension(p, l_max: int, tol_rel: float = DEFAULT_RANK_TOL) -> Dimen
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite core is refused
-def _reduced(m, ops: np.ndarray, tol_rel: float) -> tuple:
-    """Minimal model ``(ops, init, eval)`` of ``m`` with the operator stack
-    ``ops``, and the ``depth`` of the core it reduced with its ``margin``.
+def _reduced(m, tol_rel: float) -> tuple:
+    """Minimal model ``(ops, init, eval)`` of ``m``, either kind, and the
+    ``depth`` of the core it reduced with its ``margin``.
 
     With the core ``C = R_S R_F^T = U S W^H`` where both spans close
     (:func:`_closure`) and ``r`` its rank, ``reduce = S_r^-1/2 conj(W^H)[:r]
@@ -260,7 +262,7 @@ def _reduced(m, ops: np.ndarray, tol_rel: float) -> tuple:
     and the model ``(reduce T_s lift, reduce v, l lift)``, signed so that
     ``reduce v >= 0``.
     """
-    depth, (r_s, r_f) = _closure(m, ops, (True, False), tol_rel)
+    depth, (r_s, r_f) = _closure(m, (True, False), tol_rel)
     if not np.isfinite(core := r_s @ r_f.T).all():
         raise _overflow_to(2 * depth)
     u, sv, wh = np.linalg.svd(core, full_matrices=False)
@@ -271,16 +273,18 @@ def _reduced(m, ops: np.ndarray, tol_rel: float) -> tuple:
     scale = np.where((w @ m.init).real < 0.0, -1.0, 1.0) / np.sqrt(sv[:r])
     reduce, lift = scale[:, None] * w, r_s.T @ (u[:, :r].conj() * scale)
     reduction = {"depth": depth, "margin": margin}
-    return (reduce @ ops @ lift, reduce @ m.init, m.eval @ lift), reduction
+    return (reduce @ m.operator_stack @ lift, reduce @ m.init, m.eval @ lift), reduction
 
 
-def minimize_oom(m: OomModel, tol_rel: float = DEFAULT_RANK_TOL) -> OomModel:
+def minimize_oom(m, tol_rel: float = DEFAULT_RANK_TOL) -> OomModel:
     """Equivalent model of minimal dimension: the balanced realization of the
     stack factors' core (Ho and Kalman 1966; for OOMs Jaeger, Neural
     Computation 12(6), 2000), cut as :func:`process_dimension` cuts the block
-    of that depth. The result keeps the depth and margin as ``_reduction``.
+    of that depth, for a model or the model an HMM induces. The result keeps
+    the depth and margin as ``_reduction``.
     """
-    (ops, init, evalv), reduction = _reduced(m, m.operator_stack, tol_rel)
+    m = _classical_model(m)
+    (ops, init, evalv), reduction = _reduced(m, tol_rel)
     reduced = OomModel(m.alphabet, dict(zip(m.alphabet, ops)), init, evalv,
                        name=m.name, description=m.description)
     reduced._reduction = reduction
@@ -338,8 +342,9 @@ def _closure_images(stacks, seed: np.ndarray, depth: int) -> list:
     return images
 
 
-def equivalent(m1: OomModel, m2: OomModel, l: int, tol: float = DEFAULT_EQUIV_TOL) -> bool:
-    """Whether two models agree on every word of length at most ``l``.
+def equivalent(m1, m2, l: int, tol: float = DEFAULT_EQUIV_TOL) -> bool:
+    """Whether two models, or the models HMMs induce, agree on every word of
+    length at most ``l``.
 
     For minimal models this finite test is complete once ``l`` reaches the
     sum of the two dimensions (the standard equivalence bound for weighted
@@ -356,6 +361,7 @@ def equivalent(m1: OomModel, m2: OomModel, l: int, tol: float = DEFAULT_EQUIV_TO
     words up to ``l`` are within ``tol``.
     """
     _require_nonnegative(l=l)
+    m1, m2 = _classical_model(m1), _classical_model(m2)
     if m1.alphabet != m2.alphabet:
         raise ValidationError("alphabet mismatch")
     stacks = (m1.operator_stack, m2.operator_stack)

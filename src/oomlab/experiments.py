@@ -92,7 +92,7 @@ def cylinder_distance(p, q, l: int) -> float:
     This metrizes convergence of all finite-depth cylinder probabilities at
     the chosen depth, the sense of convergence in which dimension is lower
     semi-continuous. It is the largest magnitude of the split scan of the
-    difference model of ``p`` and ``q``, the direct sum with the second eval
+    difference model of ``p`` and ``q``, the direct sum with the second init
     negated. A word value of either below ``-DEFAULT_NEG_TOL``, which only a
     model with a negative parameter is scanned for, or a non-finite value
     where a state image overflows, raises :class:`ValidationError`.
@@ -146,7 +146,7 @@ def run_additivity(
     parts of dimension 2 and 2, and the verdict is FAIL on correct code.
     """
     start = time.perf_counter()
-    models = [m for _, m in parts]
+    models = [_classical_model(m) for _, m in parts]
     for i, m in enumerate(models):
         _require_stationary(m, f"part {i}")
     for (i, a), (j, b) in combinations(enumerate(models), 2):

@@ -349,7 +349,7 @@ def _parse_mixture(data: dict, context: str, base_dir: str, validate: bool, dept
     )
     nc = [isinstance(m, NcOomModel) for _, m in parts]
     if not any(nc):
-        combined = mixture_direct_sum([(w, _classical_model(m)) for w, m in parts])
+        combined = mixture_direct_sum(parts)
     elif all(nc):
         combined = nc_mixture_direct_sum(parts)
     else:

@@ -17,12 +17,12 @@ algebra whose basis elements are the symbol indicators; evaluation on
 indicator tuples then reproduces word probabilities exactly and the two
 notions of process dimension coincide.
 
-A classical model is the commutative special case: both kinds are an
-operator stack with an init vector and an eval covector, the stack here
-being ``op_per_basis``. Level enumeration, stack factors, Hankel blocks, the
-rank ladder, direct sums and the invariance check therefore come from the
-classical core (:mod:`oomlab.oom`, :mod:`oomlab.dimension`), run with complex
-dtype over basis-index tuples.
+A classical model is the commutative special case: the classical core
+(:mod:`oomlab.oom`, :mod:`oomlab.dimension`) reads ``operator_stack`` (here
+``op_per_basis``), ``operator_sum`` (here ``T(1)``), ``init`` and ``eval``
+off either kind. Level enumeration, stack factors, Hankel blocks, the rank
+ladder, reduction, direct sums and the invariance check come from that
+core, run with complex dtype over basis-index tuples.
 
 The generated state is positive when it is positive on every local algebra
 ``A^(x)n``, not only on elementary tensors of positives. At depth ``n`` its
@@ -63,9 +63,9 @@ from .dimension import (
     _rank_ladder,
 )
 from .errors import ValidationError
-from .oom import DEFAULT_CONDITION_TOL, DEFAULT_NEG_TOL, OomModel, _direct_sum
+from .oom import DEFAULT_CONDITION_TOL, DEFAULT_NEG_TOL, _classical_model
 from .oom import _Report, _condition_residuals, _deepest, _frozen, _frozen_vectors
-from .oom import _factor_residual, _functional_levels, _mixture_weights, _overflow
+from .oom import _factor_residual, _functional_levels, _mixture, _overflow
 from .oom import _overflow_to, _require_nonnegative, _state_levels
 from .words import word_count_up_to
 
@@ -110,8 +110,13 @@ class NcOomModel:
             raise ValidationError("element belongs to a different algebra")
         return np.tensordot(a.coefficients(), self.op_per_basis, axes=(0, 0))
 
+    @property
+    def operator_stack(self) -> np.ndarray:
+        """``op_per_basis``, under the name the core reads off either model."""
+        return self.op_per_basis
+
     @cached_property
-    def unit_operator(self) -> np.ndarray:
+    def operator_sum(self) -> np.ndarray:
         return self.operator_for(unit_element(self.algebra))
 
     def __repr__(self):
@@ -219,7 +224,7 @@ def validate_ncoom(m: NcOomModel, l_val: int = 4) -> NcValidationReport:
     """
     _require_nonnegative(l_val=l_val)
     depth = _deepest(l_val, lambda n: _density_cost(m.algebra, m.dim, n))
-    c1, c2 = _condition_residuals(m.unit_operator, m.init, m.eval)
+    c1, c2 = _condition_residuals(m)
     lowest, defect = np.inf, 0.0
     for phi in chain.from_iterable(_densities(m, n) for n in range(depth + 1)):
         if not np.isfinite(phi).all():  # Python's min and max would drop a NaN
@@ -240,14 +245,16 @@ def validate_ncoom(m: NcOomModel, l_val: int = 4) -> NcValidationReport:
     )
 
 
-def embed_classical(m: OomModel) -> NcOomModel:
-    """Embed a classical model over the commutative algebra of its alphabet.
+def embed_classical(m) -> NcOomModel:
+    """Embed a classical model, or the model an HMM induces, over the
+    commutative algebra of its alphabet.
 
     Basis elements of the size-one blocks are the symbol indicators in
     alphabet order, so the operator list is the complexified classical
     operator list and evaluation on indicator tuples reproduces the word
     probabilities exactly. The dimension is preserved.
     """
+    m = _classical_model(m)
     algebra = CStarAlgebra(tuple(1 for _ in m.alphabet))
     return NcOomModel(
         algebra=algebra,
@@ -294,7 +301,7 @@ def nc_hankel(
     the stack factors and the block is formed only when first read.
     """
     _require_nonnegative(l_past=l_past, l_future=l_future)
-    return _model_block(m, m.op_per_basis, range(m.algebra.total_dim), l_past, l_future)
+    return _model_block(m, range(m.algebra.total_dim), l_past, l_future)
 
 
 def nc_process_dimension(
@@ -310,17 +317,13 @@ def nc_mixture_direct_sum(parts: Sequence[tuple]) -> NcOomModel:
     """Convex mixture of models over one algebra, as a block-diagonal sum.
 
     The mixture's state values are the weighted sums of the parts' values on
-    every elementary tensor, exactly by block structure.
+    every elementary tensor, exactly by block structure. A part that is not
+    an :class:`NcOomModel` raises :class:`TypeError`.
     """
-    weights = _mixture_weights(parts)
-    models = [m for _, m in parts]
-    algebra = models[0].algebra
-    for m in models[1:]:
-        if m.algebra != algebra:
-            raise ValidationError("algebra mismatch between mixture parts")
-    ops, init, evalv = _direct_sum(
-        weights, [(m.op_per_basis, m.init, m.eval) for m in models], complex
-    )
+    for _, m in parts:
+        if not isinstance(m, NcOomModel):
+            raise TypeError(f"expected an NcOomModel, got {type(m).__name__}")
+    algebra, ops, init, evalv = _mixture(parts, "algebra")
     return NcOomModel(algebra=algebra, op_per_basis=ops, init=init, eval=evalv)
 
 
@@ -339,8 +342,8 @@ def nc_stationarity_check(
     meeting condition two, the alternative convention's built-in invariance.
     """
     _require_nonnegative(l=l)
-    t, v, e = m.unit_operator, m.init, m.eval
+    t, v, e = m.operator_sum, m.init, m.eval
     x = e @ t - e if reverse_order else t @ v - v
-    level, residual = _factor_residual(m, m.op_per_basis, reverse_order, x, l)
+    level, residual = _factor_residual(m, reverse_order, x, l)
     return NcStationarityReport(residual=residual, level=level, reverse_order=reverse_order,
                                 stationary=residual <= NC_STATIONARITY_TOL)

@@ -214,8 +214,8 @@ class StationarityReport(_Report):
 
 # ---------------------------------------------------------------------------
 # Linear-representation core, shared with the dimension, causal and ncoom
-# modules. It takes an operator stack ``ops`` (``OomModel.operator_stack`` or
-# ``NcOomModel.op_per_basis``) with an init vector and an eval covector.
+# modules. It reads ``operator_stack``, ``operator_sum``, ``init`` and ``eval``
+# off either model, an ``OomModel`` or an ``NcOomModel``.
 
 
 def _frozen(x, dtype, what: str) -> np.ndarray:
@@ -376,11 +376,11 @@ def _step_cost(k: int, rows: int, d: int, chains: int = 1) -> tuple[int, int]:
                               + 6 * chains * min(1 + k * rows, d) * d + 2**12)
 
 
-def _stack_factors(m, ops: np.ndarray, depth: int, chains: tuple) -> np.ndarray:
+def _stack_factors(m, depth: int, chains: tuple) -> np.ndarray:
     """R factors, one per ``states`` flag of ``chains``, of ``m``'s state stack
     (``states``), the rows ``(T_w v)^T``, or functional stack, the rows ``l
-    T_w``, of the words up to ``depth`` over the operator stack ``ops``, up to
-    row signs, as one array: ``R(0) = R(seed)``, ``R(j) = R([seed; R(j-1) G_1;
+    T_w``, of the words up to ``depth`` over its ``operator_stack``, up to row
+    signs, as one array: ``R(0) = R(seed)``, ``R(j) = R([seed; R(j-1) G_1;
     ...; R(j-1) G_k])`` with the seed ``init`` and the ``G_s`` the ``T_s^T``,
     or ``eval`` and the ``T_s``, each step budgeted.
 
@@ -391,15 +391,15 @@ def _stack_factors(m, ops: np.ndarray, depth: int, chains: tuple) -> np.ndarray:
     Where that charge does not fit the budget, the chains step one at a time,
     each charged and refused as a walk of that chain alone, so a joint walk is
     admitted wherever its chains are. Each chain's factors are bitwise those
-    of a walk of that chain alone. ``m`` keeps only the step computed last,
-    with its ``ops``, ``chains`` and depth, as one private tuple replaced
-    whole: a walk of the same chains extends it, any other request starts over
-    from step 0. So every step is bitwise the same whatever ran on ``m``
-    before, the model holds one factor of at most ``d x d`` per chain, and
-    concurrent callers can at worst repeat work."""
-    k, d, n = len(ops), m.dim, len(chains)
-    walked_ops, walked, j, factors = vars(m).get("_factor_walk", (None, None, -1, None))
-    if walked_ops is not ops or walked != chains or j > depth:
+    of a walk of that chain alone. ``m`` keeps, per set of ``chains``, only
+    the step computed last and its depth, one dict entry replaced whole: a
+    walk of the same chains extends it, a shallower one starts over from step
+    0, other chains leave it be. So every step is bitwise the same whatever
+    ran on ``m`` before, the model holds at most four factors of at most ``d
+    x d``, and concurrent callers can at worst repeat work."""
+    ops, k, d, n = m.operator_stack, len(m.operator_stack), m.dim, len(chains)
+    j, factors = vars(m).setdefault("_factor_walks", {}).get(chains, (depth + 1, None))
+    if j > depth:
         j, factors = -1, np.empty((n, 0, d))
     # models keep init and eval in one dtype, so each chain's is its own
     dtype = np.result_type(ops, factors, m.init, m.eval)
@@ -409,41 +409,41 @@ def _stack_factors(m, ops: np.ndarray, depth: int, chains: tuple) -> np.ndarray:
             _budget(f"the {n} factors to depth {j}", *cost)
             buf = np.empty((n, 1 + k * rows, d), dtype)
             for stack, states, r in zip(buf, chains, factors):
-                _write_stack(stack, m, ops, states, r)
+                _write_stack(stack, m, states, r)
             factors = np.linalg.qr(buf, mode="r")
         else:  # one chain at a time
             step = []
             for states, r in zip(chains, factors):
                 _budget(f"the {'state' if states else 'functional'} factor to depth {j}",
                         *_step_cost(k, rows, d))
-                stack = _write_stack(np.empty((1 + k * rows, d), dtype), m, ops, states, r)
+                stack = _write_stack(np.empty((1 + k * rows, d), dtype), m, states, r)
                 step.append(np.linalg.qr(stack, mode="r"))
             factors = step[0][None] if n == 1 else np.stack(step)
-    vars(m)["_factor_walk"] = (ops, chains, j, factors)
+    vars(m)["_factor_walks"][chains] = (j, factors)
     return factors
 
 
-def _write_stack(out: np.ndarray, m, ops: np.ndarray, states: bool, r: np.ndarray) -> np.ndarray:
+def _write_stack(out: np.ndarray, m, states: bool, r: np.ndarray) -> np.ndarray:
     """``out``, filled with the stack of a step of ``m``'s state (``states``)
     or functional chain from its factor ``r``: the seed, then ``r G_s`` for
     each operator, computed in place."""
+    ops = m.operator_stack.transpose(0, 2, 1) if states else m.operator_stack
     out[0] = m.init if states else m.eval
-    np.matmul(r, ops.transpose(0, 2, 1) if states else ops,
-              out=out[1:].reshape(len(ops), len(r), out.shape[1]))
+    np.matmul(r, ops, out=out[1:].reshape(len(ops), len(r), out.shape[1]))
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite factor is refused
-def _closure(m, ops: np.ndarray, chains: tuple, tol_rel: float, depth: int | None = None) -> tuple:
+def _closure(m, chains: tuple, tol_rel: float, depth: int | None = None) -> tuple:
     """The depth where a walk of ``m``'s factor chains ``chains``, each a
     ``states`` flag of :func:`_stack_factors`, stops, and their factors there.
     It stops at ``depth``, or one step past the first depth at which no
     chain's numerical rank grows: a span is final once a level adds nothing,
     by depth ``d - 1``. The ranks of a step come from one batched SVD. A
     non-finite factor raises, naming its chain."""
-    ranks, last = [], ops.shape[1] if depth is None else min(depth, ops.shape[1])
+    ranks, last = [], m.dim if depth is None else min(depth, m.dim)
     for j in range(last + 1):
-        factors = _stack_factors(m, ops, j, chains)
+        factors = _stack_factors(m, j, chains)
         if not np.isfinite(factors).all():
             raise _overflow_to(j, next(s for s, r in zip(chains, factors)
                                        if not np.isfinite(r).all()))
@@ -456,12 +456,12 @@ def _closure(m, ops: np.ndarray, chains: tuple, tol_rel: float, depth: int | Non
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual is refused
-def _factor_residual(m, ops: np.ndarray, states: bool, x, depth: int | None) -> tuple:
+def _factor_residual(m, states: bool, x, depth: int | None) -> tuple:
     """``(L, |R x|)`` for the state (``states``) or functional factor ``R`` of
     ``m`` where :func:`_closure` stops at most ``depth`` deep: the 2-norm of
     ``x^T T_w v``, or ``l T_w x``, over the words up to ``L``, and where the
     span has closed, 0 iff it is on every word. A non-finite value raises."""
-    level, (r,) = _closure(m, ops, (states,), DEFAULT_RANK_TOL, depth)
+    level, (r,) = _closure(m, (states,), DEFAULT_RANK_TOL, depth)
     residual = float(np.linalg.norm(r @ x))
     if not isfinite(residual):
         raise _overflow_to(level, states)
@@ -523,28 +523,35 @@ def _mixture_weights(parts: Sequence[tuple]) -> np.ndarray:
     return weights
 
 
-def _direct_sum(weights, parts: list, dtype) -> tuple:
-    """Block-diagonal ``(ops, init, eval)`` of ``(ops, init, eval)`` parts,
-    each part's init scaled by its weight."""
-    total = sum(v.size for _, v, _ in parts)
-    ops = np.zeros((parts[0][0].shape[0], total, total), dtype=dtype)
-    init = np.zeros(total, dtype=dtype)
-    evalv = np.zeros(total, dtype=dtype)
-    pos = 0
-    for w, (stack, v, l) in zip(weights, parts):
-        sl = slice(pos, pos + v.size)
-        ops[:, sl, sl] = stack
-        init[sl] = w * v
-        evalv[sl] = l
-        pos += v.size
-    return ops, init, evalv
+def _direct_sum(weights, parts: list) -> tuple:
+    """Block-diagonal ``(ops, init, eval)`` of the models ``parts``, each
+    part's init scaled by its weight, in the dtype of their stacks."""
+    total, pos = sum(m.dim for m in parts), 0
+    ops = np.zeros((len(parts[0].operator_stack), total, total),
+                   np.result_type(*(m.operator_stack for m in parts)))
+    for m in parts:
+        ops[:, pos : pos + m.dim, pos : pos + m.dim] = m.operator_stack
+        pos += m.dim
+    init = np.concatenate([w * m.init for w, m in zip(weights, parts)])
+    return ops, init, np.concatenate([m.eval for m in parts])
 
 
 def _difference(m1: OomModel, m2: OomModel) -> tuple:
     """``(ops, init, eval)`` of the model whose word values are those of
-    ``m1`` minus those of ``m2``: their direct sum, ``m2``'s eval negated."""
-    parts = [(m.operator_stack, m.init, sign * m.eval) for m, sign in ((m1, 1), (m2, -1))]
-    return _direct_sum((1.0, 1.0), parts, float)
+    ``m1`` minus those of ``m2``: their direct sum, ``m2``'s init negated."""
+    return _direct_sum((1.0, -1.0), [m1, m2])
+
+
+def _mixture(parts: Sequence[tuple], key: str) -> tuple:
+    """``(space, ops, init, eval)`` of the convex mixture of (weight, model)
+    parts, whose ``key``, ``"alphabet"`` or ``"algebra"``, is one ``space``:
+    their block-diagonal direct sum, each part's init scaled by its weight."""
+    weights = _mixture_weights(parts)
+    models = [m for _, m in parts]
+    space = getattr(models[0], key)
+    if any(getattr(m, key) != space for m in models[1:]):
+        raise ValidationError(f"{key} mismatch between mixture parts")
+    return (space, *_direct_sum(weights, models))
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +559,13 @@ def _difference(m1: OomModel, m2: OomModel) -> tuple:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual is refused
-def _condition_residuals(total: np.ndarray, init, eval) -> tuple[float, float]:
-    """``|l(v) - 1|`` and ``max |l T - l|`` for the sum ``T`` of a model's
-    operators: how far it is from unit mass and from mass preservation. A
-    residual that is not finite, where the parameters sum past the float
-    range, raises :class:`ValidationError`."""
-    c1 = abs(complex(eval @ init) - 1.0)
-    c2 = float(np.max(np.abs(eval @ total - eval)))
+def _condition_residuals(m) -> tuple[float, float]:
+    """``|l(v) - 1|`` and ``max |l T - l|`` for ``m``'s ``operator_sum`` ``T``:
+    how far it is from unit mass and from mass preservation. A residual that
+    is not finite, where the parameters sum past the float range, raises
+    :class:`ValidationError`."""
+    c1 = abs(complex(m.eval @ m.init) - 1.0)
+    c2 = float(np.max(np.abs(m.eval @ m.operator_sum - m.eval)))
     if not (isfinite(c1) and isfinite(c2)):
         raise ValidationError(
             f"condition-1 residual {c1:.6e}, condition-2 residual {c2:.6e}: "
@@ -573,7 +580,7 @@ def _certified(m: OomModel) -> bool:
     A model that is not certified may still be valid; only a scan can tell."""
     if not m._nonnegative:
         return False
-    return max(_condition_residuals(m.operator_sum, m.init, m.eval)) <= DEFAULT_CONDITION_TOL
+    return max(_condition_residuals(m)) <= DEFAULT_CONDITION_TOL
 
 
 def validate_oom(m: OomModel, l_val: int = 8) -> ValidationReport:
@@ -589,7 +596,7 @@ def validate_oom(m: OomModel, l_val: int = 8) -> ValidationReport:
     """
     _require_nonnegative(l_val=l_val)
     depth = _deepest(l_val, lambda n: _scan_cost(len(m.alphabet), m.dim, n))
-    c1, c2 = _condition_residuals(m.operator_sum, m.init, m.eval)
+    c1, c2 = _condition_residuals(m)
     most_negative = _split_scan(m.operator_stack, m.init, m.eval, depth)[0]
     passed = max(c1, c2) <= DEFAULT_CONDITION_TOL and most_negative >= -DEFAULT_NEG_TOL
     return ValidationReport(
@@ -660,7 +667,7 @@ def kolmogorov_residual(p, depth: int) -> float:
     if depth == 0:
         return 0.0
     defect = m.eval @ m.operator_sum - m.eval
-    return _factor_residual(m, m.operator_stack, True, defect, depth - 1)[1]
+    return _factor_residual(m, True, defect, depth - 1)[1]
 
 
 def hmm_to_oom(h: HmmModel) -> OomModel:
@@ -695,24 +702,17 @@ def _classical_model(p) -> OomModel:
 def mixture_direct_sum(parts: Sequence[tuple]) -> OomModel:
     """Convex mixture of models, realized as a block-diagonal direct sum.
 
-    Takes (weight, model) pairs over a shared alphabet with positive weights
-    summing to one. The direct sum's word probabilities are the weighted sums
-    of the parts' word probabilities, exactly by block structure.
+    Takes (weight, model or HMM) pairs over a shared alphabet with positive
+    weights summing to one. The direct sum's word probabilities are the
+    weighted sums of the parts' word probabilities, exactly by block structure.
     """
-    weights = _mixture_weights(parts)
-    models = [m for _, m in parts]
-    alphabet = models[0].alphabet
-    for m in models[1:]:
-        if m.alphabet != alphabet:
-            raise ValidationError("alphabet mismatch between mixture parts")
-    ops, init, evalv = _direct_sum(
-        weights, [(m.operator_stack, m.init, m.eval) for m in models], float
-    )
+    alphabet, ops, init, evalv = _mixture([(w, _classical_model(m)) for w, m in parts],
+                                          "alphabet")
     return OomModel(alphabet=alphabet, operators=dict(zip(alphabet, ops)), init=init, eval=evalv)
 
 
-def stationarity_check(m: OomModel, l: int | None = None) -> StationarityReport:
-    """Test shift invariance of the generated process on observables.
+def stationarity_check(m, l: int | None = None) -> StationarityReport:
+    """Test shift invariance of a model's or an HMM's process on observables.
 
     Reports the 2-norm of ``P(w) - sum_d P(dw)`` over the words up to
     ``level``, stationary when it is within ``STATIONARITY_TOL``: ``level`` is
@@ -723,15 +723,16 @@ def stationarity_check(m: OomModel, l: int | None = None) -> StationarityReport:
     (:func:`_factor_residual`) is the observable criterion.
     """
     _require_nonnegative(l=l)
+    m = _classical_model(m)
     shifted = m.init - m.operator_sum @ m.init
-    level, residual = _factor_residual(m, m.operator_stack, False, shifted, l)
+    level, residual = _factor_residual(m, False, shifted, l)
     return StationarityReport(residual=residual, level=level,
                               stationary=residual <= STATIONARITY_TOL)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite mass is refused
-def sample_trajectory(m: OomModel, length: int, seed: int) -> Word:
-    """Draw a word of the given length from the generated process.
+def sample_trajectory(m, length: int, seed: int) -> Word:
+    """Draw a word of the given length from a model's or an HMM's process.
 
     A certified model (:func:`_certified`) whose ``eval`` is entrywise
     positive is a hidden Markov chain after the diagonal change of basis by
@@ -752,11 +753,12 @@ def sample_trajectory(m: OomModel, length: int, seed: int) -> Word:
     given ``seed``.
     """
     _require_nonnegative(length=length)
+    m = _classical_model(m)
     rng = np.random.default_rng(seed)
     mass = float(m.eval @ m.init)
     if abs(mass - 1.0) > 1e-6:
         raise ValidationError(f"initial mass is {mass}, expected 1")
-    _condition_residuals(m.operator_sum, m.init, m.eval)  # refuses sums past the float range
+    _condition_residuals(m)  # refuses sums past the float range
     blocks = (rng.random(min(_SAMPLE_BLOCK, length - start)).tolist()
               for start in range(0, length, _SAMPLE_BLOCK))
     table = m._hidden_chain

@@ -157,7 +157,7 @@ def wide_models() -> tuple:
     and holds more than the budget admits; the steps to depth 2 fit."""
     m = ol.hmm_to_oom(_wide_hmm())
     e = ol.embed_classical(m)
-    m.operator_sum, e.unit_operator  # formed here, before a test traces
+    m.operator_sum, e.operator_sum  # formed here, before a test traces
     return m, e
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import oomlab as ol
 from oomlab import ResourceLimitError, ValidationError, dimension, oom
-from oomlab.dimension import DEFAULT_RANK_TOL, MIN_RANK_MARGIN, _model_block, _reduced
+from oomlab.dimension import DEFAULT_RANK_TOL, MIN_RANK_MARGIN, _reduced
 from oomlab.oom import _SCAN_CHUNK, _budget, _clamp_probabilities, _functional_levels
 from oomlab.oom import _state_levels
 from oomlab.words import word_count_up_to
@@ -523,7 +523,7 @@ def _reduced_arrays(m) -> list:
     if isinstance(m, ol.OomModel):
         m = ol.minimize_oom(m)
         return [m.operator_stack, m.init, m.eval]
-    return list(_reduced(m, m.op_per_basis, DEFAULT_RANK_TOL)[0])
+    return list(_reduced(m, DEFAULT_RANK_TOL)[0])
 
 
 @pytest.mark.parametrize(
@@ -543,7 +543,7 @@ def test_ladder_is_bitwise_the_same_whatever_ran_before(make, ladder, depth):
     assert ladder(warmed, depth).to_dict() == fresh  # a repeat starts over from step 0
     shallow_first = make()
     ladder(shallow_first, depth)
-    # single-chain walks between and inside ladders replace the joint walk
+    # single-chain walks between and inside ladders, kept beside the joint walk
     interleaved = make()
     block(interleaved, 2, 2)
     for _ in range(2):
@@ -587,12 +587,11 @@ def test_joint_factors_are_bitwise_the_chains_alone(k, kind):
         elif kind == "complex":
             m = ol.NcOomModel(ol.construct_algebra([1] * k), m.operator_stack * np.exp(0.3j),
                               m.init * (1 + 1j), m.eval)
-        ops = m.operator_stack if kind == "real" else m.op_per_basis
         depth = 4 if k <= 8 else 2
-        states = _reference_chain(m.init, ops.transpose(0, 2, 1), depth)
-        functionals = _reference_chain(m.eval, ops, depth)
+        states = _reference_chain(m.init, m.operator_stack.transpose(0, 2, 1), depth)
+        functionals = _reference_chain(m.eval, m.operator_stack, depth)
         for j in range(depth + 1):
-            r_s, r_f = oom._stack_factors(m, ops, j, (True, False))
+            r_s, r_f = oom._stack_factors(m, j, (True, False))
             for got, want in ((r_s, states[j]), (r_f, functionals[j])):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (seed, j)
 
@@ -612,7 +611,7 @@ def test_a_joint_step_past_the_budget_steps_one_chain_at_a_time(monkeypatch):
     assert charged == ["the 2 factors to depth 0", "the 2 factors to depth 1",
                        "the 2 factors to depth 2", "the state factor to depth 3",
                        "the functional factor to depth 3"]
-    (r_s,), (r_f,) = (oom._stack_factors(m, m.operator_stack, 3, (states,))
+    (r_s,), (r_f,) = (oom._stack_factors(m, 3, (states,))
                       for states in (True, False))
     assert np.array_equal(sv, np.linalg.svd(r_s @ r_f.T, compute_uv=False))
     # a walk whose chains do not fit one at a time is refused as before
@@ -622,15 +621,25 @@ def test_a_joint_step_past_the_budget_steps_one_chain_at_a_time(monkeypatch):
     assert charged[-2:] == ["the 2 factors to depth 2", "the state factor to depth 3"]
 
 
-def test_stack_factors_follow_the_operators_they_were_built_from():
+def test_each_set_of_chains_keeps_its_own_walk(monkeypatch):
     def make():
-        return ol.hmm_to_oom(ol.random_hmm(4, "01", rng=2))
+        return ol.hmm_to_oom(ol.random_hmm(16, "01", rng=0))
 
+    want = [ol.build_hankel(make(), depth, 1).singular_values for depth in range(1, 9)]
+    shapes, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: shapes.append(a.shape) or qr(a, mode))
     m = make()
-    halved = m.operator_stack / 2
-    ol.build_hankel(m, 3, 3)  # factors of m's own operators
-    got = _model_block(m, halved, m.alphabet, 3, 3).singular_values
-    assert np.array_equal(got, _model_block(make(), halved, m.alphabet, 3, 3).singular_values)
+    for depth, sv in zip(range(1, 9), want):
+        assert np.array_equal(ol.build_hankel(m, depth, 1).singular_values, sv)
+    # 2 joint steps at depth 1, then the state walk to 2 and the functional
+    # walk to 1 from step 0, then one state step a depth: the functional walk stays
+    assert len(shapes) == 13
+    m = make()
+    ol.process_dimension(m, 6)
+    ol.stationarity_check(m)
+    shapes.clear()
+    ol.build_hankel(m, 7, 7)
+    assert shapes == [(2, 1 + 2 * 16, 16)]  # one joint step past the ladder's walk
 
 
 def test_concurrent_ladders_share_one_model_safely():
@@ -645,7 +654,7 @@ def test_concurrent_ladders_share_one_model_safely():
         threading.Thread(target=lambda d=d: results.append((d, ol.process_dimension(m, d))))
         for d in depths
     ]
-    # single-chain walks replace the joint walk that the ladders extend
+    # single-chain walks, kept beside the joint walk that the ladders extend
     threads += [threading.Thread(target=lambda: checks.append(ol.stationarity_check(m)))
                 for _ in range(2)]
     interval = sys.getswitchinterval()

@@ -136,8 +136,7 @@ def test_sign_certificate_on_seeded_models(tmp_path):
         for m in (a, b):
             assert _certified(m) and ol.validate_oom(m).passed, i
         # 1.2 P_a - 0.2 P_b: unit mass and mass preservation hold, signs do not
-        parts = [(m.operator_stack, m.init, m.eval) for m in (a, b)]
-        ops, init, evalv = _direct_sum((1.2, -0.2), parts, float)
+        ops, init, evalv = _direct_sum((1.2, -0.2), (a, b))
         signed = ol.OomModel(a.alphabet, dict(zip(a.alphabet, ops)), init, evalv)
         assert not _certified(signed), i
         path = tmp_path / "signed.json"

@@ -134,8 +134,7 @@ def _signed_hmm_mixtures():
             continue
         b = ol.hmm_to_oom(ol.random_hmm(int(rng.integers(1, 4)), alphabet, rng=2 * i + 1))
         w = float(rng.uniform(0.05, 1.0))
-        parts = [(m.operator_stack, m.init, m.eval) for m in (a, b)]
-        ops, init, evalv = _direct_sum((1 + w, -w), parts, float)
+        ops, init, evalv = _direct_sum((1 + w, -w), (a, b))
         out.append((ol.OomModel(alphabet, dict(zip(alphabet, ops)), init, evalv),
                     int(rng.integers(0, 6))))
     return out
@@ -201,13 +200,13 @@ def test_budget_lowers_the_checked_depth(model, asked, checked):
 )
 def test_diagonal_product_mixtures_match_the_rational_oracle(d, parts):
     exact = RationalProductStateMixture(d, parts)
-    models = []
+    algebra, models = ol.construct_algebra([d]), []
     for _, diag in exact.parts:
         ops = np.zeros((d * d, 1, 1), dtype=complex)
         ops[[i * d + i for i in range(d)], 0, 0] = [float(x) for x in diag]
-        models.append((ops, np.ones(1), np.ones(1)))
-    ops, init, evalv = _direct_sum([float(w) for w, _ in exact.parts], models, complex)
-    m = ol.NcOomModel(algebra=ol.construct_algebra([d]), op_per_basis=ops, init=init, eval=evalv)
+        models.append(ol.NcOomModel(algebra, ops, np.ones(1), np.ones(1)))
+    ops, init, evalv = _direct_sum([float(w) for w, _ in exact.parts], models)
+    m = ol.NcOomModel(algebra=algebra, op_per_basis=ops, init=init, eval=evalv)
     lowest = Fraction(1)
     for n in range(1, 5):
         (phi,) = _densities(m, n)  # one block, so one block tuple
@@ -435,6 +434,22 @@ def test_nc_mixture_algebra_mismatch():
     e = ol.embed_classical(ol.bernoulli(0.5))
     with pytest.raises(ValidationError, match="algebra"):
         ol.nc_mixture_direct_sum([(0.5, q), (0.5, e)])
+
+
+@pytest.mark.parametrize(
+    "mixture, parts, message",
+    [
+        (ol.mixture_direct_sum, (ol.bernoulli(0.5), ol.embed_classical(ol.bernoulli(0.5))),
+         "expected an OomModel or HmmModel, got NcOomModel"),
+        (ol.nc_mixture_direct_sum, (ol.embed_classical(ol.bernoulli(0.5)), ol.bernoulli(0.5)),
+         "expected an NcOomModel, got OomModel"),
+    ],
+    ids=["classical", "operator-algebra"],
+)
+def test_a_mixture_part_of_the_other_kind_is_refused(mixture, parts, message):
+    with pytest.raises(TypeError) as err:
+        mixture([(0.5, m) for m in parts])
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(

@@ -165,6 +165,29 @@ def test_hmm_coercion_converts_once():
     assert ol.hmm_to_oom(hmm) is not induced
 
 
+def _arrays(m) -> list:
+    """A model's operator stack, init and eval, as nested lists."""
+    return [x.tolist() for x in (m.operator_stack, m.init, m.eval)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: ol.stationarity_check(p).to_dict(),
+        lambda p: _arrays(ol.minimize_oom(p)),
+        lambda p: ol.equivalent(p, ol.bernoulli(0.5), 4),
+        lambda p: ol.sample_trajectory(p, 50, 3),
+        lambda p: _arrays(ol.embed_classical(p)),
+        lambda p: _arrays(ol.mixture_direct_sum([(0.5, p), (0.5, ol.bernoulli(0.3))])),
+        lambda p: ol.run_additivity([(0.5, p), (0.5, ol.bernoulli(0.3))], 3).to_dict(),
+    ],
+    ids=["stationarity", "minimize", "equivalent", "sample", "embed", "mixture", "additivity"],
+)
+def test_an_hmm_is_taken_as_the_model_it_induces(call):
+    hmm = ol.periodic("01")
+    assert call(hmm) == call(ol.hmm_to_oom(hmm))
+
+
 # ---------------------------------------------------------------------------
 # mixtures
 
