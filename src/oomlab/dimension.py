@@ -156,13 +156,15 @@ class DimensionReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed image is returned as it is
-def apply_tau(m: OomModel, word) -> np.ndarray:
-    """State image of a word: ``T_wn ... T_w1 v``.
+def apply_tau(m, word) -> np.ndarray:
+    """State image of a word: ``T_wn ... T_w1 v``, for a model or the model
+    an HMM induces.
 
     This is the coordinate representation of conditioning the process on the
     word (unnormalized); applying the evaluation covector gives the word's
     probability. The empty word returns the initial vector.
     """
+    m = _classical_model(m)
     return _propagate(m, normalize_word(word, m.alphabet))
 
 

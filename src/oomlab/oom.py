@@ -74,8 +74,10 @@ class OomModel:
     eval : (dim,) array
         Evaluation covector ``l``.
 
-    Models are immutable after construction; evaluation and sampling are pure
-    given (model, seed).
+    The operators are stored once, as the read-only ``operator_stack``, shape
+    ``(n_symbols, dim, dim)`` in alphabet order; ``operators`` holds views
+    into it. Models are immutable after construction; evaluation and
+    sampling are pure given (model, seed).
     """
 
     alphabet: tuple
@@ -87,18 +89,13 @@ class OomModel:
 
     def __post_init__(self):
         self.init, self.eval = _frozen_vectors(self.init, self.eval, float)
-        self.alphabet, self.operators = _frozen_symbol_matrices(
+        self.alphabet, self.operator_stack, self.operators = _frozen_symbol_matrices(
             self.alphabet, self.operators, self.init.size, "operator", "operators"
         )
 
     @property
     def dim(self) -> int:
         return self.init.size
-
-    @cached_property
-    def operator_stack(self) -> np.ndarray:
-        """Operators stacked in alphabet order, shape (n_symbols, dim, dim)."""
-        return np.stack([self.operators[s] for s in self.alphabet])
 
     @cached_property
     @np.errstate(over="ignore")  # a sum past the float range is refused where it is read
@@ -127,7 +124,8 @@ class HmmModel:
 
     ``transition_emission[d][i, j]`` is the joint probability of moving from
     state i to state j while outputting symbol d, so the sum over symbols is
-    the row-stochastic transition matrix.
+    the row-stochastic transition matrix. The matrices are stored once, as
+    one read-only stack in alphabet order, and this mapping holds views into it.
     """
 
     alphabet: tuple
@@ -140,7 +138,7 @@ class HmmModel:
         self.init = _frozen(self.init, float, "init").reshape(-1)
         if self.init.size == 0:
             raise ValidationError("init vector is empty")
-        self.alphabet, self.transition_emission = _frozen_symbol_matrices(
+        self.alphabet, _, self.transition_emission = _frozen_symbol_matrices(
             self.alphabet, self.transition_emission, self.init.size, "matrix", "matrices"
         )
 
@@ -239,25 +237,30 @@ def _frozen_vectors(init, eval, dtype) -> tuple:
 
 
 def _frozen_symbol_matrices(alphabet, matrices: Mapping, d: int, noun: str, nouns: str):
-    """``alphabet`` as a tuple of distinct strings, and ``matrices`` as a dict
-    of read-only finite ``d x d`` float arrays in alphabet order, one per
-    symbol; ``noun`` and its plural ``nouns`` name them in errors."""
+    """``alphabet`` as a tuple of distinct strings, the read-only ``(len(alphabet),
+    d, d)`` float stack of the finite ``d x d`` ``matrices`` in alphabet order,
+    each converted once, into its block, and the dict of its blocks by symbol,
+    views into it; ``noun`` and its plural ``nouns`` name them in errors."""
     alphabet = tuple(str(s) for s in alphabet)
     if not alphabet:
         raise ValidationError("alphabet is empty")
     if len(set(alphabet)) != len(alphabet):
         raise ValidationError("alphabet contains duplicate symbols")
-    out = {}
-    for s in alphabet:
+    stack = np.empty((len(alphabet), d, d))
+    for s, block in zip(alphabet, stack):
         if s not in matrices:
             raise ValidationError(f"missing {noun} for symbol {s!r}")
-        out[s] = _frozen(matrices[s], float, f"{noun} for {s!r}")
-        if out[s].shape != (d, d):
-            raise ValidationError(f"{noun} for {s!r} must be {d}x{d}, got {out[s].shape}")
+        a = np.asarray(matrices[s], dtype=float)  # a float array is not copied
+        if not np.isfinite(a).all():
+            raise ValidationError(f"{noun} for {s!r} has a non-finite entry")
+        if a.shape != (d, d):
+            raise ValidationError(f"{noun} for {s!r} must be {d}x{d}, got {a.shape}")
+        block[...] = a
     extra = set(matrices) - set(alphabet)
     if extra:
         raise ValidationError(f"{nouns} for symbols outside alphabet: {sorted(extra)}")
-    return alphabet, out
+    stack.setflags(write=False)
+    return alphabet, stack, dict(zip(alphabet, stack))
 
 
 def _require_nonnegative(**values: int | None) -> None:
@@ -439,16 +442,21 @@ def _closure(m, chains: tuple, tol_rel: float, depth: int | None = None) -> tupl
     ``states`` flag of :func:`_stack_factors`, stops, and their factors there.
     It stops at ``depth``, or one step past the first depth at which no
     chain's numerical rank grows: a span is final once a level adds nothing,
-    by depth ``d - 1``. The ranks of a step come from one batched SVD. A
-    non-finite factor raises, naming its chain."""
+    by depth ``d - 1``. The ranks of a step come from one batched SVD, but for
+    depth 0, where each factor is one row, of rank 1 unless it is zero, and
+    the last depth, whose ranks are never compared. A non-finite factor
+    raises, naming its chain."""
     ranks, last = [], m.dim if depth is None else min(depth, m.dim)
     for j in range(last + 1):
         factors = _stack_factors(m, j, chains)
         if not np.isfinite(factors).all():
             raise _overflow_to(j, next(s for s, r in zip(chains, factors)
                                        if not np.isfinite(r).all()))
-        if len(ranks) > 1 and ranks[-2] == ranks[-1]:
+        if j == last or len(ranks) > 1 and ranks[-2] == ranks[-1]:
             break
+        if j == 0:
+            ranks.append([int(r.any()) for r in factors])
+            continue
         # numpy takes longer for a batch of one than for its matrix
         sv = np.linalg.svd(factors if len(chains) > 1 else factors[0], compute_uv=False)
         ranks.append([_rank_cut(s, tol_rel)[0] for s in sv.reshape(len(chains), -1)])
@@ -583,8 +591,9 @@ def _certified(m: OomModel) -> bool:
     return max(_condition_residuals(m)) <= DEFAULT_CONDITION_TOL
 
 
-def validate_oom(m: OomModel, l_val: int = 8) -> ValidationReport:
-    """Check the three defining conditions up to word length ``l_val``.
+def validate_oom(m, l_val: int = 8) -> ValidationReport:
+    """Check the three defining conditions of a model, or of the model an HMM
+    induces, up to word length ``l_val``.
 
     Returns the residual ``|l(v) - 1|``, the residual ``max |l sum_d T_d - l|``
     and the most negative word value over all words up to ``checked_depth``:
@@ -595,6 +604,7 @@ def validate_oom(m: OomModel, l_val: int = 8) -> ValidationReport:
     depth.
     """
     _require_nonnegative(l_val=l_val)
+    m = _classical_model(m)
     depth = _deepest(l_val, lambda n: _scan_cost(len(m.alphabet), m.dim, n))
     c1, c2 = _condition_residuals(m)
     most_negative = _split_scan(m.operator_stack, m.init, m.eval, depth)[0]
@@ -678,15 +688,8 @@ def hmm_to_oom(h: HmmModel) -> OomModel:
     dimension equal to the number of hidden states.
     """
     validate_hmm(h).require()
-    ops = {s: h.transition_emission[s].T.copy() for s in h.alphabet}
-    return OomModel(
-        alphabet=h.alphabet,
-        operators=ops,
-        init=h.init.copy(),
-        eval=np.ones(h.n_states),
-        name=h.name,
-        description=h.description,
-    )
+    return OomModel(h.alphabet, {s: h.transition_emission[s].T for s in h.alphabet}, h.init,
+                    np.ones(h.n_states), name=h.name, description=h.description)
 
 
 def _classical_model(p) -> OomModel:

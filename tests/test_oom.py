@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 import oomlab as ol
 from oomlab import ResourceLimitError, ValidationError, oom
-from oomlab.oom import _SAMPLE_BLOCK, DEFAULT_NEG_TOL, STATIONARITY_TOL
+from oomlab.dimension import _reduced
+from oomlab.oom import _SAMPLE_BLOCK, DEFAULT_NEG_TOL, DEFAULT_RANK_TOL, STATIONARITY_TOL
 from oomlab.oom import _classical_model, _functional_levels, _split_scan
 from oomlab.processes import stationary_distribution
 
-from curated import FUNCTIONAL_OVERFLOW, OVERFLOW, markov2, overflowing_model, phase0_p12
+from curated import FUNCTIONAL_OVERFLOW, OVERFLOW, markov2, markov3, mixture_2bern
+from curated import overflowing_model, phase0_p12
 from curated import reversed_model, wide_models, wide_pair
 from oracles import forward_probability, level_scan
 
@@ -180,12 +182,115 @@ def _arrays(m) -> list:
         lambda p: _arrays(ol.embed_classical(p)),
         lambda p: _arrays(ol.mixture_direct_sum([(0.5, p), (0.5, ol.bernoulli(0.3))])),
         lambda p: ol.run_additivity([(0.5, p), (0.5, ol.bernoulli(0.3))], 3).to_dict(),
+        lambda p: ol.validate_oom(p).to_dict(),
+        lambda p: ol.apply_tau(p, "0").tolist(),
     ],
-    ids=["stationarity", "minimize", "equivalent", "sample", "embed", "mixture", "additivity"],
+    ids=["stationarity", "minimize", "equivalent", "sample", "embed", "mixture", "additivity",
+         "validate", "apply_tau"],
 )
 def test_an_hmm_is_taken_as_the_model_it_induces(call):
     hmm = ol.periodic("01")
     assert call(hmm) == call(ol.hmm_to_oom(hmm))
+
+
+# ---------------------------------------------------------------------------
+# one operator stack
+
+
+def _block_diagonal(a, b) -> np.ndarray:
+    out = np.zeros((len(a) + len(b),) * 2)
+    out[: len(a), : len(a)], out[len(a) :, len(a) :] = a, b
+    return out
+
+
+def _from_lists(tmp_path):
+    ops = {"0": [[0.5, 0.25], [0.0, 0.125]], "1": [[0.25, 0.0], [0.5, 0.375]]}
+    return ol.OomModel(("0", "1"), ops, [0.5, 0.5], [1.0, 1.0]), ops
+
+
+def _induced(tmp_path):
+    h = ol.random_hmm(5, "abc", rng=2)
+    return ol.hmm_to_oom(h), {s: h.transition_emission[s].T for s in h.alphabet}
+
+
+def _mixture(tmp_path):
+    a, b = ol.bernoulli(0.3), ol.hmm_to_oom(markov2())
+    ops = {s: _block_diagonal(a.operators[s], b.operators[s]) for s in a.alphabet}
+    return ol.mixture_direct_sum([(0.5, a), (0.5, b)]), ops
+
+
+def _minimized(tmp_path):
+    m = ol.hmm_to_oom(ol.random_hmm(6, "01", rng=3))
+    (ops, _, _), _ = _reduced(m, DEFAULT_RANK_TOL)
+    return ol.minimize_oom(m), dict(zip(m.alphabet, ops))
+
+
+def _parsed(tmp_path):
+    m = ol.hmm_to_oom(ol.random_hmm(4, "xyz", rng=4))
+    ol.save_model(m, tmp_path / "m.json")
+    return ol.parse_model_file(tmp_path / "m.json"), m.operators
+
+
+def _hmm(tmp_path):
+    h = ol.random_hmm(4, "01", rng=5)
+    mats = {s: h.transition_emission[s].copy() for s in h.alphabet}
+    return ol.HmmModel(h.alphabet, mats, h.init), mats
+
+
+@pytest.mark.parametrize("build", [_from_lists, _induced, _mixture, _minimized, _parsed, _hmm],
+                         ids=["lists", "hmm_to_oom", "mixture", "minimize", "parsed", "hmm"])
+def test_per_symbol_matrices_are_views_into_one_stack(build, tmp_path):
+    model, inputs = build(tmp_path)
+    views = getattr(model, "operators", None) or model.transition_emission
+    stack = views[model.alphabet[0]].base
+    assert stack.shape == (len(model.alphabet), *views[model.alphabet[0]].shape)
+    assert stack.dtype == float and not stack.flags.writeable
+    if isinstance(model, ol.OomModel):
+        assert model.operator_stack is stack
+    for i, s in enumerate(model.alphabet):
+        view = views[s]
+        assert view.base is stack and np.shares_memory(view, stack[i])
+        assert view.flags.c_contiguous and not view.flags.writeable
+        # converted into the stack: the model does not share its input's memory
+        assert not np.shares_memory(view, np.asarray(inputs[s]))
+        assert view.tobytes() == np.ascontiguousarray(inputs[s], dtype=float).tobytes()
+
+
+def test_a_model_holds_its_operators_once():
+    h = ol.random_hmm(120, string.ascii_lowercase, rng=0)
+    stack = 26 * 120 * 120 * 8
+    tracemalloc.start()
+    try:
+        m = ol.hmm_to_oom(h)
+        peak = tracemalloc.get_traced_memory()[1]
+        ol.stationarity_check(m)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # what the core call keeps beside the operators: their sum and the walk's factor
+    kept = m.operator_sum.nbytes + sum(f.nbytes for _, f in vars(m)["_factor_walks"].values())
+    assert held - kept <= 1.05 * stack
+    assert peak <= 2.1 * stack
+
+
+def test_the_closure_takes_no_svd_where_a_rank_is_known_or_unused(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+    # depth 0 has one row a chain; the last depth's ranks are never compared
+    for model, svds, level in (
+        (markov2(), 1, 2),
+        (markov3(), 2, 3),
+        (ol.periodic("01"), 1, 2),
+        (ol.periodic("012"), 2, 3),
+        (mixture_2bern(), 1, 2),
+    ):
+        calls.clear()
+        assert ol.stationarity_check(model, 6).level == level
+        assert len(calls) == svds
+    calls.clear()
+    m = ol.minimize_oom(ol.hmm_to_oom(ol.random_hmm(16, "01", rng=0)))
+    assert (m.dim, m._reduction["depth"], len(calls)) == (16, 6, 6)
 
 
 # ---------------------------------------------------------------------------
